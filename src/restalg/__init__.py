@@ -30,7 +30,6 @@ from .cstar import (
 from .errors import (
     BaseMismatch,
     InvalidGroupTable,
-    NoConvergence,
     NotAdjointClosed,
     NotAssociative,
     NotContractive,

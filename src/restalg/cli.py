@@ -5,13 +5,15 @@ file or the default corpus), rep (print representation matrices or run
 the membership checks), norm (norms of a coefficient function),
 quotient-check (quotient-norm comparison), witness-search (associativity
 scan for the order-relaxed product).  Exit codes: 0 pass, 1 verification
-failure, 2 input error.
+failure, 2 input error, 141 (128 + SIGPIPE) when the reader of stdout
+goes away early, as in ``restalg verify | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -49,6 +51,7 @@ from .verify import Tolerances, run_suites
 EXIT_PASS = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_common(p):
@@ -328,7 +331,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so
+        # that the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -30,17 +30,17 @@ from .reps import (
 from .restricted import build_restricted_semigroup
 
 
-def reduced_cstar_norm(f, *, rel_tol=1e-12):
+def reduced_cstar_norm(f):
     """||f|| as an operator through the restricted left regular
     representation."""
-    return op_norm(lift(restricted_left_regular(f.base), f), rel_tol=rel_tol)
+    return op_norm(lift(restricted_left_regular(f.base), f))
 
 
-def unrestricted_reduced_norm(f, *, rel_tol=1e-12):
+def unrestricted_reduced_norm(f):
     """||f|| through the classical (order-based) left regular
     representation.  For finite S this also serves as the unrestricted
     full norm; reports flag the two identically."""
-    return op_norm(lift(left_regular(f.base), f), rel_tol=rel_tol)
+    return op_norm(lift(left_regular(f.base), f))
 
 
 # ---------------------------------------------------------------------
@@ -109,14 +109,14 @@ def sigma_r_samples(S, trials, seed):
         yield Representation(S, mats, KIND_RESTRICTED, "random-sigma-r")
 
 
-def full_cstar_norm(f, *, trials=0, seed=0, slack=1e-9, rel_tol=1e-12):
+def full_cstar_norm(f, *, trials=0, seed=0, slack=1e-9):
     """The supremum norm over contractive restricted representations.
 
     Computed as the reduced norm (they agree for finite S); when trials
     is positive, randomized members of the family must not exceed it
     beyond ``slack`` or VerificationFailure is raised.
     """
-    value = reduced_cstar_norm(f, rel_tol=rel_tol)
+    value = reduced_cstar_norm(f)
     if trials:
         excess = sigma_r_cross_check(f, trials=trials, seed=seed)
         if excess > slack:
@@ -128,13 +128,13 @@ def full_cstar_norm(f, *, trials=0, seed=0, slack=1e-9, rel_tol=1e-12):
     return value
 
 
-def sigma_r_cross_check(f, *, trials=5, seed=0, rel_tol=1e-10):
+def sigma_r_cross_check(f, *, trials=5, seed=0):
     """Largest amount by which a sampled representation's lift exceeds the
     computed supremum norm (negative when none does)."""
     value = reduced_cstar_norm(f)
     worst = -np.inf
     for pi in sigma_r_samples(f.base, trials, seed):
-        worst = max(worst, op_norm(lift(pi, f), rel_tol=rel_tol) - value)
+        worst = max(worst, op_norm(lift(pi, f)) - value)
     return worst
 
 
@@ -142,7 +142,7 @@ def sigma_r_cross_check(f, *, trials=5, seed=0, rel_tol=1e-10):
 # quotient norm modulo the line at the adjoined zero
 
 
-def quotient_cstar_norm(f, zero_index, *, rel_tol=1e-12):
+def quotient_cstar_norm(f, zero_index):
     """||f + C delta_0|| in the operator completion over the zero-adjoined
     semigroup.
 
@@ -155,7 +155,7 @@ def quotient_cstar_norm(f, zero_index, *, rel_tol=1e-12):
     A = lift(Lam, f)
     Q = np.eye(f.base.n, dtype=np.complex128)
     Q[zero_index, zero_index] = 0.0
-    return op_norm(A @ Q, rel_tol=rel_tol)
+    return op_norm(A @ Q)
 
 
 def minimized_quotient_norm(f, zero_index, *, phases=6, rounds=12, coarse_iters=18):
@@ -165,8 +165,9 @@ def minimized_quotient_norm(f, zero_index, *, phases=6, rounds=12, coarse_iters=
     The scalar is scanned on a refining modulus/phase grid (golden
     section along each ray; |c| <= 2 ||f||_1, beyond which the norm
     increases), with a high-precision golden pass along the best ray at
-    the end.  Norms on this route come from LAPACK, so the check shares
-    nothing with the power-iteration pipeline.
+    the end.  Norms on this route come from LAPACK's SVD of the lifted
+    matrix, not from the Hermitian eigensolve on its Gram matrix that
+    quotient_cstar_norm uses, so the two routes share no factorization.
     """
     Lam = left_regular(f.base)
     base_mat = lift(Lam, f)
@@ -311,10 +312,10 @@ def quotient_match_report(
     )
 
 
-def cstar_identity_deviation(f, *, rel_tol=1e-12):
+def cstar_identity_deviation(f):
     """Relative deviation of ||f~ . f|| from ||f||^2 in the reduced norm."""
-    a = reduced_cstar_norm(dot(f.tilde(), f), rel_tol=rel_tol)
-    b = reduced_cstar_norm(f, rel_tol=rel_tol) ** 2
+    a = reduced_cstar_norm(dot(f.tilde(), f))
+    b = reduced_cstar_norm(f) ** 2
     scale = max(1.0, abs(a), abs(b))
     return abs(a - b) / scale
 

@@ -53,10 +53,6 @@ class VerificationFailure(WitnessedError):
     witness identifies the failing input."""
 
 
-class NoConvergence(RestalgError):
-    """Power iteration did not reach the requested tolerance."""
-
-
 class ParseError(RestalgError):
     """Malformed JSON or a schema violation in an input file."""
 

@@ -1,4 +1,5 @@
-"""Dense linear-algebra backends: spectral norm by power iteration,
+"""Dense linear-algebra backends: spectral norm by a Hermitian
+eigensolve on M*M (with LAPACK SVD as the independent cross-check),
 pivoted column rank, and Haar-random unitaries."""
 
 from __future__ import annotations
@@ -7,62 +8,10 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergence
 
-
-def _power(H, v, rel_tol, budget, floor):
-    """Power iteration on a Hermitian PSD matrix from a unit start vector.
-
-    Stops when the change in the norm estimate, or its projected
-    geometric tail (requiring two consecutive confirmations), drops below
-    rel_tol relative to the estimate.  Returns (estimate, vector,
-    iterations used, converged flag).
-    """
-    est = 0.0
-    prev_change = None
-    streak = 0
-    used = 0
-    first = True
-    while used < budget:
-        w = H @ v
-        used += 1
-        nw = float(np.linalg.norm(w))
-        if nw <= floor:
-            return 0.0, v, used, True
-        v = w / nw
-        change = abs(nw - est)
-        est = nw
-        if first:
-            # the jump from the zero initialization carries no information
-            first = False
-            continue
-        if change <= 4.0 * np.finfo(float).eps * est:
-            # stationary to float precision
-            return est, v, used, True
-        if prev_change is not None and 0.0 < change < prev_change:
-            q = change / prev_change
-            if change * q / (1.0 - q) <= rel_tol * est:
-                streak += 1
-                if streak >= 2:
-                    return est, v, used, True
-            else:
-                streak = 0
-        else:
-            streak = 0
-        prev_change = change
-    return est, v, used, False
-
-
-def op_norm(mat, rel_tol=1e-12, max_iter=100_000):
-    """Largest singular value of a dense matrix.
-
-    Power iteration on M*M with the deterministic all-ones start vector
-    (renormalized).  After the change criterion fires, a deflated restart
-    from a vector orthogonal to the converged direction guards against a
-    start stuck in an invariant subspace; if that probe surfaces a larger
-    eigenvalue the iteration resumes from it.  Raises NoConvergence when
-    the budget of max_iter total iterations is exhausted.
-    """
+def op_norm(mat):
+    """Largest singular value of a dense matrix: the square root of the
+    top eigenvalue of the Hermitian Gram matrix M*M (LAPACK eigensolver)."""
     M = np.asarray(mat, dtype=np.complex128)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
@@ -70,46 +19,8 @@ def op_norm(mat, rel_tol=1e-12, max_iter=100_000):
         return 0.0
     if not np.all(np.isfinite(M.view(np.float64))):
         raise ValueError("matrix entries must be finite")
-    H = M.conj().T @ M
-    dim = H.shape[0]
-    scale = float(np.abs(H).sum(axis=1).max())
-    if scale == 0.0:
-        return 0.0
-    floor = scale * 1e-300
-
-    v = np.ones(dim, dtype=np.complex128) / math.sqrt(dim)
-    budget = max_iter
-    est, v, used, ok = _power(H, v, rel_tol, budget, floor)
-    budget -= used
-    if not ok:
-        raise NoConvergence(
-            f"power iteration did not reach rel_tol={rel_tol} in {max_iter} steps"
-        )
-
-    # deflation retry: restart orthogonally to the converged direction
-    rng = np.random.default_rng(0x5EED)
-    for _ in range(3):
-        u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        u = u - v * np.vdot(v, u)
-        nu = float(np.linalg.norm(u))
-        if nu < 1e-12 or budget <= 0:
-            break
-        u = u / nu
-        probe = min(budget, max(256, 4 * dim))
-        est2, v2, used2, _ = _power(H, u, 1e-6, probe, floor)
-        budget -= used2
-        if est2 > est * (1.0 + 10.0 * rel_tol):
-            est3, v3, used3, ok3 = _power(H, v2, rel_tol, budget, floor)
-            budget -= used3
-            if not ok3:
-                raise NoConvergence(
-                    f"power iteration did not reach rel_tol={rel_tol} "
-                    f"in {max_iter} steps after a deflation retry"
-                )
-            est, v = max(est, est3), v3
-        else:
-            break
-    return math.sqrt(est)
+    top = np.linalg.eigvalsh(M.conj().T @ M)[-1]
+    return math.sqrt(max(float(top), 0.0))
 
 
 def svd_op_norm(mat):

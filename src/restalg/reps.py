@@ -10,7 +10,7 @@ every pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -60,7 +60,26 @@ class Representation:
         return self.mats[x]
 
 
-@lru_cache(maxsize=256)
+def _kept_on_base(kind, name):
+    """Build a regular representation's matrix stack once per semigroup
+    and keep it on the semigroup, so the stack is freed with it."""
+
+    def wrap(build):
+        @wraps(build)
+        def rep(S):
+            mats = S._rep_mats.get(name)
+            if mats is None:
+                mats = build(S)
+                mats.setflags(write=False)
+                S._rep_mats[name] = mats
+            return Representation(S, mats, kind, name)
+
+        return rep
+
+    return wrap
+
+
+@_kept_on_base(KIND_RESTRICTED, "lambda_r")
 def restricted_left_regular(S):
     """lambda_r: (lambda_r(x) xi)(y) = xi(x*y) when xx* = yy*, else 0."""
     n = S.n
@@ -68,11 +87,10 @@ def restricted_left_regular(S):
     for x in range(n):
         rows = np.flatnonzero(S.ran == S.ran[x])
         mats[x, rows, S.mul[S.star[x], rows]] = 1.0
-    mats.setflags(write=False)
-    return Representation(S, mats, KIND_RESTRICTED, "lambda_r")
+    return mats
 
 
-@lru_cache(maxsize=256)
+@_kept_on_base(KIND_FULL, "lambda")
 def left_regular(S):
     """The classical lambda: (lambda(x) xi)(y) = xi(x*y) when xx* >= yy*."""
     n = S.n
@@ -81,11 +99,10 @@ def left_regular(S):
     for x in range(n):
         rows = np.flatnonzero(L[S.ran, S.ran[x]])
         mats[x, rows, S.mul[S.star[x], rows]] = 1.0
-    mats.setflags(write=False)
-    return Representation(S, mats, KIND_FULL, "lambda")
+    return mats
 
 
-@lru_cache(maxsize=256)
+@_kept_on_base(KIND_RESTRICTED, "rho_r")
 def restricted_right_regular(S):
     """rho_r: (rho_r(x) xi)(y) = xi(yx) when xx* = y*y, else 0."""
     n = S.n
@@ -93,8 +110,7 @@ def restricted_right_regular(S):
     for x in range(n):
         rows = np.flatnonzero(S.dom == S.ran[x])
         mats[x, rows, S.mul[rows, x]] = 1.0
-    mats.setflags(write=False)
-    return Representation(S, mats, KIND_RESTRICTED, "rho_r")
+    return mats
 
 
 def lift(rep, f):
@@ -153,9 +169,7 @@ class MembershipReport:
         return not self.violations
 
 
-def representation_report(
-    rep, *, atol=0.0, contraction_slack=1e-9, chunk=64, norm_tol=1e-12
-):
+def representation_report(rep, *, atol=0.0, contraction_slack=1e-9, chunk=64):
     """Check the three membership laws for rep's claimed kind.
 
     ``atol`` is the entrywise tolerance for the adjoint and product laws
@@ -184,7 +198,7 @@ def representation_report(
     worst = 0.0
     worst_x = 0
     for x in range(n):
-        v = op_norm(rep.mats[x], rel_tol=norm_tol)
+        v = op_norm(rep.mats[x])
         if v > worst:
             worst, worst_x = v, x
     report.worst_norm = worst

@@ -54,6 +54,7 @@ class FiniteInvSemigroup:
         self._composable = None
         self._leq = None
         self._idem = None
+        self._rep_mats = {}  # representation name -> (n, n, n) stack, see reps
 
     # -- basic queries ------------------------------------------------
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import restalg
 
 from restalg.algebra import AlgebraElement
 from restalg.cli import main
@@ -197,3 +202,23 @@ def test_cli_tolerance_override(tmp_path, capsys):
     assert code == 0
     assert main(["verify", str(path), "--tol", "banana=1"]) == 2
     assert main(["verify", str(path), "--tol", "nonsense"]) == 2
+
+
+def test_cli_closed_stdout_exits_quietly():
+    # the reader stops after one line, as `restalg verify ... | head -1` does
+    src = os.path.dirname(os.path.dirname(restalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "restalg.cli", "verify", "--corpus", "default",
+         "--suite", "axioms"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert code not in (1, 2), err
+    assert "Traceback" not in err

@@ -42,11 +42,14 @@ def test_op_norm_rejects_bad_input():
         op_norm(np.array([[np.nan, 0], [0, 1]]))
 
 
-def test_op_norm_exactly_degenerate_top():
+@pytest.mark.parametrize("gap", [0.0, 1e-7, 1e-5])
+def test_op_norm_exactly_degenerate_top(gap):
+    # top two singular values 3 and 3 (1 - gap): a near-tie must neither
+    # stall the solver nor stop it short of the planted value
     rng = np.random.default_rng(13)
     q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-    M = q @ np.diag([3.0, 3.0, 1.0, 0.5, 0.2, 0.1]) @ q.T
-    assert op_norm(M) == pytest.approx(3.0, rel=1e-10)
+    M = q @ np.diag([3.0, 3.0 * (1.0 - gap), 1.0, 0.5, 0.2, 0.1]) @ q.T
+    assert op_norm(M) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_column_rank():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -221,3 +224,13 @@ def test_representation_report_flags_noncontractive():
     codes = {v.code for v in report.violations}
     assert "contraction" in codes
     assert "multiplicative" in codes
+
+
+def test_representation_cache_does_not_keep_semigroup_alive():
+    S = gen_symmetric_inverse_monoid(2)
+    lam = restricted_left_regular(S)
+    assert restricted_left_regular(S).mats is lam.mats  # built once per S
+    ref = weakref.ref(S)
+    del S, lam
+    gc.collect()
+    assert ref() is None

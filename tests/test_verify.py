@@ -1,5 +1,6 @@
 import pytest
 
+from restalg.corpus import corpus_member
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
 from restalg.verify import (
     PLUMBING,
@@ -46,3 +47,12 @@ def test_report_checks_sorted_in_output():
 def test_delta_assoc_witness_none_on_valid():
     assert delta_assoc_witness(I2) is None
     assert delta_assoc_witness(gen_chain_semilattice(3)) is None
+
+
+@pytest.mark.parametrize("label, seed", [("chain4", 2), ("Z4", 11)])
+def test_cstar_suite_on_near_degenerate_lifts(label, seed):
+    # these draws lift to 5x5 diagonal matrices whose top two singular
+    # values differ by ~1e-5 (relative); the CLI seeds 2 and 11 hit them
+    report = run_suite(corpus_member(label), label, "cstar", seed=seed,
+                       trials=100, tol=Tolerances())
+    assert report.passed, [c.id for c in report.checks if not c.passed]
