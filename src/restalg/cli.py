@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen (emit a semigroroup as JSON), verify (run suites over a
+Subcommands: gen (emit a semigroup as JSON), verify (run suites over a
 file or the default corpus), rep (print representation matrices or run
 the membership checks), norm (norms of a coefficient function),
 quotient-check (quotient-norm comparison), witness-search (associativity
@@ -83,6 +83,16 @@ def _tolerances(args):
         return Tolerances().override(pairs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _check_common(args):
+    """Reject option values that argparse accepts but no command can use."""
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
+    if getattr(args, "corpus", "default") != "default":
+        raise ParseError(f"unknown corpus {args.corpus!r}; the only one is 'default'")
 
 
 def _gen_family(args):
@@ -331,6 +341,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_common(args)
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, approx_identity, dot, restrict_to_base
+from .algebra import AlgebraElement, dot, restrict_to_base
 from .errors import VerificationFailure
 from .linalg import golden_min, haar_unitary, op_norm, svd_op_norm
 from .reps import (
@@ -73,14 +73,29 @@ def idempotent_classes(S):
 
 
 def central_unit_projection(S, classes_subset):
-    """The lift of the finitely-supported unit over a union of idempotent
-    classes: a diagonal projection central among the lambda_r matrices."""
-    chosen = sorted(e for cls in classes_subset for e in cls)
-    lam = restricted_left_regular(S)
-    if not chosen:
-        return np.zeros((S.n, S.n), dtype=np.complex128)
-    e_f = approx_identity(S, chosen)
-    return lift(lam, e_f)
+    """The lift through lambda_r of the finitely-supported unit over a
+    union of idempotent classes: the diagonal projection onto the
+    coordinates y with yy* in the union, central among the lambda_r
+    matrices."""
+    chosen = [e for cls in classes_subset for e in cls]
+    return np.diag(np.isin(S.ran, chosen).astype(np.complex128))
+
+
+def _sigma_r_images(S, M, trials, seed):
+    """M under each sampled representation, for M the lambda_r stack or a
+    lift through lambda_r: U (M P_1 (+) ... (+) M P_k) U*, with k, the
+    central projections P_i and the Haar unitary U drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    classes = idempotent_classes(S)
+    n = S.n
+    for _ in range(trials):
+        k = int(rng.integers(1, 4))
+        out = np.zeros(M.shape[:-2] + (k * n, k * n), dtype=np.complex128)
+        for i in range(k):
+            P = central_unit_projection(S, [c for c in classes if rng.random() < 0.7])
+            out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = M @ P
+        U = haar_unitary(k * n, rng)
+        yield U @ out @ U.conj().T
 
 
 def sigma_r_samples(S, trials, seed):
@@ -90,36 +105,22 @@ def sigma_r_samples(S, trials, seed):
     central projections built from saturated idempotent classes, then
     conjugated by a Haar unitary.
     """
-    rng = np.random.default_rng(seed)
     lam = restricted_left_regular(S)
-    classes = idempotent_classes(S)
-    for _ in range(trials):
-        k = int(rng.integers(1, 4))
-        blocks = []
-        for _ in range(k):
-            pick = [c for c in classes if rng.random() < 0.7]
-            P = central_unit_projection(S, pick)
-            blocks.append(lam.mats @ P)
-        dim = S.n * k
-        mats = np.zeros((S.n, dim, dim), dtype=np.complex128)
-        for i, blk in enumerate(blocks):
-            mats[:, i * S.n : (i + 1) * S.n, i * S.n : (i + 1) * S.n] = blk
-        U = haar_unitary(dim, rng)
-        mats = U @ mats @ U.conj().T
+    for mats in _sigma_r_images(S, lam.mats, trials, seed):
         yield Representation(S, mats, KIND_RESTRICTED, "random-sigma-r")
 
 
-def full_cstar_norm(f, *, trials=0, seed=0, slack=1e-9):
+def full_cstar_norm(f, *, trials=0, seed=0):
     """The supremum norm over contractive restricted representations.
 
     Computed as the reduced norm (they agree for finite S); when trials
     is positive, randomized members of the family must not exceed it
-    beyond ``slack`` or VerificationFailure is raised.
+    beyond 1e-9 or VerificationFailure is raised.
     """
     value = reduced_cstar_norm(f)
     if trials:
         excess = sigma_r_cross_check(f, trials=trials, seed=seed)
-        if excess > slack:
+        if excess > 1e-9:
             raise VerificationFailure(
                 f"a sampled restricted representation exceeded the norm "
                 f"by {excess:.3e}",
@@ -130,11 +131,17 @@ def full_cstar_norm(f, *, trials=0, seed=0, slack=1e-9):
 
 def sigma_r_cross_check(f, *, trials=5, seed=0):
     """Largest amount by which a sampled representation's lift exceeds the
-    computed supremum norm (negative when none does)."""
+    computed supremum norm (negative when none does).
+
+    The samples are those of sigma_r_samples, but their matrix stacks are
+    never built: the lift of f through a sample is the image of
+    A = lift(lambda_r, f), a single (kn, kn) matrix.
+    """
     value = reduced_cstar_norm(f)
+    A = lift(restricted_left_regular(f.base), f)
     worst = -np.inf
-    for pi in sigma_r_samples(f.base, trials, seed):
-        worst = max(worst, op_norm(lift(pi, f)) - value)
+    for M in _sigma_r_images(f.base, A, trials, seed):
+        worst = max(worst, op_norm(M) - value)
     return worst
 
 
@@ -149,16 +156,15 @@ def quotient_cstar_norm(f, zero_index):
     The lift of delta_0 through the regular representation is the
     rank-one projection P onto the zero coordinate, P is central in the
     lifted algebra, and the closed ideal it generates is the line C P;
-    the quotient norm is therefore the norm of lift(f) (I - P).
+    the quotient norm is therefore the norm of lift(f) (I - P), the lift
+    with its zero column cleared.
     """
-    Lam = left_regular(f.base)
-    A = lift(Lam, f)
-    Q = np.eye(f.base.n, dtype=np.complex128)
-    Q[zero_index, zero_index] = 0.0
-    return op_norm(A @ Q)
+    A = lift(left_regular(f.base), f)
+    A[:, zero_index] = 0.0
+    return op_norm(A)
 
 
-def minimized_quotient_norm(f, zero_index, *, phases=6, rounds=12, coarse_iters=18):
+def minimized_quotient_norm(f, zero_index):
     """Independent route to the quotient norm: minimize the norm of
     lift(f + c delta_0) over complex c.
 
@@ -177,6 +183,7 @@ def minimized_quotient_norm(f, zero_index, *, phases=6, rounds=12, coarse_iters=
     def g(c):
         return svd_op_norm(base_mat + c * P)
 
+    phases, rounds, coarse_iters = 6, 12, 18
     best_v = g(0.0)
     best_theta = 0.0
     width = np.pi
@@ -265,8 +272,6 @@ def quotient_match_report(
     seed=7,
     tol=1e-8,
     minimized_tol=1e-6,
-    minimized_random=2,
-    minimized_deltas=4,
     rs=None,
     label="",
 ):
@@ -274,7 +279,7 @@ def quotient_match_report(
     reduced norm of the restriction, on all deltas and random elements.
 
     The golden-section scalar minimization reruns a subsample (the delta
-    at zero, a spread of other deltas, and a few random elements) as a
+    at zero, 4 spread-out other deltas, and 2 random elements) as a
     third, LAPACK-backed route.
     """
     if rs is None:
@@ -293,10 +298,10 @@ def quotient_match_report(
             worst = dev
             witness = f"element #{i} (delta)" if i < sr.n else f"element #{i} (random)"
 
-    spread = np.linspace(0, sr.n - 1, num=min(minimized_deltas, sr.n), dtype=int)
+    spread = np.linspace(0, sr.n - 1, num=min(4, sr.n), dtype=int)
     sample = [AlgebraElement.delta(sr, rs.zero_index)]
     sample += [AlgebraElement.delta(sr, int(x)) for x in spread]
-    sample += [AlgebraElement.random(sr, rng) for _ in range(minimized_random)]
+    sample += [AlgebraElement.random(sr, rng) for _ in range(2)]
     worst_min = 0.0
     for f in sample:
         q = quotient_cstar_norm(f, rs.zero_index)

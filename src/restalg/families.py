@@ -248,7 +248,3 @@ def adjoin_identity(S, *, max_order=MAX_ORDER):
     if S.labels is not None:
         labels = S.labels + ["1"]
     return build_from_table(mul, star, labels=labels, max_order=max_order)
-
-
-def gen_trivial_group():
-    return gen_group("cyclic", 1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import ParseError
-from .semigroups import MAX_ORDER, FiniteInvSemigroup, build_from_table
+from .semigroups import MAX_ORDER, build_from_table
 
 
 def canonical_dumps(obj):
@@ -52,12 +52,11 @@ def semigroup_to_dict(S):
     return out
 
 
-def semigroup_from_dict(obj, *, max_order=MAX_ORDER, validate=True):
+def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
     """Build a semigroup from its JSON object.
 
-    With validate=True the full axiom check runs (NotAssociative /
-    NotInverse / StarMismatch propagate); schema problems raise
-    ParseError either way.
+    The full axiom check runs (NotAssociative / NotInverse / StarMismatch
+    propagate); schema problems raise ParseError.
     """
     if not isinstance(obj, dict):
         raise ParseError("semigroup object must be a JSON object")
@@ -77,14 +76,7 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER, validate=True):
     ):
         raise ParseError('"labels" must list one string per element')
     try:
-        if validate:
-            S = build_from_table(mul, star, labels=labels, max_order=max_order)
-        else:
-            t = np.asarray(mul, dtype=np.intp)
-            s = np.asarray(star, dtype=np.intp) if star is not None else None
-            if s is None:
-                raise ParseError("unvalidated load requires an explicit star")
-            S = FiniteInvSemigroup(t, s, labels=labels)
+        S = build_from_table(mul, star, labels=labels, max_order=max_order)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
     for key in ("identity", "zero"):
@@ -96,10 +88,8 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER, validate=True):
     return S
 
 
-def load_semigroup(path, *, max_order=MAX_ORDER, validate=True):
-    return semigroup_from_dict(
-        _load_json(path), max_order=max_order, validate=validate
-    )
+def load_semigroup(path, *, max_order=MAX_ORDER):
+    return semigroup_from_dict(_load_json(path), max_order=max_order)
 
 
 def coeffs_to_pairs(coeffs):

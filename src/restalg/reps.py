@@ -169,7 +169,7 @@ class MembershipReport:
         return not self.violations
 
 
-def representation_report(rep, *, atol=0.0, contraction_slack=1e-9, chunk=64):
+def representation_report(rep, *, atol=0.0, contraction_slack=1e-9):
     """Check the three membership laws for rep's claimed kind.
 
     ``atol`` is the entrywise tolerance for the adjoint and product laws
@@ -214,6 +214,7 @@ def representation_report(rep, *, atol=0.0, contraction_slack=1e-9, chunk=64):
     C = S.composable_matrix()
     mdev = 0.0
     mwitness = None
+    chunk = 64  # products pi(x) pi(y) formed at a time
     for x in range(n):
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
@@ -427,9 +428,8 @@ def compression_deviation(rs):
     Lam = left_regular(rs.sr)
     lam_r = restricted_left_regular(rs.base)
     n, z = rs.base.n, rs.zero_index
-    P0 = np.eye(n + 1, dtype=np.complex128)
-    P0[z, z] = 0.0
-    compressed = Lam.mats[:n] @ P0
+    compressed = Lam.mats[:n].copy()
+    compressed[:, :, z] = 0.0
     embedded = np.zeros_like(compressed)
     embedded[:, :n, :n] = lam_r.mats
     return float(np.abs(compressed - embedded).max())

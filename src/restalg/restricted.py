@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotAssociative, NotInverse, StarMismatch, VerificationFailure
-from .semigroups import MAX_ORDER, FiniteInvSemigroup, build_from_table
+from .semigroups import MAX_ORDER, build_from_table
 
 
 def restricted_product(S, x, y):
@@ -94,7 +94,7 @@ class RestrictedSemigroup:
         return int(x)
 
 
-def build_restricted_semigroup(S, *, max_order=None):
+def build_restricted_semigroup(S):
     """Adjoin a zero and route every non-composable product to it.
 
     The resulting table is validated as an inverse semigroup from scratch;
@@ -102,8 +102,6 @@ def build_restricted_semigroup(S, *, max_order=None):
     reported as VerificationFailure (it is expected never to fire).
     """
     n = S.n
-    if max_order is None:
-        max_order = max(MAX_ORDER, n + 1)
     z = n
     table = np.full((n + 1, n + 1), z, dtype=np.intp)
     table[:n, :n] = np.where(S.composable_matrix(), S.mul, z)
@@ -112,7 +110,7 @@ def build_restricted_semigroup(S, *, max_order=None):
     if S.labels is not None:
         labels = S.labels + ["0"]
     try:
-        sr = build_from_table(table, star, labels=labels, max_order=max_order)
+        sr = build_from_table(table, star, labels=labels, max_order=max(MAX_ORDER, n + 1))
     except (NotAssociative, NotInverse, StarMismatch) as exc:
         raise VerificationFailure(
             f"the zero-adjoined composability table is not an inverse "

@@ -298,7 +298,7 @@ def delta_assoc_witness(S):
     return None
 
 
-def suite_algebra(S, label, *, seed=0, trials=100, tol=None, unit_subsets=None):
+def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
     tol = tol or Tolerances()
     rng = np.random.default_rng(seed)
     checks = []
@@ -432,7 +432,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None, unit_subsets=None):
         )
     )
 
-    dev, wit = finite_unit_laws_deviation(S, rng, cap=unit_subsets)
+    dev, wit = finite_unit_laws_deviation(S, rng)
     checks.append(
         Check(
             "algebra.unit-laws",
@@ -444,7 +444,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None, unit_subsets=None):
         )
     )
 
-    ok, wit = approx_identity_property(S, rng, count=50, epsilons=(1e-1, 1e-3))
+    ok, wit = approx_identity_property(S, rng)
     checks.append(
         Check(
             "algebra.approx-identity",
@@ -499,25 +499,21 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None, unit_subsets=None):
     return checks
 
 
-def finite_unit_laws_deviation(S, rng, cap=None, larger=20):
+def finite_unit_laws_deviation(S, rng):
     """Laws of the finitely-supported units e_F.
 
-    Enumerates every F with |F| <= 3 (capped at ``cap`` subsets when
-    given) plus ``larger`` random bigger sets.  For each F: e_F absorbs
-    the deltas over F from both sides; e_F . e_G is the sum of deltas over
-    i(F) & i(G) (checked against F itself, a subset, the empty set, and a
-    random partner); right/left multiplication filters a random f by its
-    domain/range idempotents; and e_F is a two-sided unit on functions
-    supported in F.
+    Enumerates every F with |F| <= 3 plus 20 random bigger sets.  For
+    each F: e_F absorbs the deltas over F from both sides; e_F . e_G is
+    the sum of deltas over i(F) & i(G) (checked against F itself, a
+    subset, the empty set, and a random partner); right/left
+    multiplication filters a random f by its domain/range idempotents;
+    and e_F is a two-sided unit on functions supported in F.
     """
     deltas = [AlgebraElement.delta(S, x) for x in range(S.n)]
     subsets = []
     for size in (1, 2, 3):
         subsets.extend(itertools.combinations(range(S.n), size))
-    if cap is not None and len(subsets) > cap:
-        keep = rng.choice(len(subsets), size=cap, replace=False)
-        subsets = [subsets[int(i)] for i in sorted(keep)]
-    for _ in range(larger):
+    for _ in range(20):
         size = int(rng.integers(4, max(5, S.n + 1)))
         subsets.append(tuple(sorted(rng.choice(S.n, size=min(size, S.n), replace=False).tolist())))
 
@@ -563,10 +559,10 @@ def finite_unit_laws_deviation(S, rng, cap=None, larger=20):
     return worst, wit
 
 
-def approx_identity_property(S, rng, count=50, epsilons=(1e-1, 1e-3)):
-    """Decaying random functions are epsilon-reproduced by e_F once F
-    captures all but epsilon of the mass."""
-    for t in range(count):
+def approx_identity_property(S, rng):
+    """50 decaying random functions are epsilon-reproduced by e_F, at
+    epsilon 1e-1 and 1e-3, once F captures all but epsilon of the mass."""
+    for t in range(50):
         mags = 0.5 ** np.arange(S.n, dtype=float)
         rng.shuffle(mags)
         phase = np.exp(2j * np.pi * rng.uniform(size=S.n))
@@ -574,7 +570,7 @@ def approx_identity_property(S, rng, count=50, epsilons=(1e-1, 1e-3)):
         order = np.argsort(-np.abs(f.coeffs))
         sorted_abs = np.abs(f.coeffs[order])
         tails = np.concatenate([np.cumsum(sorted_abs[::-1])[::-1][1:], [0.0]])
-        for eps in epsilons:
+        for eps in (1e-1, 1e-3):
             hits = np.flatnonzero(tails < eps)
             N = int(hits[0]) + 1 if hits.size else S.n
             F = order[:N].tolist()
@@ -807,7 +803,7 @@ def suite_reps(S, label, *, seed=0, trials=100, tol=None):
 # C*-norms
 
 
-def suite_cstar(S, label, *, seed=0, trials=100, tol=None, quotient_trials=None):
+def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
     tol = tol or Tolerances()
     rng = np.random.default_rng(seed)
     checks = []
@@ -871,7 +867,7 @@ def suite_cstar(S, label, *, seed=0, trials=100, tol=None, quotient_trials=None)
 
     q = cstar.quotient_match_report(
         S,
-        trials=quotient_trials if quotient_trials is not None else min(trials, 40),
+        trials=min(trials, 40),
         seed=seed,
         tol=tol.cstar,
         minimized_tol=tol.minimized,

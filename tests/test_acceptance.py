@@ -2,47 +2,22 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` (or ``-s`` to see the
 lines on passing runs).  Tolerances are fixed here, not configurable.
+Criteria 2-10 read the ``algebra`` and ``reps`` suites of ``restalg
+verify``, run once at these tolerances; the others run their own loops.
 """
 
-import itertools
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from restalg import cstar
-from restalg.algebra import (
-    AlgebraElement,
-    conv,
-    dot,
-    max_abs_diff,
-    order_dot,
-    order_dot_scan,
-    restrict_to_base,
-)
+from restalg.algebra import AlgebraElement, order_dot, order_dot_scan, restrict_to_base
 from restalg.errors import NotInverse
-from restalg.families import gen_symmetric_inverse_monoid
-from restalg.reps import (
-    compression_deviation,
-    lambda_inner_identity_report,
-    left_regular,
-    lift_rank,
-    representation_report,
-    restricted_left_regular,
-    restricted_multiplicativity_witness,
-    restricted_right_regular,
-    rho_inner_identity_report,
-    rho_lift_identity_report,
-    trace_form_rank,
-)
 from restalg.restricted import build_restricted_semigroup
 from restalg.semigroups import build_from_table
-from restalg.verify import (
-    approx_identity_property,
-    delta_assoc_witness,
-    delta_dot_deviation,
-    finite_unit_laws_deviation,
-    tau_homomorphism_deviation,
-)
+from restalg.verify import Tolerances, run_suites
 
 SEED = 20260808
 
@@ -52,6 +27,20 @@ TOL_CSTAR = 1e-8
 TOL_MINIMIZED = 1e-6
 TOL_NORM_SLACK = 1e-9
 TOL_PIVOT = 1e-9
+TOL_L1_ISOMETRY = 1e-13
+
+# every field is set here, so no change to the Tolerances defaults can
+# loosen the acceptance bounds
+PINNED = {
+    "entrywise": TOL_ENTRYWISE,
+    "norm": TOL_NORM_SLACK,
+    "identity": TOL_IDENTITY,
+    "cstar": TOL_CSTAR,
+    "minimized": TOL_MINIMIZED,
+    "pivot": TOL_PIVOT,
+    "contraction": TOL_NORM_SLACK,
+}
+ACCEPTANCE = Tolerances(**PINNED)
 
 
 def _line(num, name, ok, detail=""):
@@ -59,6 +48,40 @@ def _line(num, name, ok, detail=""):
     tail = f" -- {detail}" if detail else ""
     print(f"criterion {num:2d} ({name}): {status}{tail}")
     return ok
+
+
+@pytest.fixture(scope="module")
+def suites(full_corpus):
+    """The algebra and reps suite checks over the full corpus, by id."""
+    assert set(PINNED) == {f.name for f in dataclasses.fields(Tolerances)}
+    reports = run_suites(
+        full_corpus, ["algebra", "reps"], seed=SEED, trials=100, tol=ACCEPTANCE
+    )
+    checks = {}
+    for report in reports:
+        for c in report.checks:
+            checks.setdefault(c.id, []).append((report.semigroup, c))
+    return SimpleNamespace(
+        checks=checks,
+        members=[label for label, _ in full_corpus],
+        unital=[label for label, S in full_corpus if S.identity is not None],
+    )
+
+
+def _criterion(suites, num, name, ids, detail, ok=True):
+    """Print and assert one criterion: each listed check passed on every
+    member it applies to.  ``detail`` may show the worst deviation as
+    ``{worst}``."""
+    failures, worst = [], 0.0
+    for cid in ids:
+        runs = suites.checks.get(cid, [])
+        want = suites.unital if cid == "reps.inner-identity-lifted" else suites.members
+        if [label for label, _ in runs] != want:
+            failures.append(f"{cid} ran on {len(runs)} of {len(want)} members")
+        failures += [f"{cid} on {label}: {c.witness}" for label, c in runs if not c.passed]
+        worst = max([worst] + [c.deviation for _, c in runs if c.deviation is not None])
+    detail = "; ".join(failures[:3]) or detail.format(worst=worst)
+    assert _line(num, name, ok and not failures, detail)
 
 
 def test_criterion_01_axioms(full_corpus, corpus_restricted):
@@ -79,217 +102,97 @@ def test_criterion_01_axioms(full_corpus, corpus_restricted):
     )
 
 
-def test_criterion_02_dot_associativity(full_corpus):
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for label, S in full_corpus:
-        pair_dev, _ = delta_dot_deviation(S)
-        assert pair_dev == 0.0, label
-        assert delta_assoc_witness(S) is None, label
-        for _ in range(100):
-            f, g, h = (AlgebraElement.random(S, rng) for _ in range(3))
-            worst = max(worst, max_abs_diff(dot(dot(f, g), h), dot(f, dot(g, h))))
-    assert _line(
-        2,
-        "dot associativity",
-        worst < TOL_ENTRYWISE,
-        f"exhaustive delta triples exact; random-triple deviation {worst:.2e}",
+def test_criterion_02_dot_associativity(suites):
+    _criterion(
+        suites, 2, "dot associativity",
+        ["algebra.delta-dot", "algebra.dot-assoc-deltas", "algebra.dot-assoc-random"],
+        "exhaustive delta triples exact; random-triple deviation {worst:.2e}",
     )
 
 
-def test_criterion_03_banach_star_algebra(full_corpus):
-    rng = np.random.default_rng(SEED + 1)
-    delta_dev = 0.0
-    rand_dev = 0.0
-    submult_margin = -np.inf
-    positive_margin = -np.inf
-    for label, S in full_corpus:
-        deltas = [AlgebraElement.delta(S, x) for x in range(S.n)]
-        for x, y in itertools.product(range(S.n), repeat=2):
-            delta_dev = max(
-                delta_dev,
-                max_abs_diff(
-                    dot(deltas[x], deltas[y]).tilde(),
-                    dot(deltas[y].tilde(), deltas[x].tilde()),
-                ),
-            )
-        for _ in range(100):
-            f, g = AlgebraElement.random(S, rng), AlgebraElement.random(S, rng)
-            rand_dev = max(
-                rand_dev, max_abs_diff(dot(f, g).tilde(), dot(g.tilde(), f.tilde()))
-            )
-            submult_margin = max(
-                submult_margin, dot(f, g).norm(1) - f.norm(1) * g.norm(1)
-            )
-            fp = AlgebraElement(S, np.abs(f.coeffs))
-            gp = AlgebraElement(S, np.abs(g.coeffs))
-            positive_margin = max(
-                positive_margin, dot(fp, gp).norm(1) - conv(fp, gp).norm(1)
-            )
-    ok = (
-        delta_dev == 0.0
-        and rand_dev < TOL_ENTRYWISE
-        and submult_margin <= TOL_NORM_SLACK
-        and positive_margin <= TOL_NORM_SLACK
-    )
-    assert _line(
-        3,
-        "Banach *-algebra laws",
-        ok,
-        f"tilde anti-multiplicative (delta exact, random {rand_dev:.2e}); "
-        f"submultiplicative margin {max(submult_margin, 0):.2e}; "
-        f"positive domination margin {max(positive_margin, 0):.2e}",
+def test_criterion_03_banach_star_algebra(suites):
+    _criterion(
+        suites, 3, "Banach *-algebra laws",
+        ["algebra.tilde-antimult", "algebra.submultiplicative", "algebra.positive-domination"],
+        "tilde anti-multiplicative (delta exact), submultiplicative and "
+        "positively dominated on 100 random pairs; worst deviation {worst:.2e}",
     )
 
 
-def test_criterion_04_delta_absorption(full_corpus):
-    worst = 0.0
-    for label, S in full_corpus:
-        deltas = [AlgebraElement.delta(S, x) for x in range(S.n)]
-        for y in range(S.n):
-            for e in S.idempotents():
-                right = dot(deltas[y], deltas[int(e)]).coeffs
-                left = dot(deltas[int(e)], deltas[y]).coeffs
-                want_r = deltas[y].coeffs if S.dom[y] == e else np.zeros(S.n)
-                want_l = deltas[y].coeffs if S.ran[y] == e else np.zeros(S.n)
-                worst = max(
-                    worst,
-                    float(np.abs(right - want_r).max()),
-                    float(np.abs(left - want_l).max()),
-                )
-    assert _line(
-        4,
-        "delta absorption rule",
-        worst == 0.0,
+def test_criterion_04_delta_absorption(suites):
+    _criterion(
+        suites, 4, "delta absorption rule", ["algebra.delta-absorption"],
         "both displayed equalities exact over all (y, e) pairs",
     )
 
 
-def test_criterion_05_units_and_approximate_identity(full_corpus):
-    rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
-    worst_witness = ""
-    approx_ok = True
-    detail = ""
-    for label, S in full_corpus:
-        dev, wit = finite_unit_laws_deviation(S, rng, cap=None, larger=20)
-        if dev > worst:
-            worst, worst_witness = dev, f"{label}: {wit}"
-        ok, msg = approx_identity_property(S, rng, count=50, epsilons=(1e-1, 1e-3))
-        if not ok:
-            approx_ok = False
-            detail = f"{label}: {msg}"
-    ok = worst == 0.0 and approx_ok
-    assert _line(
-        5,
-        "finite units + approximate identity",
-        ok,
-        detail or worst_witness or
+def test_criterion_05_units_and_approximate_identity(suites):
+    _criterion(
+        suites, 5, "finite units + approximate identity",
+        ["algebra.unit-laws", "algebra.approx-identity"],
         "laws (i)-(iv) exact for all |F| <= 3 and 20 larger F; "
-        "eps-approximation holds for 50 decaying f at eps in {1e-1, 1e-3}",
+        "eps-approximation holds for 50 decaying f at eps in {{1e-1, 1e-3}}",
     )
 
 
-def test_criterion_06_l1_quotient(full_corpus):
+def test_criterion_06_l1_quotient(suites, full_corpus):
+    # no suite tries shifts other than the minimizer c = -f(0)
     rng = np.random.default_rng(SEED + 3)
-    hom_dev = 0.0
-    iso_dev = 0.0
     for label, S in full_corpus:
         rs = build_restricted_semigroup(S)
-        dev, wit = tau_homomorphism_deviation(rs, rng, trials=20)
-        hom_dev = max(hom_dev, dev)
         for _ in range(100):
             f = AlgebraElement.random(rs.sr, rng)
             tau_norm = restrict_to_base(f, rs).norm(1)
-            c = -f.coeffs[rs.zero_index]
-            shifted = f.coeffs.copy()
-            shifted[rs.zero_index] += c
-            iso_dev = max(iso_dev, abs(float(np.abs(shifted).sum()) - tau_norm))
             for _ in range(5):
-                other = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 alt = f.coeffs.copy()
-                alt[rs.zero_index] += other
-                assert float(np.abs(alt).sum()) >= tau_norm - 1e-13
-    ok = hom_dev == 0.0 and iso_dev <= 1e-13
-    assert _line(
-        6,
-        "restriction map at the 1-norm level",
-        ok,
-        f"homomorphism exact on all delta pairs; isometry deviation "
-        f"{iso_dev:.2e} with minimizer c = -f(0)",
+                alt[rs.zero_index] += complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                assert float(np.abs(alt).sum()) >= tau_norm - TOL_L1_ISOMETRY, label
+    iso = max(c.deviation for _, c in suites.checks["algebra.restriction-isometry"])
+    _criterion(
+        suites, 6, "restriction map at the 1-norm level",
+        ["algebra.restriction-homomorphism", "algebra.restriction-isometry"],
+        "homomorphism exact on all delta pairs and 50 random pairs; isometry "
+        f"deviation {iso:.2e} with minimizer c = -f(0)",
+        ok=iso <= TOL_L1_ISOMETRY,
     )
 
 
-def test_criterion_07_regular_representations_membership(full_corpus):
-    ok = True
-    for label, S in full_corpus:
-        for rep in (restricted_left_regular(S), restricted_right_regular(S)):
-            report = representation_report(rep, atol=0.0, contraction_slack=1e-9)
-            ok = ok and report.ok
-    I2 = gen_symmetric_inverse_monoid(2)
-    hit = restricted_multiplicativity_witness(left_regular(I2))
-    ok = ok and hit is not None and not I2.composable(hit[0], hit[1])
-    witness = f"lambda(x)lambda(y) != 0 on non-composable ({I2.label(hit[0])}, {I2.label(hit[1])})"
-    assert _line(
-        7,
-        "restricted regular representations",
-        ok,
+def test_criterion_07_regular_representations_membership(suites):
+    # I2 has non-composable pairs, so the check must have found one
+    on_i2 = dict(suites.checks["reps.order-regular-not-restricted"])["I2"]
+    _criterion(
+        suites, 7, "restricted regular representations",
+        ["reps.left-regular-restricted", "reps.right-regular-restricted",
+         "reps.order-regular-not-restricted"],
         "adjoint exact, norms <= 1+1e-9, composability rule exhaustive; "
-        f"order-based lambda fails on I2: {witness}",
+        f"order-based lambda fails on I2: non-composable {on_i2.witness}",
+        ok=on_i2.witness.startswith("pair"),
     )
 
 
-def test_criterion_08_inner_product_identities(full_corpus):
-    worst = 0.0
-    group_display_dev = 0.0
-    for label, S in full_corpus:
-        if S.identity is None:
-            continue
-        r1 = lambda_inner_identity_report(S, trials=100, seed=SEED + 4, tol=TOL_IDENTITY)
-        r2 = rho_inner_identity_report(S, trials=100, seed=SEED + 5, tol=TOL_IDENTITY)
-        r3 = rho_lift_identity_report(S, trials=100, seed=SEED + 6, tol=TOL_IDENTITY)
-        assert r1.ok and r2.ok and r3.ok, label
-        worst = max(worst, r1.max_deviation, r2.max_deviation, r3.summed, r3.localized)
-        if r3.group_like:
-            group_display_dev = max(group_display_dev, r3.at_identity)
-    ok = worst < TOL_IDENTITY and group_display_dev < TOL_IDENTITY
-    assert _line(
-        8,
-        "inner-product identities",
-        ok,
-        f"max deviation {worst:.2e} over all x and 100 random triples per "
-        "unital member (lifted pairing summed over idempotents; "
+def test_criterion_08_inner_product_identities(suites):
+    _criterion(
+        suites, 8, "inner-product identities",
+        ["reps.inner-identity-left", "reps.inner-identity-right", "reps.inner-identity-lifted"],
+        "max deviation {worst:.2e} over all x and 100 random triples per member "
+        "(lifted pairing summed over idempotents on unital members; "
         "single-point evaluation exact on groups)",
     )
 
 
-def test_criterion_09_faithfulness_and_semisimplicity(full_corpus):
-    ok = True
-    for label, S in full_corpus:
-        lam_r = restricted_left_regular(S)
-        ok = ok and lift_rank(lam_r, TOL_PIVOT) == S.n
-        ok = ok and lift_rank(left_regular(S), TOL_PIVOT) == S.n
-        ok = ok and trace_form_rank(lam_r, TOL_PIVOT) == S.n
-    assert _line(
-        9,
-        "faithfulness + semi-simplicity",
-        ok,
+def test_criterion_09_faithfulness_and_semisimplicity(suites):
+    _criterion(
+        suites, 9, "faithfulness + semi-simplicity",
+        ["reps.faithful-restricted", "reps.faithful-full", "reps.semisimple"],
         "lifted-representation rank and trace-form rank both |S| on every "
         "corpus member (pivot tolerance 1e-9)",
     )
 
 
-def test_criterion_10_compression_identity(full_corpus):
-    worst = 0.0
-    for label, S in full_corpus:
-        rs = build_restricted_semigroup(S)
-        worst = max(worst, compression_deviation(rs))
-    assert _line(
-        10,
-        "compression identity",
-        worst == 0.0,
-        "Lambda(s) P0 equals lambda_r(s) entrywise for every s in every "
-        "corpus member",
+def test_criterion_10_compression_identity(suites):
+    _criterion(
+        suites, 10, "compression identity", ["reps.compression"],
+        "Lambda(s) P0 equals lambda_r(s) entrywise for every s in every corpus member",
     )
 
 
@@ -330,12 +233,7 @@ def test_criterion_12_quotient_isomorphism(corpus):
     worst_min = 0.0
     for label, S in corpus:
         report = cstar.quotient_match_report(
-            S,
-            trials=100,
-            seed=SEED + 8,
-            tol=TOL_CSTAR,
-            minimized_tol=TOL_MINIMIZED,
-            label=label,
+            S, trials=100, seed=SEED + 8, tol=TOL_CSTAR, minimized_tol=TOL_MINIMIZED, label=label
         )
         assert report.ok, (label, report.max_deviation, report.minimized_deviation)
         worst = max(worst, report.max_deviation)

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from restalg import cstar
 from restalg.algebra import AlgebraElement, restrict_to_base
+from restalg.corpus import corpus_member
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
+from restalg.linalg import op_norm
 from restalg.reps import left_regular, lift, representation_report, restricted_left_regular
 from restalg.restricted import build_restricted_semigroup
 
@@ -66,6 +70,30 @@ def test_full_norm_equals_reduced_with_cross_check():
     assert cstar.sigma_r_cross_check(f, trials=4, seed=21) <= 1e-9
 
 
+def test_sigma_r_cross_check_matches_sampled_lifts():
+    rng = np.random.default_rng(28)
+    for _ in range(5):
+        f = AlgebraElement.random(I2, rng)
+        reduced = cstar.reduced_cstar_norm(f)
+        want = max(op_norm(lift(pi, f)) for pi in cstar.sigma_r_samples(I2, 4, 29)) - reduced
+        assert cstar.sigma_r_cross_check(f, trials=4, seed=29) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("label, bound_mb", [("I3_r", 5), ("I4", 100)])
+def test_sigma_r_cross_check_memory(label, bound_mb):
+    # one (kn, kn) matrix per sample, not a stack of n of them
+    S = gen_symmetric_inverse_monoid(4) if label == "I4" else corpus_member(label)
+    f = AlgebraElement.random(S, np.random.default_rng(30))
+    restricted_left_regular(S)  # the stack kept on S is not counted
+    tracemalloc.start()
+    try:
+        cstar.sigma_r_cross_check(f, trials=3, seed=31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
+
+
 def test_norm_report_ordering():
     rng = np.random.default_rng(22)
     for S in (Z2, CHAIN2, I2):
@@ -90,7 +118,6 @@ def test_quotient_norm_examples():
     c = 0.7 - 0.2j
     f = c * AlgebraElement.delta(sr, z)
     assert np.abs(lift(Lam, f)).max() == pytest.approx(abs(c))
-    from restalg.linalg import op_norm
     assert op_norm(lift(Lam, f)) == pytest.approx(abs(c), abs=1e-12)
 
 

@@ -204,6 +204,24 @@ def test_cli_tolerance_override(tmp_path, capsys):
     assert main(["verify", str(path), "--tol", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--corpus", "bogus"],
+        ["quotient-check", "--corpus", "bogus"],
+        ["witness-search", "--corpus", "bogus"],
+        ["verify", "--suite", "cstar", "--trials", "0"],
+        ["verify", "--suite", "axioms", "--trials", "-3"],
+        ["verify", "--suite", "cstar", "--seed", "-1"],
+    ],
+)
+def test_cli_rejects_unusable_common_values(argv, capsys):
+    # each used to run anyway: the default corpus, vacuous random checks,
+    # or a numpy traceback read as a verification failure
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_cli_closed_stdout_exits_quietly():
     # the reader stops after one line, as `restalg verify ... | head -1` does
     src = os.path.dirname(os.path.dirname(restalg.__file__))

@@ -1,13 +1,18 @@
 import pytest
 
+import restalg.verify
+from restalg.algebra import conv
 from restalg.corpus import corpus_member
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
+from restalg.reps import KIND_RESTRICTED, Representation, left_regular
 from restalg.verify import (
     PLUMBING,
     Tolerances,
     delta_assoc_witness,
     run_suite,
     run_suites,
+    suite_algebra,
+    suite_reps,
 )
 
 Z2 = gen_group("cyclic", 2)
@@ -56,3 +61,21 @@ def test_cstar_suite_on_near_degenerate_lifts(label, seed):
     report = run_suite(corpus_member(label), label, "cstar", seed=seed,
                        trials=100, tol=Tolerances())
     assert report.passed, [c.id for c in report.checks if not c.passed]
+
+
+def test_suite_checks_fail_on_broken_inputs(monkeypatch):
+    # the acceptance criteria trust these verdicts, so the suites must be
+    # able to fail: convolution in place of the dot product, and the
+    # order-based regular representation passed off as the restricted one
+    with monkeypatch.context() as m:
+        m.setattr(restalg.verify, "dot", conv)
+        failed = {c.id for c in suite_algebra(I2, "I2", seed=3) if not c.passed}
+    assert {"algebra.delta-dot", "algebra.delta-absorption"} <= failed
+
+    def order_based(S):
+        return Representation(S, left_regular(S).mats, KIND_RESTRICTED, "lambda_r")
+
+    with monkeypatch.context() as m:
+        m.setattr(restalg.verify, "restricted_left_regular", order_based)
+        failed = {c.id for c in suite_reps(I2, "I2", seed=3) if not c.passed}
+    assert "reps.left-regular-restricted" in failed
