@@ -3,6 +3,8 @@
 ``conv`` is the classical convolution summing over every factorization of
 x; ``dot`` sums only over composable factorizations (s, t) with s*s = tt*
 and is the product that matches the restricted regular representations.
+``dot_many`` is its kernel, applied row by row to (B, n) arrays through the
+semigroup's cached composable triples; ``dot`` is its one-row case.
 ``dot_direct`` evaluates the same product coordinate-by-coordinate from
 the translation formula sum_{x*x = yy*} f(xy) g(y*); the two routes are
 compared in the test suite.  ``order_dot`` relaxes the composability
@@ -139,12 +141,65 @@ def conv(f, g):
     return _scatter(f.base, f.coeffs[:, None] * g.coeffs[None, :])
 
 
+# bytes of kernel temporaries per composable triple and row: the complex
+# weights, their real and imaginary copies, the bin indices and the gathers
+_BYTES_PER_TERM = 64
+_BLOCK_BYTES = 1 << 20
+
+
+def _rows_per_block(S):
+    """Rows dot_many takes at once, so its temporaries stay near 1 MB."""
+    terms = max(1, S.composable_triples().shape[0])
+    return max(1, _BLOCK_BYTES // (_BYTES_PER_TERM * terms))
+
+
+def _dot_block(F, G, triples, n):
+    xs, ys, xys = triples[:, 0], triples[:, 1], triples[:, 2]
+    rows = F.shape[0]
+    w = (F[:, xs] * G[:, ys]).ravel()
+    bins = (np.arange(rows)[:, None] * n + xys).ravel()
+    # bincount sums each bin from +0.0 in the row-major order of the pairs,
+    # so a row's result does not depend on the batch it came in
+    out = np.empty((rows, n), dtype=np.complex128)
+    out.real = np.bincount(bins, weights=w.real, minlength=rows * n).reshape(rows, n)
+    out.imag = np.bincount(bins, weights=w.imag, minlength=rows * n).reshape(rows, n)
+    return out
+
+
+def dot_many(S, F, G):
+    """Row-wise dot product of two (B, n) coefficient arrays over S.
+
+    Sums f(x) g(y) into coordinate xy over the composable triples
+    (x, y, xy) only, with one bincount for the real and one for the
+    imaginary parts; each row is bitwise equal to dot on that row.  Rows
+    go through in blocks sized from the triple count, so the temporaries
+    stay near 1 MB whatever B is.
+    """
+    F = np.asarray(F, dtype=np.complex128)
+    G = np.asarray(G, dtype=np.complex128)
+    n = S.n
+    if F.ndim != 2 or F.shape[1] != n or G.shape != F.shape:
+        raise ValueError(
+            f"expected two (B, {n}) arrays of one shape, got {F.shape} and {G.shape}"
+        )
+    triples = S.composable_triples()
+    step = _rows_per_block(S)
+    if F.shape[0] <= step:
+        return _dot_block(F, G, triples, n)
+    return np.concatenate(
+        [
+            _dot_block(F[lo : lo + step], G[lo : lo + step], triples, n)
+            for lo in range(0, F.shape[0], step)
+        ]
+    )
+
+
 def dot(f, g):
     """Composable-factorization product: the terms of conv with s*s = tt*."""
     _same_base(f, g)
     S = f.base
-    w = np.where(S.composable_matrix(), f.coeffs[:, None] * g.coeffs[None, :], 0)
-    return _scatter(S, w)
+    row = dot_many(S, f.coeffs[None, :], g.coeffs[None, :])[0]
+    return AlgebraElement(S, row, copy=False)
 
 
 def dot_direct(f, g):

@@ -21,9 +21,9 @@ def restricted_product(S, x, y):
 
 
 def composable_pairs(S):
-    """All (x, y) for which the partial product is defined."""
-    xs, ys = np.nonzero(S.composable_matrix())
-    return list(zip(xs.tolist(), ys.tolist()))
+    """All (x, y) for which the partial product is defined, row-major."""
+    triples = S.composable_triples()
+    return list(zip(triples[:, 0].tolist(), triples[:, 1].tolist()))
 
 
 def groupoid_law_violations(S):

@@ -52,6 +52,7 @@ class FiniteInvSemigroup:
         for arr in (self.mul, self.star, self.dom, self.ran):
             arr.setflags(write=False)
         self._composable = None
+        self._triples = None
         self._leq = None
         self._idem = None
         self._rep_mats = {}  # representation name -> (n, n, n) stack, see reps
@@ -147,6 +148,19 @@ class FiniteInvSemigroup:
             comp.setflags(write=False)
             self._composable = comp
         return self._composable
+
+    def composable_triples(self):
+        """Read-only (T, 3) int array of the rows (x, y, xy) over the
+        composable pairs, in the row-major order of np.nonzero, cached."""
+        if self._triples is None:
+            xs, ys = np.nonzero(self.composable_matrix())
+            triples = np.empty((xs.size, 3), dtype=np.intp, order="F")
+            triples[:, 0] = xs
+            triples[:, 1] = ys
+            triples[:, 2] = self.mul[xs, ys]
+            triples.setflags(write=False)
+            self._triples = triples
+        return self._triples
 
 
 # ---------------------------------------------------------------------

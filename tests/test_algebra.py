@@ -7,8 +7,10 @@ from restalg.algebra import (
     AlgebraElement,
     approx_identity,
     conv,
+    _rows_per_block,
     dot,
     dot_direct,
+    dot_many,
     extend_from_base,
     find_nonassoc_witness,
     inner,
@@ -140,6 +142,36 @@ def test_dot_two_formulas_agree():
             f = AlgebraElement.random(S, rngl)
             g = AlgebraElement.random(S, rngl)
             assert max_abs_diff(dot(f, g), dot_direct(f, g)) < 1e-12
+
+
+def test_dot_many_rows_equal_dot(full_corpus):
+    # B = 0, B = 1 and a batch over two blocks; of the large batch, the
+    # rows around the block boundary and about 60 spread over the rest
+    rngl = np.random.default_rng(6)
+    for label, S in full_corpus:
+        block = _rows_per_block(S)
+        for B in (0, 1, block + 3):
+            F = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
+            G = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
+            P = dot_many(S, F, G)
+            assert P.shape == (B, S.n), label
+            rows = set(range(0, B, max(1, B // 60))) | {block - 1, block, B - 1}
+            for i in sorted(r for r in rows if 0 <= r < B):
+                f, g = AlgebraElement(S, F[i]), AlgebraElement(S, G[i])
+                assert np.array_equal(P[i], dot(f, g).coeffs), (label, B, i)
+                assert np.abs(P[i] - dot_direct(f, g).coeffs).max() < 1e-12, (label, B, i)
+
+
+def test_dot_many_rejects_wrong_shapes():
+    ok = np.zeros((2, I2.n))
+    for F, G in [
+        (np.zeros((2, I2.n + 1)), np.zeros((2, I2.n + 1))),
+        (np.zeros(I2.n), np.zeros(I2.n)),
+        (ok, np.zeros((3, I2.n))),
+    ]:
+        with pytest.raises(ValueError):
+            dot_many(I2, F, G)
+    assert np.array_equal(dot_many(I2, ok, ok), ok)
 
 
 def test_delta_absorption_both_cases():

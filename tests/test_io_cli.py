@@ -213,6 +213,10 @@ def test_cli_tolerance_override(tmp_path, capsys):
         ["verify", "--suite", "cstar", "--trials", "0"],
         ["verify", "--suite", "axioms", "--trials", "-3"],
         ["verify", "--suite", "cstar", "--seed", "-1"],
+        ["verify", "--suite", "algebra", "--no-restricted", "--tol", "entrywise=inf"],
+        ["verify", "--suite", "algebra", "--tol", "entrywise=nan"],
+        ["verify", "--suite", "cstar", "--tol", "norm=-1"],
+        ["verify", "--suite", "cstar", "--tol", "cstar=0"],
     ],
 )
 def test_cli_rejects_unusable_common_values(argv, capsys):

@@ -66,6 +66,25 @@ def test_composable_pairs_against_bruteforce_oracle():
     assert len(expected) == int(I2.composable_matrix().sum())
 
 
+@pytest.mark.parametrize("k, count", [(3, 172), (4, 3809)])
+def test_composable_triples_counts(k, count):
+    S = gen_symmetric_inverse_monoid(k)
+    triples = S.composable_triples()
+    assert triples.shape == (count, 3)
+    assert count == S.composable_matrix().sum()
+
+
+def test_composable_triples_and_pairs_on_corpus(full_corpus):
+    for label, S in full_corpus:
+        triples = S.composable_triples()
+        xs, ys = np.nonzero(S.composable_matrix())
+        assert np.array_equal(triples[:, 0], xs) and np.array_equal(triples[:, 1], ys), label
+        assert np.array_equal(triples[:, 2], S.mul[xs, ys]), label
+        assert not triples.flags.writeable
+        assert S.composable_triples() is triples
+        assert composable_pairs(S) == list(zip(xs.tolist(), ys.tolist())), label
+
+
 def test_build_restricted_semigroup_group():
     Z2 = gen_group("cyclic", 2)
     rs = build_restricted_semigroup(Z2)
