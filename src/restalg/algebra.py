@@ -153,17 +153,23 @@ def _rows_per_block(S):
     return max(1, _BLOCK_BYTES // (_BYTES_PER_TERM * terms))
 
 
+def scatter(values, index, size):
+    """Complex bincount: out[i] sums values[j] over index[j] == i, each bin
+    from +0.0 in the order of index, real and imaginary parts apart."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(index, weights=values.real, minlength=size)
+    out.imag = np.bincount(index, weights=values.imag, minlength=size)
+    return out
+
+
 def _dot_block(F, G, triples, n):
     xs, ys, xys = triples[:, 0], triples[:, 1], triples[:, 2]
     rows = F.shape[0]
     w = (F[:, xs] * G[:, ys]).ravel()
     bins = (np.arange(rows)[:, None] * n + xys).ravel()
-    # bincount sums each bin from +0.0 in the row-major order of the pairs,
-    # so a row's result does not depend on the batch it came in
-    out = np.empty((rows, n), dtype=np.complex128)
-    out.real = np.bincount(bins, weights=w.real, minlength=rows * n).reshape(rows, n)
-    out.imag = np.bincount(bins, weights=w.imag, minlength=rows * n).reshape(rows, n)
-    return out
+    # each bin is summed in the row-major order of the pairs, so a row's
+    # result does not depend on the batch it came in
+    return scatter(w, bins, rows * n).reshape(rows, n)
 
 
 def dot_many(S, F, G):

@@ -205,6 +205,7 @@ def cmd_norm(args):
         )
         payload = report.as_dict()
         payload["unrestricted_reduced"] = cstar.unrestricted_reduced_norm(f)
+        payload["blocks"] = [int(L.size) for L in cstar.representative_blocks(f.base)]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_PASS
     p = {"1": 1, "2": 2, "inf": "inf"}[args.p]

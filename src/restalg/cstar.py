@@ -9,6 +9,10 @@ restricted representations cross-checks the implementation of that fact.
 The quotient norm mod the line through the delta at the adjoined zero is
 computed through the regular representation of the zero-adjoined
 semigroup.
+
+The reduced, unrestricted and quotient norms are taken over one diagonal
+block of the lift per D-class (see representative_blocks); the dense
+lift stays in use as the independent route.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, dot, restrict_to_base
-from .errors import VerificationFailure
+from .algebra import AlgebraElement, dot, restrict_to_base, scatter
+from .errors import BaseMismatch, VerificationFailure
 from .linalg import golden_min, haar_unitary, op_norm, svd_op_norm
 from .reps import (
     KIND_RESTRICTED,
     Representation,
+    kept_on,
     left_regular,
     lift,
     restricted_left_regular,
@@ -33,14 +38,79 @@ from .restricted import build_restricted_semigroup
 def reduced_cstar_norm(f):
     """||f|| as an operator through the restricted left regular
     representation."""
-    return op_norm(lift(restricted_left_regular(f.base), f))
+    return _block_norm(restricted_left_regular(f.base), f)
 
 
 def unrestricted_reduced_norm(f):
     """||f|| through the classical (order-based) left regular
     representation.  For finite S this also serves as the unrestricted
     full norm; reports flag the two identically."""
-    return op_norm(lift(left_regular(f.base), f))
+    return _block_norm(left_regular(f.base), f)
+
+
+# ---------------------------------------------------------------------
+# the lift as one diagonal block per D-class
+
+
+def representative_blocks(S):
+    """One L-class {y : y*y = e} per class of idempotent_classes (e the
+    smallest idempotent of the class), as read-only index arrays, kept on
+    S.
+
+    lambda(x) and lambda_r(x) send row y to column x*y, and
+    (x*y)*(x*y) = y*y whenever yy* <= xx*; so every lift through them is
+    block-diagonal over the L-classes.  Right translation by an s with
+    ss* = e and s*s = e' maps the L-class of e onto that of e' and
+    commutes with the left action, so the blocks within one class are
+    unitarily equivalent, and the norm of a lift is the largest norm of
+    these blocks.
+    """
+
+    def build():
+        blocks = []
+        for cls in idempotent_classes(S):
+            L = np.flatnonzero(S.dom == cls[0])
+            L.setflags(write=False)
+            blocks.append(L)
+        return blocks
+
+    return kept_on(S, ("L-classes", "representatives"), build)
+
+
+def _block_index(rep):
+    """Per representative block L: (L, x, flat) such that the (L, L) block
+    of lift(rep, f) is the scatter of f[x] into flat (row-major)."""
+
+    def build():
+        S = rep.base
+        xs, ys, cols = rep.entries()
+        local = np.full(S.n, -1, dtype=np.intp)
+        out = []
+        for L in representative_blocks(S):
+            local[L] = np.arange(L.size)
+            keep = S.dom[ys] == S.dom[L[0]]
+            if np.any(S.dom[cols[keep]] != S.dom[L[0]]):
+                raise VerificationFailure(
+                    f"{rep.name} moves a row out of its L-class", witness=rep.name
+                )
+            out.append((L, xs[keep], local[ys[keep]] * L.size + local[cols[keep]]))
+        return out
+
+    return kept_on(rep.base, (rep.name, "blocks"), build)
+
+
+def _block_norm(rep, f, cleared=None):
+    """||lift(rep, f)|| as the largest op_norm over the representative
+    blocks, with the column of element ``cleared`` zeroed first."""
+    if f.base is not rep.base:
+        raise BaseMismatch("element and representation live over different bases")
+    best = 0.0
+    for L, xs, flat in _block_index(rep):
+        B = scatter(f.coeffs[xs], flat, L.size * L.size).reshape(L.size, L.size)
+        if cleared is not None:
+            B[:, L == cleared] = 0.0
+        best = max(best, op_norm(B))
+    return best
 
 
 # ---------------------------------------------------------------------
@@ -117,16 +187,19 @@ def full_cstar_norm(f, *, trials=0, seed=0):
     is positive, randomized members of the family must not exceed it
     beyond 1e-9 or VerificationFailure is raised.
     """
-    value = reduced_cstar_norm(f)
+    return _checked_full(f, reduced_cstar_norm(f), trials, seed)
+
+
+def _checked_full(f, reduced, trials, seed):
     if trials:
-        excess = sigma_r_cross_check(f, trials=trials, seed=seed)
+        excess = _sigma_r_excess(f, reduced, trials, seed)
         if excess > 1e-9:
             raise VerificationFailure(
                 f"a sampled restricted representation exceeded the norm "
                 f"by {excess:.3e}",
                 witness=excess,
             )
-    return value
+    return reduced
 
 
 def sigma_r_cross_check(f, *, trials=5, seed=0):
@@ -137,7 +210,10 @@ def sigma_r_cross_check(f, *, trials=5, seed=0):
     never built: the lift of f through a sample is the image of
     A = lift(lambda_r, f), a single (kn, kn) matrix.
     """
-    value = reduced_cstar_norm(f)
+    return _sigma_r_excess(f, reduced_cstar_norm(f), trials, seed)
+
+
+def _sigma_r_excess(f, value, trials, seed):
     A = lift(restricted_left_regular(f.base), f)
     worst = -np.inf
     for M in _sigma_r_images(f.base, A, trials, seed):
@@ -157,11 +233,12 @@ def quotient_cstar_norm(f, zero_index):
     rank-one projection P onto the zero coordinate, P is central in the
     lifted algebra, and the closed ideal it generates is the line C P;
     the quotient norm is therefore the norm of lift(f) (I - P), the lift
-    with its zero column cleared.
+    with its zero column cleared.  That column lies only in the zero's
+    own L-class {0}, so it is cleared in that block alone.
     """
-    A = lift(left_regular(f.base), f)
-    A[:, zero_index] = 0.0
-    return op_norm(A)
+    if zero_index != f.base.zero:
+        raise ValueError(f"element {zero_index} is not the zero of the semigroup")
+    return _block_norm(left_regular(f.base), f, cleared=zero_index)
 
 
 def minimized_quotient_norm(f, zero_index):
@@ -177,7 +254,7 @@ def minimized_quotient_norm(f, zero_index):
     """
     Lam = left_regular(f.base)
     base_mat = lift(Lam, f)
-    P = Lam.mats[zero_index]
+    P = Lam.mat(zero_index)
     rmax = 2.0 * f.norm(1) + 1e-9
 
     def g(c):
@@ -233,7 +310,7 @@ class NormReport:
 
 def norm_report(f, *, zero_index=None, trials=0, seed=0):
     reduced = reduced_cstar_norm(f)
-    full = full_cstar_norm(f, trials=trials, seed=seed)
+    full = _checked_full(f, reduced, trials, seed)
     quotient = None
     if zero_index is not None:
         quotient = quotient_cstar_norm(f, zero_index)

@@ -1,10 +1,14 @@
-"""Matrix realizations of the regular representations.
+"""The regular representations and their lifts.
 
 All representations act on the coordinate space indexed by the semigroup
 elements (delta basis, element order).  A "restricted" representation is
 adjoint-preserving and multiplicative exactly on composable pairs, with
 non-composable products mapped to 0; a "full" one is multiplicative on
 every pair.
+
+The three regular representations are 0/1 partial permutations, so each
+is stored as an (n, n) partial-map table rather than an (n, n, n) matrix
+stack; the stack is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import wraps
 
 import numpy as np
 
-from .algebra import AlgebraElement, dot
+from .algebra import AlgebraElement, dot, scatter
 from .errors import (
     BaseMismatch,
     NotAdjointClosed,
@@ -28,7 +32,20 @@ KIND_FULL = "full"
 KIND_RESTRICTED = "restricted"
 
 
-@dataclass
+def kept_on(S, key, build):
+    """build() once per semigroup and key, kept on S so it is freed with S."""
+    value = S._rep_data.get(key)
+    if value is None:
+        value = build()
+        S._rep_data[key] = value
+    return value
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 class Representation:
     """A map from semigroup elements to dim x dim complex matrices.
 
@@ -36,43 +53,80 @@ class Representation:
     pi(x)pi(y) = pi(xy) on every pair, "restricted" for the composability
     rule.  ``mats`` is the (n, dim, dim) stack in element order and is
     treated as read-only.
+
+    A regular representation is given by a read-only partial-map
+    ``table`` instead: row y of pi(x) has its single 1 in column
+    table[x, y], or is zero where that entry is -1.  Its stack is built
+    from the table on first read of ``mats`` and kept on the semigroup
+    under the representation's name.
     """
 
-    base: object
-    mats: np.ndarray
-    kind: str
-    name: str = ""
-
-    def __post_init__(self):
-        self.mats = np.asarray(self.mats, dtype=np.complex128)
-        if self.mats.ndim != 3 or self.mats.shape[0] != self.base.n:
-            raise ValueError("expected one square matrix per element")
-        if self.mats.shape[1] != self.mats.shape[2]:
-            raise ValueError("matrices must be square")
-        if self.kind not in (KIND_FULL, KIND_RESTRICTED):
-            raise ValueError(f"unknown kind {self.kind!r}")
+    def __init__(self, base, mats, kind, name="", *, table=None):
+        if kind not in (KIND_FULL, KIND_RESTRICTED):
+            raise ValueError(f"unknown kind {kind!r}")
+        self.base = base
+        self.kind = kind
+        self.name = name
+        self.table = table
+        if table is not None:
+            if mats is not None:
+                raise ValueError("give a matrix stack or a table, not both")
+            if table.shape != (base.n, base.n):
+                raise ValueError("expected an (n, n) partial-map table")
+        else:
+            mats = np.asarray(mats, dtype=np.complex128)
+            if mats.ndim != 3 or mats.shape[0] != base.n:
+                raise ValueError("expected one square matrix per element")
+            if mats.shape[1] != mats.shape[2]:
+                raise ValueError("matrices must be square")
+        self._mats = mats
 
     @property
     def dim(self):
-        return int(self.mats.shape[1])
+        return int((self.table if self._mats is None else self._mats).shape[1])
+
+    @property
+    def mats(self):
+        if self.table is None:
+            return self._mats
+        return kept_on(self.base, (self.name, "mats"), self._stack)
+
+    def _stack(self):
+        n = self.base.n
+        xs, ys, cols = self.entries()
+        mats = np.zeros((n, n, n), dtype=np.complex128)
+        mats[xs, ys, cols] = 1.0
+        return _read_only(mats)
+
+    def entries(self):
+        """The nonzero entries (x, y, table[x, y]) of a table, as three
+        read-only arrays in row-major order, kept on the semigroup."""
+
+        def build():
+            xs, ys = np.nonzero(self.table >= 0)
+            return tuple(_read_only(a) for a in (xs, ys, self.table[xs, ys]))
+
+        return kept_on(self.base, (self.name, "entries"), build)
 
     def mat(self, x):
-        return self.mats[x]
+        """pi(x), without building the stack of a table."""
+        if self.table is None:
+            return self._mats[x]
+        M = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        rows = np.flatnonzero(self.table[x] >= 0)
+        M[rows, self.table[x, rows]] = 1.0
+        return M
 
 
 def _kept_on_base(kind, name):
-    """Build a regular representation's matrix stack once per semigroup
-    and keep it on the semigroup, so the stack is freed with it."""
+    """Build a regular representation's partial-map table once per
+    semigroup and keep it on the semigroup, so it is freed with it."""
 
     def wrap(build):
         @wraps(build)
         def rep(S):
-            mats = S._rep_mats.get(name)
-            if mats is None:
-                mats = build(S)
-                mats.setflags(write=False)
-                S._rep_mats[name] = mats
-            return Representation(S, mats, kind, name)
+            table = kept_on(S, (name, "table"), lambda: _read_only(build(S)))
+            return Representation(S, None, kind, name, table=table)
 
         return rep
 
@@ -82,42 +136,36 @@ def _kept_on_base(kind, name):
 @_kept_on_base(KIND_RESTRICTED, "lambda_r")
 def restricted_left_regular(S):
     """lambda_r: (lambda_r(x) xi)(y) = xi(x*y) when xx* = yy*, else 0."""
-    n = S.n
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    for x in range(n):
-        rows = np.flatnonzero(S.ran == S.ran[x])
-        mats[x, rows, S.mul[S.star[x], rows]] = 1.0
-    return mats
+    same_range = S.ran[:, None] == S.ran[None, :]
+    return np.where(same_range, S.mul[S.star], -1)
 
 
 @_kept_on_base(KIND_FULL, "lambda")
 def left_regular(S):
     """The classical lambda: (lambda(x) xi)(y) = xi(x*y) when xx* >= yy*."""
-    n = S.n
-    L = S.order_table()
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    for x in range(n):
-        rows = np.flatnonzero(L[S.ran, S.ran[x]])
-        mats[x, rows, S.mul[S.star[x], rows]] = 1.0
-    return mats
+    below = S.order_table()[S.ran[None, :], S.ran[:, None]]
+    return np.where(below, S.mul[S.star], -1)
 
 
 @_kept_on_base(KIND_RESTRICTED, "rho_r")
 def restricted_right_regular(S):
     """rho_r: (rho_r(x) xi)(y) = xi(yx) when xx* = y*y, else 0."""
-    n = S.n
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    for x in range(n):
-        rows = np.flatnonzero(S.dom == S.ran[x])
-        mats[x, rows, S.mul[rows, x]] = 1.0
-    return mats
+    return np.where(S.ran[:, None] == S.dom[None, :], S.mul.T, -1)
 
 
 def lift(rep, f):
-    """The lifted operator sum_x f(x) pi(x)."""
+    """The lifted operator sum_x f(x) pi(x).
+
+    On a table this scatters f(x) into entry (y, table[x, y]) for every
+    nonzero entry, O(nnz) instead of a contraction with the stack.
+    """
     if f.base is not rep.base:
         raise BaseMismatch("element and representation live over different bases")
-    return np.tensordot(f.coeffs, rep.mats, axes=1)
+    if rep.table is None:
+        return np.tensordot(f.coeffs, rep.mats, axes=1)
+    xs, ys, cols = rep.entries()
+    dim = rep.dim
+    return scatter(f.coeffs[xs], ys * dim + cols, dim * dim).reshape(dim, dim)
 
 
 def extend_with_zero(rep, rs):

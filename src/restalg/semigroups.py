@@ -55,7 +55,7 @@ class FiniteInvSemigroup:
         self._triples = None
         self._leq = None
         self._idem = None
-        self._rep_mats = {}  # representation name -> (n, n, n) stack, see reps
+        self._rep_data = {}  # (name, what) -> tables, stacks, block indices; see reps, cstar
 
     # -- basic queries ------------------------------------------------
 

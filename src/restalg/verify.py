@@ -1058,7 +1058,10 @@ def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
         worst = max(worst, abs(op_norm(M) - svd_op_norm(M)) / max(1.0, svd_op_norm(M)))
         f = AlgebraElement.random(S, rng)
         A = lift(lam_r, f)
-        worst = max(worst, abs(op_norm(A) - svd_op_norm(A)) / max(1.0, svd_op_norm(A)))
+        dense = svd_op_norm(A)
+        worst = max(worst, abs(op_norm(A) - dense) / max(1.0, dense))
+        # the block route of reduced_cstar_norm against the dense lift
+        worst = max(worst, abs(cstar.reduced_cstar_norm(f) - dense) / max(1.0, dense))
     checks.append(
         Check(
             "cstar.opnorm-backend",

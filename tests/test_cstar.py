@@ -5,9 +5,9 @@ import pytest
 
 from restalg import cstar
 from restalg.algebra import AlgebraElement, restrict_to_base
-from restalg.corpus import corpus_member
+from restalg.corpus import corpus_member, default_corpus, restricted_of
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
-from restalg.linalg import op_norm
+from restalg.linalg import op_norm, svd_op_norm
 from restalg.reps import left_regular, lift, representation_report, restricted_left_regular
 from restalg.restricted import build_restricted_semigroup
 
@@ -84,7 +84,7 @@ def test_sigma_r_cross_check_memory(label, bound_mb):
     # one (kn, kn) matrix per sample, not a stack of n of them
     S = gen_symmetric_inverse_monoid(4) if label == "I4" else corpus_member(label)
     f = AlgebraElement.random(S, np.random.default_rng(30))
-    restricted_left_regular(S)  # the stack kept on S is not counted
+    restricted_left_regular(S)  # the table kept on S is not counted
     tracemalloc.start()
     try:
         cstar.sigma_r_cross_check(f, trials=3, seed=31)
@@ -171,3 +171,114 @@ def test_unrestricted_reduced_norm():
     assert cstar.unrestricted_reduced_norm(f) == pytest.approx(
         cstar.reduced_cstar_norm(f), abs=1e-10
     )
+
+
+# ---------------------------------------------------------------------
+# block norms against the dense lift
+
+
+def _block_cases():
+    cases = []
+    for label, S in default_corpus(False):
+        rs = restricted_of(label)
+        cases += [pytest.param(S, rs, id=label), pytest.param(rs.sr, rs, id=label + "_r")]
+    I4 = gen_symmetric_inverse_monoid(4)
+    return cases + [pytest.param(I4, build_restricted_semigroup(I4), id="I4")]
+
+
+def _elements(S, rng, k=20):
+    return [AlgebraElement.delta(S, x) for x in range(S.n)] + [
+        AlgebraElement.random(S, rng) for _ in range(k)
+    ]
+
+
+def _rel(a, b):
+    return abs(a - b) / max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("S, rs", _block_cases())
+def test_block_norms_match_dense_svd(S, rs):
+    # every corpus member and I4 through lambda_r and lambda; the quotient
+    # over the zero-adjoined semigroup of each base member
+    rng = np.random.default_rng(32)
+    lam_r, lam = restricted_left_regular(S), left_regular(S)
+    worst = 0.0
+    for f in _elements(S, rng):
+        worst = max(
+            worst,
+            _rel(cstar.reduced_cstar_norm(f), svd_op_norm(lift(lam_r, f))),
+            _rel(cstar.unrestricted_reduced_norm(f), svd_op_norm(lift(lam, f))),
+        )
+    if S is rs.base:
+        Lam, z = left_regular(rs.sr), rs.zero_index
+        for f in _elements(rs.sr, rng):
+            A = lift(Lam, f)
+            A[:, z] = 0.0
+            worst = max(worst, _rel(cstar.quotient_cstar_norm(f, z), svd_op_norm(A)))
+    assert worst <= 1e-12
+
+
+def test_block_norm_attained_off_the_largest_block():
+    # a weighted delta at I3's empty map lives in the 1 x 1 block of its
+    # own D-class; the two largest blocks (6 x 6) only see the identity
+    I3 = gen_symmetric_inverse_monoid(3)
+    rs = build_restricted_semigroup(I3)
+    empty, one = int(I3.idempotents()[0]), I3.identity
+    assert I3.dom[empty] == empty and (I3.dom == empty).sum() == 1
+    sizes = [int(L.size) for L in cstar.representative_blocks(I3)]
+    assert sorted(sizes) == [1, 3, 6, 6]
+    coeffs = np.zeros(I3.n, dtype=np.complex128)
+    coeffs[empty], coeffs[one] = 3.0, 1.0
+    f = AlgebraElement(I3, coeffs)
+    assert cstar.reduced_cstar_norm(f) == pytest.approx(3.0, abs=1e-12)
+    assert cstar.unrestricted_reduced_norm(f) == pytest.approx(
+        svd_op_norm(lift(left_regular(I3), f)), rel=1e-12
+    )
+    fz = AlgebraElement(rs.sr, np.append(coeffs, 0.5))
+    assert cstar.quotient_cstar_norm(fz, rs.zero_index) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_representative_blocks_of_i4():
+    I4 = gen_symmetric_inverse_monoid(4)
+    blocks = cstar.representative_blocks(I4)
+    assert [int(L.size) for L in blocks] == [1, 4, 12, 24, 24]
+    assert cstar.representative_blocks(I4) is blocks  # kept on the semigroup
+    # one L-class per D-class
+    for L, cls in zip(blocks, cstar.idempotent_classes(I4)):
+        assert np.all(I4.dom[L] == cls[0])
+
+
+def test_quotient_norm_needs_the_zero():
+    rs = build_restricted_semigroup(I2)
+    with pytest.raises(ValueError):
+        cstar.quotient_cstar_norm(AlgebraElement.delta(rs.sr, 0), 0)
+
+
+def test_block_norms_memory_on_cold_i4():
+    # tables and block indices only: no (n, n, n) stack and no n x n lift
+    S = gen_symmetric_inverse_monoid(4)
+    rs = build_restricted_semigroup(S)
+    rng = np.random.default_rng(33)
+    f = AlgebraElement.random(S, rng)
+    fz = AlgebraElement.random(rs.sr, rng)
+    tracemalloc.start()
+    try:
+        cstar.reduced_cstar_norm(f)
+        cstar.quotient_cstar_norm(fz, rs.zero_index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    for base in (S, rs.sr):
+        assert base._rep_data, "the tables are kept on the semigroup"
+        assert not [key for key in base._rep_data if key[1] == "mats"]
+
+
+def test_norm_report_computes_the_reduced_norm_once(monkeypatch):
+    calls = []
+    real = cstar.reduced_cstar_norm
+    monkeypatch.setattr(cstar, "reduced_cstar_norm", lambda f: calls.append(f) or real(f))
+    f = AlgebraElement.random(I2, np.random.default_rng(34))
+    report = cstar.norm_report(f, trials=2, seed=35)
+    assert len(calls) == 1
+    assert report.full == report.reduced == real(f)

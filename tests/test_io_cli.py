@@ -143,6 +143,31 @@ def test_cli_rep_matrix(capsys):
     assert "lambda_r" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("which", ["lambda_r", "rho_r", "lambda", "Lambda"])
+def test_cli_rep_element_does_not_build_the_stack(which, capsys, monkeypatch):
+    from restalg import reps
+    from restalg.restricted import build_restricted_semigroup
+
+    S = gen_symmetric_inverse_monoid(3)
+    rep = {
+        "lambda_r": reps.restricted_left_regular,
+        "rho_r": reps.restricted_right_regular,
+        "lambda": reps.left_regular,
+    }.get(which, lambda S: reps.left_regular(build_restricted_semigroup(S).sr))(S)
+    want = rep.mats[5]
+
+    def no_stack(self):
+        raise AssertionError("the (n, n, n) stack was built")
+
+    monkeypatch.setattr(reps.Representation, "_stack", no_stack)
+    argv = ["rep", "--family", "symmetric-inverse", "--n", "3", "--which", which, "--element", "5"]
+    assert main([*argv, "--json"]) == 0
+    got = np.array(json.loads(capsys.readouterr().out))
+    assert np.array_equal(got[..., 0] + 1j * got[..., 1], want)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"{which}(")
+
+
 def test_cli_rep_check(capsys):
     assert main(["rep", "--family", "symmetric-inverse", "--n", "2", "--check"]) == 0
     out = capsys.readouterr().out
@@ -160,6 +185,19 @@ def test_cli_norm(tmp_path, capsys):
     assert report["l1"] == 2.0
     assert report["reduced"] == pytest.approx(2.0, abs=1e-10)
     assert report["full"] == pytest.approx(2.0, abs=1e-10)
+    assert report["blocks"] == [2]  # Z2 is one D-class, one 2 x 2 block
+
+
+def test_cli_norm_reports_blocks(tmp_path, capsys):
+    f = AlgebraElement.random(I2, np.random.default_rng(3))
+    path = tmp_path / "f.json"
+    path.write_text(canonical_dumps(function_to_dict(f)))
+    assert main(["norm", str(path), "--cstar"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the empty map, the rank-one maps with domain {0}, the permutations
+    assert report["blocks"] == [1, 2, 2]
+    # I2 has a zero (the empty map), so the quotient is reported too
+    assert set(report) == {"l1", "reduced", "full", "unrestricted_reduced", "quotient", "blocks"}
 
 
 def test_cli_norm_quotient_field(tmp_path, capsys):

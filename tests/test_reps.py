@@ -234,3 +234,82 @@ def test_representation_cache_does_not_keep_semigroup_alive():
     del S, lam
     gc.collect()
     assert ref() is None
+
+
+# the dense builders the partial-map tables replaced, kept as the reference
+
+
+def _dense_lambda_r(S):
+    mats = np.zeros((S.n, S.n, S.n), dtype=np.complex128)
+    for x in range(S.n):
+        rows = np.flatnonzero(S.ran == S.ran[x])
+        mats[x, rows, S.mul[S.star[x], rows]] = 1.0
+    return mats
+
+
+def _dense_lambda(S):
+    L = S.order_table()
+    mats = np.zeros((S.n, S.n, S.n), dtype=np.complex128)
+    for x in range(S.n):
+        rows = np.flatnonzero(L[S.ran, S.ran[x]])
+        mats[x, rows, S.mul[S.star[x], rows]] = 1.0
+    return mats
+
+
+def _dense_rho_r(S):
+    mats = np.zeros((S.n, S.n, S.n), dtype=np.complex128)
+    for x in range(S.n):
+        rows = np.flatnonzero(S.dom == S.ran[x])
+        mats[x, rows, S.mul[rows, x]] = 1.0
+    return mats
+
+
+REFERENCE_BUILDERS = (
+    (restricted_left_regular, _dense_lambda_r),
+    (left_regular, _dense_lambda),
+    (restricted_right_regular, _dense_rho_r),
+)
+
+
+def test_tables_round_trip_to_the_dense_stacks(full_corpus):
+    for label, S in full_corpus:
+        for build, reference in REFERENCE_BUILDERS:
+            rep = build(S)
+            assert rep.table.dtype == np.intp and not rep.table.flags.writeable
+            want = reference(S)
+            got = rep.mats
+            assert got.dtype == want.dtype and not got.flags.writeable
+            # bitwise, sign bits of the zeros included
+            assert got.tobytes() == want.tobytes(), (label, rep.name)
+            for x in range(S.n):
+                assert rep.mat(x).tobytes() == want[x].tobytes(), (label, rep.name, x)
+
+
+def test_mat_does_not_build_the_stack():
+    S = gen_symmetric_inverse_monoid(3)
+    for build, reference in REFERENCE_BUILDERS:
+        rep = build(S)
+        want = reference(S)
+        for x in (0, 5, S.n - 1):
+            assert np.array_equal(rep.mat(x), want[x])
+        assert rep.dim == S.n
+    assert not [key for key in S._rep_data if key[1] == "mats"]
+
+
+def test_scatter_lift_equals_contraction_with_the_stack(full_corpus):
+    rng = np.random.default_rng(11)
+    for label, S in full_corpus:
+        lam = restricted_left_regular(S)
+        fs = [AlgebraElement.delta(S, x) for x in range(S.n)]
+        fs += [AlgebraElement.random(S, rng) for _ in range(20)]
+        for f in fs:
+            want = np.tensordot(f.coeffs, lam.mats, axes=1)
+            assert np.array_equal(lift(lam, f), want), label
+
+
+def test_representation_needs_a_stack_or_a_table():
+    table = restricted_left_regular(Z2).table
+    with pytest.raises(ValueError):
+        Representation(Z2, np.zeros((2, 2, 2)), "full", "both", table=table)
+    with pytest.raises(ValueError):
+        Representation(Z2, None, "full", "short", table=table[:1])
