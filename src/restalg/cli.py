@@ -63,7 +63,7 @@ def _add_common(p):
         default=[],
         metavar="NAME=VALUE",
         help="override a tolerance (entrywise, norm, identity, cstar, "
-        "minimized, pivot, contraction)",
+        "minimized, pivot)",
     )
     p.add_argument("--max-order", type=int, default=MAX_ORDER)
     fmt = p.add_mutually_exclusive_group()

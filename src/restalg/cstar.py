@@ -24,14 +24,7 @@ import numpy as np
 from .algebra import AlgebraElement, dot, restrict_to_base, scatter
 from .errors import BaseMismatch, VerificationFailure
 from .linalg import golden_min, haar_unitary, op_norm, svd_op_norm
-from .reps import (
-    KIND_RESTRICTED,
-    Representation,
-    kept_on,
-    left_regular,
-    lift,
-    restricted_left_regular,
-)
+from .reps import kept_on, left_regular, lift, restricted_left_regular
 from .restricted import build_restricted_semigroup
 
 
@@ -79,7 +72,8 @@ def representative_blocks(S):
 
 def _block_index(rep):
     """Per representative block L: (L, x, flat) such that the (L, L) block
-    of lift(rep, f) is the scatter of f[x] into flat (row-major)."""
+    of lift(rep, f) is the scatter of f[x] into flat (row-major); kept on
+    rep."""
 
     def build():
         S = rep.base
@@ -96,7 +90,7 @@ def _block_index(rep):
             out.append((L, xs[keep], local[ys[keep]] * L.size + local[cols[keep]]))
         return out
 
-    return kept_on(rep.base, (rep.name, "blocks"), build)
+    return kept_on(rep, "blocks", build)
 
 
 def _block_norm(rep, f, cleared=None):
@@ -152,9 +146,14 @@ def central_unit_projection(S, classes_subset):
 
 
 def _sigma_r_images(S, M, trials, seed):
-    """M under each sampled representation, for M the lambda_r stack or a
-    lift through lambda_r: U (M P_1 (+) ... (+) M P_k) U*, with k, the
-    central projections P_i and the Haar unitary U drawn from the seed."""
+    """M under each sampled representation, for M a lift through lambda_r
+    (or a stack of them): U (M P_1 (+) ... (+) M P_k) U*, with k, the
+    central projections P_i and the Haar unitary U drawn from the seed.
+
+    Each sample is a random contractive restricted representation: a
+    direct sum of copies of lambda_r compressed by central projections
+    built from saturated idempotent classes, then conjugated by a Haar
+    unitary."""
     rng = np.random.default_rng(seed)
     classes = idempotent_classes(S)
     n = S.n
@@ -166,18 +165,6 @@ def _sigma_r_images(S, M, trials, seed):
             out[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = M @ P
         U = haar_unitary(k * n, rng)
         yield U @ out @ U.conj().T
-
-
-def sigma_r_samples(S, trials, seed):
-    """Random contractive restricted representations.
-
-    Each sample is a direct sum of copies of lambda_r compressed by
-    central projections built from saturated idempotent classes, then
-    conjugated by a Haar unitary.
-    """
-    lam = restricted_left_regular(S)
-    for mats in _sigma_r_images(S, lam.mats, trials, seed):
-        yield Representation(S, mats, KIND_RESTRICTED, "random-sigma-r")
 
 
 def full_cstar_norm(f, *, trials=0, seed=0):
@@ -206,7 +193,7 @@ def sigma_r_cross_check(f, *, trials=5, seed=0):
     """Largest amount by which a sampled representation's lift exceeds the
     computed supremum norm (negative when none does).
 
-    The samples are those of sigma_r_samples, but their matrix stacks are
+    The samples are those of _sigma_r_images, whose matrix stacks are
     never built: the lift of f through a sample is the image of
     A = lift(lambda_r, f), a single (kn, kn) matrix.
     """

@@ -35,8 +35,8 @@ def svd_op_norm(mat):
 def column_rank(cols, rel_tol=1e-9):
     """Numerical column rank by modified Gram-Schmidt with greedy
     pivoting; pivots below rel_tol times the largest initial column norm
-    are treated as zero."""
-    A = np.array(cols, dtype=np.complex128)
+    are treated as zero.  Real input stays in real arithmetic."""
+    A = np.array(cols, dtype=np.complex128 if np.iscomplexobj(cols) else np.float64)
     if A.ndim != 2 or A.size == 0:
         return 0
     norms = np.linalg.norm(A, axis=0)

@@ -6,13 +6,14 @@ adjoint-preserving and multiplicative exactly on composable pairs, with
 non-composable products mapped to 0; a "full" one is multiplicative on
 every pair.
 
-The three regular representations are 0/1 partial permutations, so each
-is stored as an (n, n) partial-map table rather than an (n, n, n) matrix
-stack; the stack is built only when something reads it.
+The regular representations are 0/1 partial permutations, so a
+representation is an (n, dim) partial-map table, never a matrix stack,
+and each membership law is an integer identity on that table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -26,18 +27,19 @@ from .errors import (
     NotMultiplicative,
     NotRestrictedMultiplicative,
 )
-from .linalg import column_rank, op_norm
+from .linalg import column_rank
 
 KIND_FULL = "full"
 KIND_RESTRICTED = "restricted"
 
 
-def kept_on(S, key, build):
-    """build() once per semigroup and key, kept on S so it is freed with S."""
-    value = S._rep_data.get(key)
+def kept_on(owner, key, build):
+    """build() once per owner (a semigroup or a representation) and key,
+    kept on the owner so it is freed with it."""
+    value = owner._rep_data.get(key)
     if value is None:
         value = build()
-        S._rep_data[key] = value
+        owner._rep_data[key] = value
     return value
 
 
@@ -47,71 +49,49 @@ def _read_only(arr):
 
 
 class Representation:
-    """A map from semigroup elements to dim x dim complex matrices.
+    """A map x -> pi(x) from semigroup elements to dim x dim 0/1 matrices,
+    given as a partial-map table.
 
-    ``kind`` records which homomorphism law the map claims: "full" for
-    pi(x)pi(y) = pi(xy) on every pair, "restricted" for the composability
-    rule.  ``mats`` is the (n, dim, dim) stack in element order and is
-    treated as read-only.
-
-    A regular representation is given by a read-only partial-map
-    ``table`` instead: row y of pi(x) has its single 1 in column
-    table[x, y], or is zero where that entry is -1.  Its stack is built
-    from the table on first read of ``mats`` and kept on the semigroup
-    under the representation's name.
+    ``table`` is an integer (base.n, dim) array: row y of pi(x) has its
+    single 1 in column table[x, y], or is zero where that entry is -1.
+    It is copied and kept read-only.  ``kind`` records which homomorphism
+    law the map claims: "full" for pi(x)pi(y) = pi(xy) on every pair,
+    "restricted" for the composability rule.  Arrays derived from the
+    table are kept on this object.
     """
 
-    def __init__(self, base, mats, kind, name="", *, table=None):
+    def __init__(self, base, table, kind, name=""):
         if kind not in (KIND_FULL, KIND_RESTRICTED):
             raise ValueError(f"unknown kind {kind!r}")
+        table = np.asarray(table)
+        if table.ndim != 2 or not np.issubdtype(table.dtype, np.integer):
+            raise ValueError("expected a 2-D integer partial-map table")
+        if table.shape[0] != base.n:
+            raise ValueError(f"expected one table row per element, got {table.shape[0]} for {base.n}")
+        if table.size and (table.min() < -1 or table.max() >= table.shape[1]):
+            raise ValueError(f"table entries must lie in [-1, {table.shape[1]})")
         self.base = base
         self.kind = kind
         self.name = name
-        self.table = table
-        if table is not None:
-            if mats is not None:
-                raise ValueError("give a matrix stack or a table, not both")
-            if table.shape != (base.n, base.n):
-                raise ValueError("expected an (n, n) partial-map table")
-        else:
-            mats = np.asarray(mats, dtype=np.complex128)
-            if mats.ndim != 3 or mats.shape[0] != base.n:
-                raise ValueError("expected one square matrix per element")
-            if mats.shape[1] != mats.shape[2]:
-                raise ValueError("matrices must be square")
-        self._mats = mats
+        self.table = _read_only(np.array(table, dtype=np.intp))
+        self._rep_data = {}
 
     @property
     def dim(self):
-        return int((self.table if self._mats is None else self._mats).shape[1])
-
-    @property
-    def mats(self):
-        if self.table is None:
-            return self._mats
-        return kept_on(self.base, (self.name, "mats"), self._stack)
-
-    def _stack(self):
-        n = self.base.n
-        xs, ys, cols = self.entries()
-        mats = np.zeros((n, n, n), dtype=np.complex128)
-        mats[xs, ys, cols] = 1.0
-        return _read_only(mats)
+        return int(self.table.shape[1])
 
     def entries(self):
-        """The nonzero entries (x, y, table[x, y]) of a table, as three
-        read-only arrays in row-major order, kept on the semigroup."""
+        """The nonzero entries (x, y, table[x, y]), as three read-only
+        arrays in row-major order."""
 
         def build():
             xs, ys = np.nonzero(self.table >= 0)
             return tuple(_read_only(a) for a in (xs, ys, self.table[xs, ys]))
 
-        return kept_on(self.base, (self.name, "entries"), build)
+        return kept_on(self, "entries", build)
 
     def mat(self, x):
-        """pi(x), without building the stack of a table."""
-        if self.table is None:
-            return self._mats[x]
+        """pi(x) as one dense matrix."""
         M = np.zeros((self.dim, self.dim), dtype=np.complex128)
         rows = np.flatnonzero(self.table[x] >= 0)
         M[rows, self.table[x, rows]] = 1.0
@@ -119,14 +99,13 @@ class Representation:
 
 
 def _kept_on_base(kind, name):
-    """Build a regular representation's partial-map table once per
-    semigroup and keep it on the semigroup, so it is freed with it."""
+    """Build a regular representation once per semigroup and keep it on
+    the semigroup, so it is freed with it."""
 
     def wrap(build):
         @wraps(build)
         def rep(S):
-            table = kept_on(S, (name, "table"), lambda: _read_only(build(S)))
-            return Representation(S, None, kind, name, table=table)
+            return kept_on(S, (name, "rep"), lambda: Representation(S, build(S), kind, name))
 
         return rep
 
@@ -154,15 +133,10 @@ def restricted_right_regular(S):
 
 
 def lift(rep, f):
-    """The lifted operator sum_x f(x) pi(x).
-
-    On a table this scatters f(x) into entry (y, table[x, y]) for every
-    nonzero entry, O(nnz) instead of a contraction with the stack.
-    """
+    """The lifted operator sum_x f(x) pi(x): f(x) scattered into entry
+    (y, table[x, y]) for every nonzero entry, O(nnz)."""
     if f.base is not rep.base:
         raise BaseMismatch("element and representation live over different bases")
-    if rep.table is None:
-        return np.tensordot(f.coeffs, rep.mats, axes=1)
     xs, ys, cols = rep.entries()
     dim = rep.dim
     return scatter(f.coeffs[xs], ys * dim + cols, dim * dim).reshape(dim, dim)
@@ -170,14 +144,12 @@ def lift(rep, f):
 
 def extend_with_zero(rep, rs):
     """View a restricted representation of S as a full one of the
-    zero-adjoined semigroup, sending the adjoined zero to 0."""
+    zero-adjoined semigroup, sending the adjoined zero (the last element)
+    to 0."""
     if rep.base is not rs.base:
         raise BaseMismatch("representation does not live over the base semigroup")
-    dim = rep.dim
-    mats = np.concatenate(
-        [rep.mats, np.zeros((1, dim, dim), dtype=np.complex128)], axis=0
-    )
-    return Representation(rs.sr, mats, KIND_FULL, rep.name + "+0")
+    table = np.vstack([rep.table, np.full((1, rep.dim), -1, dtype=np.intp)])
+    return Representation(rs.sr, table, KIND_FULL, rep.name + "+0")
 
 
 def drop_zero(rep, rs):
@@ -185,10 +157,21 @@ def drop_zero(rep, rs):
     representation of the zero-adjoined semigroup that vanishes at 0."""
     if rep.base is not rs.sr:
         raise BaseMismatch("representation does not live over the zero-adjoined semigroup")
-    if np.abs(rep.mats[rs.zero_index]).max() != 0.0:
+    if np.any(rep.table[rs.zero_index] >= 0):
         raise ValueError("representation does not vanish at the adjoined zero")
     name = rep.name[:-2] if rep.name.endswith("+0") else rep.name
-    return Representation(rs.base, rep.mats[: rs.base.n].copy(), KIND_RESTRICTED, name)
+    return Representation(rs.base, rep.table[: rs.base.n], KIND_RESTRICTED, name)
+
+
+def column_multiplicity(rep):
+    """Per x, the largest number of rows of pi(x) with their 1 in one
+    column.  pi(x)* pi(x) is the diagonal matrix of the column counts, so
+    ||pi(x)|| is the square root of this, and pi(x) is a partial isometry
+    iff it is at most 1."""
+    xs, _, cols = rep.entries()
+    n, dim = rep.base.n, rep.dim
+    counts = np.bincount(xs * dim + cols, minlength=n * dim).reshape(n, dim)
+    return counts.max(axis=1, initial=0)
 
 
 # ---------------------------------------------------------------------
@@ -217,84 +200,74 @@ class MembershipReport:
         return not self.violations
 
 
-def representation_report(rep, *, atol=0.0, contraction_slack=1e-9):
-    """Check the three membership laws for rep's claimed kind.
+def representation_report(rep):
+    """Check the three membership laws for rep's claimed kind, exactly on
+    its table.
 
-    ``atol`` is the entrywise tolerance for the adjoint and product laws
-    (0.0 demands exact equality, appropriate for the 0/1 regular
-    representations); operator norms are allowed to reach
-    1 + contraction_slack.
+    Entries of pi(x) and of every product pi(x)pi(y) are 0 or 1, so a
+    violated adjoint or product law deviates by exactly 1.  The witness is
+    the first x (adjoint, contraction) or the first pair (x, y) in x-major
+    order (multiplicativity).
     """
     S = rep.base
-    n = S.n
+    T = rep.table
     report = MembershipReport(kind=rep.kind)
 
-    adj = rep.mats.conj().transpose(0, 2, 1)
-    dev = np.abs(rep.mats[S.star] - adj)
-    report.adjoint_deviation = float(dev.max()) if dev.size else 0.0
-    if report.adjoint_deviation > atol:
-        x = int(np.unravel_index(np.argmax(dev), dev.shape)[0])
+    # pi(x*) = pi(x)* iff x* maps T[x, r] back to r on the nonzero entries
+    # of row x and has no others
+    has = T >= 0
+    back = T[S.star[:, None], np.where(has, T, 0)]
+    count = has.sum(axis=1)
+    bad = np.any(has & (back != np.arange(rep.dim)), axis=1) | (count != count[S.star])
+    if bad.any():
+        x = int(np.argmax(bad))
+        report.adjoint_deviation = 1.0
         report.violations.append(
             Violation(
                 "adjoint",
-                f"pi({S.label(S.star[x])}) != pi({S.label(x)})* "
-                f"(deviation {report.adjoint_deviation:.3e})",
-                report.adjoint_deviation,
+                f"pi({S.label(S.star[x])}) != pi({S.label(x)})* (deviation 1.000e+00)",
+                1.0,
             )
         )
 
-    worst = 0.0
-    worst_x = 0
-    for x in range(n):
-        v = op_norm(rep.mats[x])
-        if v > worst:
-            worst, worst_x = v, x
-    report.worst_norm = worst
-    if worst > 1.0 + contraction_slack:
+    mult = column_multiplicity(rep)
+    x = int(np.argmax(mult))
+    report.worst_norm = math.sqrt(mult[x])
+    if mult[x] > 1:
         report.violations.append(
             Violation(
                 "contraction",
-                f"||pi({S.label(worst_x)})|| = {worst:.12f} > 1",
-                worst - 1.0,
+                f"||pi({S.label(x)})|| = {report.worst_norm:.12f} > 1",
+                report.worst_norm - 1.0,
             )
         )
 
+    # row r of pi(x)pi(y) has its 1 in column T[y, T[x, r]]
     C = S.composable_matrix()
-    mdev = 0.0
-    mwitness = None
-    chunk = 64  # products pi(x) pi(y) formed at a time
-    for x in range(n):
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            prod = rep.mats[x] @ rep.mats[lo:hi]
-            target = rep.mats[S.mul[x, lo:hi]]
-            if rep.kind == KIND_RESTRICTED:
-                mask = C[x, lo:hi, None, None]
-                target = np.where(mask, target, 0)
-            d = np.abs(prod - target)
-            local = float(d.max()) if d.size else 0.0
-            if local > mdev:
-                mdev = local
-                y = lo + int(np.unravel_index(np.argmax(d), d.shape)[0])
-                mwitness = (x, y)
-    report.multiplicative_deviation = mdev
-    if mdev > atol:
-        x, y = mwitness
-        law = "pi(xy) on composables / 0 otherwise" if rep.kind == KIND_RESTRICTED else "pi(xy)"
-        report.violations.append(
-            Violation(
-                "multiplicative",
-                f"pi({S.label(x)}) pi({S.label(y)}) != {law} "
-                f"(deviation {mdev:.3e})",
-                mdev,
+    for x in range(S.n):
+        got = np.where(has[x], T[:, T[x]], -1)
+        want = T[S.mul[x]]
+        if rep.kind == KIND_RESTRICTED:
+            want = np.where(C[x, :, None], want, -1)
+        bad = np.any(got != want, axis=1)
+        if bad.any():
+            y = int(np.argmax(bad))
+            report.multiplicative_deviation = 1.0
+            law = "pi(xy) on composables / 0 otherwise" if rep.kind == KIND_RESTRICTED else "pi(xy)"
+            report.violations.append(
+                Violation(
+                    "multiplicative",
+                    f"pi({S.label(x)}) pi({S.label(y)}) != {law} (deviation 1.000e+00)",
+                    1.0,
+                )
             )
-        )
+            break
     return report
 
 
-def require_membership(rep, **kwargs):
+def require_membership(rep):
     """Raise the coded exception for the first violated membership law."""
-    report = representation_report(rep, **kwargs)
+    report = representation_report(rep)
     for v in report.violations:
         if v.code == "adjoint":
             raise NotAdjointClosed(v.witness, witness=v.witness)
@@ -308,24 +281,22 @@ def require_membership(rep, **kwargs):
 
 
 def restricted_multiplicativity_witness(rep):
-    """A non-composable pair on which pi(x)pi(y) != 0, if one exists.
+    """A non-composable pair on which pi(x)pi(y) != 0, if one exists, as
+    (x, y, largest entry of the product).
 
     Used as the negative control: the order-based left regular
     representation is not a restricted representation whenever such a
     pair exists.
     """
     S = rep.base
+    T = rep.table
     C = S.composable_matrix()
     for x in range(S.n):
         ys = np.flatnonzero(~C[x])
-        if ys.size == 0:
-            continue
-        prods = rep.mats[x] @ rep.mats[ys]
-        norms = np.abs(prods).max(axis=(1, 2))
-        hit = np.flatnonzero(norms > 0)
-        if hit.size:
-            y = int(ys[hit[0]])
-            return x, y, float(norms[hit[0]])
+        # pi(x)pi(y) != 0 iff some column hit by pi(x) is a nonzero row of pi(y)
+        hit = np.any(T[np.ix_(ys, T[x][T[x] >= 0])] >= 0, axis=1)
+        if hit.any():
+            return x, int(ys[np.argmax(hit)]), 1.0
     return None
 
 
@@ -348,15 +319,15 @@ class IdentityReport:
 def lambda_inner_identity_report(S, *, trials=100, seed=0, tol=1e-10):
     """<lambda_r(x*) xi, eta> = (xi . eta~)(x) for every x and random
     vectors."""
-    lam = restricted_left_regular(S)
-    mats_star = lam.mats[S.star]
+    xs, ys, cols = restricted_left_regular(S).entries()
+    at = S.star[xs]  # entry (ys, cols) of lambda_r(xs) is one of lambda_r(x*) for x = xs*
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness = ""
     for t in range(trials):
         xi = AlgebraElement.random(S, rng)
         eta = AlgebraElement.random(S, rng)
-        lhs = np.einsum("xij,j,i->x", mats_star, xi.coeffs, np.conj(eta.coeffs))
+        lhs = scatter(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), at, S.n)
         rhs = dot(xi, eta.tilde()).coeffs
         dev = float(np.abs(lhs - rhs).max())
         if dev > worst:
@@ -367,14 +338,14 @@ def lambda_inner_identity_report(S, *, trials=100, seed=0, tol=1e-10):
 
 def rho_inner_identity_report(S, *, trials=100, seed=0, tol=1e-10):
     """<rho_r(x) xi, eta> = (eta~ . xi)(x) for every x and random vectors."""
-    rho = restricted_right_regular(S)
+    xs, ys, cols = restricted_right_regular(S).entries()
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness = ""
     for t in range(trials):
         xi = AlgebraElement.random(S, rng)
         eta = AlgebraElement.random(S, rng)
-        lhs = np.einsum("xij,j,i->x", rho.mats, xi.coeffs, np.conj(eta.coeffs))
+        lhs = scatter(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), xs, S.n)
         rhs = dot(eta.tilde(), xi).coeffs
         dev = float(np.abs(lhs - rhs).max())
         if dev > worst:
@@ -453,31 +424,40 @@ def rho_lift_identity_report(S, *, trials=100, seed=0, tol=1e-10):
 # faithfulness and the compression identity
 
 
+def _incidence(rep):
+    """The (n, P) 0/1 matrix with a 1 where pi(x) has a 1 at the p-th of
+    the P distinct positions that are nonzero for some x: each pi(x)
+    flattened, without the positions that are zero for every x."""
+    xs, ys, cols = rep.entries()
+    positions, at = np.unique(ys * rep.dim + cols, return_inverse=True)
+    V = np.zeros((rep.base.n, positions.size))
+    V[xs, at] = 1.0
+    return V
+
+
 def lift_rank(rep, rel_tol=1e-9):
     """Rank of f -> lift(rep, f); the lift is faithful iff this is n."""
-    cols = rep.mats.reshape(rep.base.n, -1).T
-    return column_rank(cols, rel_tol)
+    return column_rank(_incidence(rep).T, rel_tol)
 
 
 def trace_form_rank(rep, rel_tol=1e-9):
-    """Rank of the Gram matrix of tr(pi(x) pi(y)*).
+    """Rank of the Gram matrix of tr(pi(x) pi(y)*), the number of nonzero
+    positions pi(x) and pi(y) share (exact in floats).
 
     Full rank certifies that the trace form is nondegenerate on the image
     of the lift, hence that the lifted algebra has zero radical.
     """
-    V = rep.mats.reshape(rep.base.n, -1)
-    G = V @ V.conj().T
-    return column_rank(G, rel_tol)
+    V = _incidence(rep)
+    return column_rank(V @ V.T, rel_tol)
 
 
 def compression_deviation(rs):
     """Max entrywise deviation of Lambda(s) P0 from lambda_r(s), where P0
-    kills the zero coordinate; exactly 0 for every valid input."""
-    Lam = left_regular(rs.sr)
-    lam_r = restricted_left_regular(rs.base)
+    kills the zero coordinate (the last one), read on the tables: 1.0 if
+    any row differs, and exactly 0 for every valid input."""
     n, z = rs.base.n, rs.zero_index
-    compressed = Lam.mats[:n].copy()
-    compressed[:, :, z] = 0.0
-    embedded = np.zeros_like(compressed)
-    embedded[:, :n, :n] = lam_r.mats
-    return float(np.abs(compressed - embedded).max())
+    compressed = left_regular(rs.sr).table[:n]
+    compressed = np.where(compressed == z, -1, compressed)
+    embedded = np.full((n, n + 1), -1, dtype=np.intp)
+    embedded[:, :n] = restricted_left_regular(rs.base).table
+    return float(np.any(compressed != embedded))

@@ -55,7 +55,7 @@ class FiniteInvSemigroup:
         self._triples = None
         self._leq = None
         self._idem = None
-        self._rep_data = {}  # (name, what) -> tables, stacks, block indices; see reps, cstar
+        self._rep_data = {}  # key -> regular representations, L-class blocks; see reps, cstar
 
     # -- basic queries ------------------------------------------------
 

@@ -38,7 +38,6 @@ PINNED = {
     "cstar": TOL_CSTAR,
     "minimized": TOL_MINIMIZED,
     "pivot": TOL_PIVOT,
-    "contraction": TOL_NORM_SLACK,
 }
 ACCEPTANCE = Tolerances(**PINNED)
 

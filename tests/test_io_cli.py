@@ -144,22 +144,16 @@ def test_cli_rep_matrix(capsys):
 
 
 @pytest.mark.parametrize("which", ["lambda_r", "rho_r", "lambda", "Lambda"])
-def test_cli_rep_element_does_not_build_the_stack(which, capsys, monkeypatch):
-    from restalg import reps
+def test_cli_rep_element_does_not_build_the_stack(which, capsys):
+    from dense_reference import dense_lambda, dense_lambda_r, dense_rho_r
     from restalg.restricted import build_restricted_semigroup
 
     S = gen_symmetric_inverse_monoid(3)
-    rep = {
-        "lambda_r": reps.restricted_left_regular,
-        "rho_r": reps.restricted_right_regular,
-        "lambda": reps.left_regular,
-    }.get(which, lambda S: reps.left_regular(build_restricted_semigroup(S).sr))(S)
-    want = rep.mats[5]
-
-    def no_stack(self):
-        raise AssertionError("the (n, n, n) stack was built")
-
-    monkeypatch.setattr(reps.Representation, "_stack", no_stack)
+    want = {
+        "lambda_r": dense_lambda_r,
+        "rho_r": dense_rho_r,
+        "lambda": dense_lambda,
+    }.get(which, lambda S: dense_lambda(build_restricted_semigroup(S).sr))(S)[5]
     argv = ["rep", "--family", "symmetric-inverse", "--n", "3", "--which", which, "--element", "5"]
     assert main([*argv, "--json"]) == 0
     got = np.array(json.loads(capsys.readouterr().out))
@@ -240,6 +234,10 @@ def test_cli_tolerance_override(tmp_path, capsys):
     assert code == 0
     assert main(["verify", str(path), "--tol", "banana=1"]) == 2
     assert main(["verify", str(path), "--tol", "nonsense"]) == 2
+    capsys.readouterr()
+    # the membership laws are exact on the tables, so there is no slack to set
+    assert main(["verify", str(path), "--suite", "reps", "--tol", "contraction=1e-9"]) == 2
+    assert "unknown tolerance 'contraction'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,19 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from dense_reference import (
+    dense_lambda,
+    dense_lambda_r,
+    dense_multiplicativity_witness,
+    dense_representation_report,
+    dense_rho_r,
+    stack_of,
+)
+from restalg import cstar
 from restalg.algebra import AlgebraElement, approx_identity, dot
 from restalg.errors import (
     BaseMismatch,
@@ -15,8 +25,10 @@ from restalg.families import (
     gen_group,
     gen_symmetric_inverse_monoid,
 )
+from restalg.linalg import column_rank, svd_op_norm
 from restalg.reps import (
     Representation,
+    column_multiplicity,
     compression_deviation,
     drop_zero,
     extend_with_zero,
@@ -43,8 +55,8 @@ I3 = gen_symmetric_inverse_monoid(3)
 
 def test_lambda_r_z2_is_swap():
     lam = restricted_left_regular(Z2)
-    assert np.array_equal(lam.mats[1].real, [[0, 1], [1, 0]])
-    assert np.array_equal(lam.mats[0].real, np.eye(2))
+    assert np.array_equal(lam.mat(1).real, [[0, 1], [1, 0]])
+    assert np.array_equal(lam.mat(0).real, np.eye(2))
 
 
 def test_lambda_r_matches_rule_evaluation():
@@ -59,24 +71,26 @@ def test_lambda_r_matches_rule_evaluation():
                 for y in range(S.n):
                     if S.ran[x] == S.ran[y]:
                         M[y, u] += xi[S.mul[S.star[x], y]]
-            assert np.array_equal(lam.mats[x].real, M), (x,)
+            assert np.array_equal(lam.mat(x).real, M), (x,)
 
 
 def test_lambda_r_chain_projection():
     lam = restricted_left_regular(CHAIN2)
-    assert np.array_equal(lam.mats[1].real, [[0, 0], [0, 1]])
+    assert np.array_equal(lam.mat(1).real, [[0, 0], [0, 1]])
 
 
 def test_every_lambda_r_matrix_is_partial_isometry(full_corpus):
     for label, S in full_corpus:
-        mats = restricted_left_regular(S).mats
+        lam = restricted_left_regular(S)
+        mats = stack_of(lam.table)
         adj = mats.conj().transpose(0, 2, 1)
         assert np.abs(mats @ adj @ mats - mats).max() == 0.0, label
+        assert column_multiplicity(lam).max() == 1, label
 
 
 def test_group_lambda_full_equals_lambda_r():
     for S in (Z2, gen_group("symmetric", 3)):
-        assert np.array_equal(left_regular(S).mats, restricted_left_regular(S).mats)
+        assert np.array_equal(left_regular(S).table, restricted_left_regular(S).table)
 
 
 def test_membership_regular_representations(corpus):
@@ -94,7 +108,7 @@ def test_lambda_full_fails_restricted_on_i2():
     x, y, size = hit
     assert not I2.composable(x, y)
     assert size > 0
-    bad = Representation(I2, lam.mats, "restricted", "lambda-as-restricted")
+    bad = Representation(I2, lam.table, "restricted", "lambda-as-restricted")
     with pytest.raises(NotRestrictedMultiplicative):
         require_membership(bad)
 
@@ -106,7 +120,7 @@ def test_lambda_full_restricted_violation_is_concrete():
     s = next(i for i, e in enumerate(elems) if e.pairs == ((0, 1),))
     empty = next(i for i, e in enumerate(elems) if e.pairs == ())
     lam = left_regular(I2)
-    prod = lam.mats[s] @ lam.mats[s]
+    prod = lam.mat(s) @ lam.mat(s)
     assert not I2.composable(s, s)
     want = np.zeros((7, 7))
     want[empty, empty] = 1.0
@@ -115,8 +129,9 @@ def test_lambda_full_restricted_violation_is_concrete():
 
 def test_lift_point_mass_and_linearity():
     lam = restricted_left_regular(I2)
+    want = dense_lambda_r(I2)
     for x in range(I2.n):
-        assert np.array_equal(lift(lam, AlgebraElement.delta(I2, x)), lam.mats[x])
+        assert np.array_equal(lift(lam, AlgebraElement.delta(I2, x)), want[x])
     rng = np.random.default_rng(8)
     f, g = AlgebraElement.random(I2, rng), AlgebraElement.random(I2, rng)
     assert np.abs(lift(lam, f + g) - lift(lam, f) - lift(lam, g)).max() < 1e-14
@@ -155,10 +170,11 @@ def test_extend_and_drop_are_mutually_inverse():
     lam = restricted_left_regular(I2)
     ext = extend_with_zero(lam, rs)
     assert ext.kind == "full"
-    assert np.abs(ext.mats[rs.zero_index]).max() == 0.0
+    assert np.all(ext.table[rs.zero_index] == -1)
+    assert np.array_equal(ext.table[: I2.n], lam.table)
     assert representation_report(ext).ok
     back = drop_zero(ext, rs)
-    assert np.array_equal(back.mats, lam.mats)
+    assert np.array_equal(back.table, lam.table)
     assert back.kind == "restricted"
 
 
@@ -174,7 +190,7 @@ def test_Lambda_zero_is_rank_one_projection(corpus_restricted):
         Lam = left_regular(rs.sr)
         want = np.zeros((rs.sr.n, rs.sr.n))
         want[rs.zero_index, rs.zero_index] = 1.0
-        assert np.array_equal(Lam.mats[rs.zero_index].real, want), label
+        assert np.array_equal(Lam.mat(rs.zero_index).real, want), label
 
 
 def test_compression_identity(corpus_restricted):
@@ -211,63 +227,34 @@ def test_faithfulness_ranks():
     assert lift_rank(restricted_left_regular(I2)) == 7
     assert trace_form_rank(restricted_left_regular(I2)) == 7
     # the trivial one-dimensional representation of a group is not faithful
-    triv = Representation(Z2, np.ones((2, 1, 1), dtype=complex), "full", "trivial")
+    triv = Representation(Z2, np.zeros((2, 1), dtype=int), "full", "trivial")
     assert lift_rank(triv) == 1
 
 
 def test_representation_report_flags_noncontractive():
-    mats = np.zeros((2, 2, 2), dtype=complex)
-    mats[0] = np.eye(2)
-    mats[1] = 2.0 * np.array([[0, 1], [1, 0]])
-    rep = Representation(Z2, mats, "full", "inflated")
+    # pi(1) sends both rows to column 0: norm sqrt(2)
+    rep = Representation(Z2, [[0, 1], [0, 0]], "full", "folded")
     report = representation_report(rep)
     codes = {v.code for v in report.violations}
     assert "contraction" in codes
     assert "multiplicative" in codes
+    assert report.worst_norm == np.sqrt(2.0)
 
 
 def test_representation_cache_does_not_keep_semigroup_alive():
     S = gen_symmetric_inverse_monoid(2)
     lam = restricted_left_regular(S)
-    assert restricted_left_regular(S).mats is lam.mats  # built once per S
+    assert restricted_left_regular(S) is lam  # built once per S
     ref = weakref.ref(S)
     del S, lam
     gc.collect()
     assert ref() is None
 
 
-# the dense builders the partial-map tables replaced, kept as the reference
-
-
-def _dense_lambda_r(S):
-    mats = np.zeros((S.n, S.n, S.n), dtype=np.complex128)
-    for x in range(S.n):
-        rows = np.flatnonzero(S.ran == S.ran[x])
-        mats[x, rows, S.mul[S.star[x], rows]] = 1.0
-    return mats
-
-
-def _dense_lambda(S):
-    L = S.order_table()
-    mats = np.zeros((S.n, S.n, S.n), dtype=np.complex128)
-    for x in range(S.n):
-        rows = np.flatnonzero(L[S.ran, S.ran[x]])
-        mats[x, rows, S.mul[S.star[x], rows]] = 1.0
-    return mats
-
-
-def _dense_rho_r(S):
-    mats = np.zeros((S.n, S.n, S.n), dtype=np.complex128)
-    for x in range(S.n):
-        rows = np.flatnonzero(S.dom == S.ran[x])
-        mats[x, rows, S.mul[rows, x]] = 1.0
-    return mats
-
-
 REFERENCE_BUILDERS = (
-    (restricted_left_regular, _dense_lambda_r),
-    (left_regular, _dense_lambda),
-    (restricted_right_regular, _dense_rho_r),
+    (restricted_left_regular, dense_lambda_r),
+    (left_regular, dense_lambda),
+    (restricted_right_regular, dense_rho_r),
 )
 
 
@@ -276,40 +263,173 @@ def test_tables_round_trip_to_the_dense_stacks(full_corpus):
         for build, reference in REFERENCE_BUILDERS:
             rep = build(S)
             assert rep.table.dtype == np.intp and not rep.table.flags.writeable
+            assert rep.dim == S.n
             want = reference(S)
-            got = rep.mats
-            assert got.dtype == want.dtype and not got.flags.writeable
             # bitwise, sign bits of the zeros included
-            assert got.tobytes() == want.tobytes(), (label, rep.name)
+            assert stack_of(rep.table).tobytes() == want.tobytes(), (label, rep.name)
             for x in range(S.n):
                 assert rep.mat(x).tobytes() == want[x].tobytes(), (label, rep.name, x)
-
-
-def test_mat_does_not_build_the_stack():
-    S = gen_symmetric_inverse_monoid(3)
-    for build, reference in REFERENCE_BUILDERS:
-        rep = build(S)
-        want = reference(S)
-        for x in (0, 5, S.n - 1):
-            assert np.array_equal(rep.mat(x), want[x])
-        assert rep.dim == S.n
-    assert not [key for key in S._rep_data if key[1] == "mats"]
 
 
 def test_scatter_lift_equals_contraction_with_the_stack(full_corpus):
     rng = np.random.default_rng(11)
     for label, S in full_corpus:
         lam = restricted_left_regular(S)
+        mats = dense_lambda_r(S)
         fs = [AlgebraElement.delta(S, x) for x in range(S.n)]
         fs += [AlgebraElement.random(S, rng) for _ in range(20)]
         for f in fs:
-            want = np.tensordot(f.coeffs, lam.mats, axes=1)
+            want = np.tensordot(f.coeffs, mats, axes=1)
             assert np.array_equal(lift(lam, f), want), label
 
 
-def test_representation_needs_a_stack_or_a_table():
+def test_representation_rejects_bad_tables():
     table = restricted_left_regular(Z2).table
+    for bad in (
+        table[0],  # 1-D
+        table[None],  # 3-D
+        table.astype(float),
+        table >= 0,  # bool is not an integer table
+        table[:1],  # one row short
+        np.array([[0, -2], [1, 0]]),
+        np.array([[0, 2], [1, 0]]),
+    ):
+        with pytest.raises(ValueError):
+            Representation(Z2, bad, "full", "bad")
     with pytest.raises(ValueError):
-        Representation(Z2, np.zeros((2, 2, 2)), "full", "both", table=table)
-    with pytest.raises(ValueError):
-        Representation(Z2, None, "full", "short", table=table[:1])
+        Representation(Z2, table, "partial", "bad")
+    mine = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    rep = Representation(Z2, mine, "full", "swap")
+    mine[1] = -1  # the representation keeps its own read-only copy
+    assert rep.table.dtype == np.intp and not rep.table.flags.writeable
+    assert np.array_equal(rep.table, [[0, 1], [1, 0]])
+    assert Representation(Z2, np.zeros((2, 0), dtype=int), "full", "empty").dim == 0
+
+
+def test_representation_cache_is_per_object_not_per_name():
+    # a table-built representation that shares a regular one's name must
+    # neither read nor overwrite the regular one's derived arrays
+    S = gen_symmetric_inverse_monoid(2)
+    rng = np.random.default_rng(12)
+    f, g = AlgebraElement.random(S, rng), AlgebraElement.random(S, rng)
+    fake = Representation(S, left_regular(S).table, "restricted", "lambda_r")
+    lift(fake, g)
+    cstar.reduced_cstar_norm(g)  # keeps the regular blocks
+    cstar._block_norm(fake, g)
+    want = np.tensordot(f.coeffs, dense_lambda_r(S), axes=1)
+    assert np.array_equal(lift(restricted_left_regular(S), f), want)
+    assert cstar.reduced_cstar_norm(f) == pytest.approx(svd_op_norm(want), rel=1e-12)
+    assert np.array_equal(lift(fake, f), np.tensordot(f.coeffs, dense_lambda(S), axes=1))
+
+
+# ---------------------------------------------------------------------
+# the table laws against the dense reference route
+
+
+def _reports_agree(rep, mats):
+    got = representation_report(rep)
+    want = dense_representation_report(rep.base, mats, rep.kind)
+    assert got == want, (rep.name, got, want)
+    hit = restricted_multiplicativity_witness(rep)
+    assert hit == dense_multiplicativity_witness(rep.base, mats), rep.name
+    return got
+
+
+def _regular_cases(S):
+    """The four regular representations of S and lambda_r extended by
+    zero, each with its dense reference stack."""
+    rs = build_restricted_semigroup(S)
+    lam_r = dense_lambda_r(S)
+    ext = np.concatenate([lam_r, np.zeros((1, S.n, S.n))])
+    return [
+        (restricted_left_regular(S), lam_r),
+        (restricted_right_regular(S), dense_rho_r(S)),
+        (left_regular(S), dense_lambda(S)),
+        (left_regular(rs.sr), dense_lambda(rs.sr)),
+        (extend_with_zero(restricted_left_regular(S), rs), ext),
+    ]
+
+
+def test_table_laws_match_the_dense_report(full_corpus):
+    violating = 0
+    for label, S in full_corpus:
+        for rep, mats in _regular_cases(S):
+            assert _reports_agree(rep, mats).ok, (label, rep.name)
+        order_based = Representation(S, left_regular(S).table, "restricted", "lambda-as-restricted")
+        report = _reports_agree(order_based, dense_lambda(S))
+        assert report.ok == (restricted_multiplicativity_witness(order_based) is None)
+        violating += not report.ok
+    assert violating == 18
+
+
+def _broken_tables(S, T):
+    """Deliberately broken copies of a partial-map table, by name: two
+    entries of a row swapped or sent to one column (where a row has two),
+    and the row of an x != x* dropped to -1 whole or by one entry (so
+    pi(x*) no longer matches pi(x)*; where every x = x*, pi(x) = 0 can
+    be a compression by a central projection, which breaks no law)."""
+    count = (T >= 0).sum(axis=1)
+    out = {}
+    if count.max() >= 2:
+        x = int(np.argmax(count >= 2))
+        y1, y2 = np.flatnonzero(T[x] >= 0)[:2]
+        out["swapped"] = T.copy()
+        out["swapped"][x, [y1, y2]] = T[x, [y2, y1]]
+        out["folded"] = T.copy()
+        out["folded"][x, y2] = T[x, y1]
+    unpaired = (S.star != np.arange(S.n)) & (count >= 1)
+    if unpaired.any():
+        x = int(np.argmax(unpaired))
+        out["dropped row"] = T.copy()
+        out["dropped row"][x] = -1
+        out["dropped entry"] = T.copy()
+        out["dropped entry"][x, np.flatnonzero(T[x] >= 0)[0]] = -1
+    return out
+
+
+def test_broken_tables_fail_both_routes_alike(full_corpus):
+    broken = 0
+    for label, S in full_corpus:
+        for build in (restricted_left_regular, restricted_right_regular, left_regular):
+            good = build(S)
+            for how, table in _broken_tables(S, good.table).items():
+                rep = Representation(S, table, good.kind, f"{good.name} {how}")
+                mats = stack_of(table)
+                report = _reports_agree(rep, mats)
+                iso = np.abs(mats @ mats.conj().transpose(0, 2, 1) @ mats - mats).max()
+                assert max(column_multiplicity(rep).max() - 1, 0) == iso, (label, rep.name)
+                assert not report.ok, (label, rep.name)
+                if how == "folded":
+                    assert "contraction" in {v.code for v in report.violations}
+                    assert iso == 1.0
+                broken += 1
+    assert broken == 150
+
+
+def test_incidence_ranks_match_the_dense_ranks(full_corpus):
+    for label, S in full_corpus:
+        for build, reference in REFERENCE_BUILDERS:
+            rep = build(S)
+            V = reference(S).reshape(S.n, -1)
+            assert lift_rank(rep) == column_rank(V.T), (label, rep.name)
+            assert trace_form_rank(rep) == column_rank(V @ V.conj().T), (label, rep.name)
+
+
+def test_table_laws_memory_on_cold_i4():
+    # no (n, n, n) stack: the laws run on (n, n) tables and temporaries
+    S = gen_symmetric_inverse_monoid(4)
+    rs = build_restricted_semigroup(S)
+    tracemalloc.start()
+    try:
+        for rep in (
+            restricted_left_regular(S),
+            restricted_right_regular(S),
+            left_regular(S),
+            left_regular(rs.sr),
+        ):
+            assert representation_report(rep).ok, rep.name
+        assert compression_deviation(rs) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6

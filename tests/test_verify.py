@@ -5,7 +5,7 @@ import restalg.verify
 from restalg.algebra import AlgebraElement, conv
 from restalg.corpus import corpus_member
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
-from restalg.reps import KIND_RESTRICTED, Representation, left_regular
+from restalg.reps import KIND_RESTRICTED, Representation, left_regular, restricted_left_regular
 from restalg.verify import (
     PLUMBING,
     Tolerances,
@@ -83,9 +83,25 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
     assert {"algebra.delta-dot", "algebra.delta-absorption", "algebra.unit-laws"} <= failed
 
     def order_based(S):
-        return Representation(S, left_regular(S).mats, KIND_RESTRICTED, "lambda_r")
+        return Representation(S, left_regular(S).table, KIND_RESTRICTED, "lambda_r")
 
     with monkeypatch.context() as m:
         m.setattr(restalg.verify, "restricted_left_regular", order_based)
         failed = {c.id for c in suite_reps(I2, "I2", seed=3) if not c.passed}
     assert "reps.left-regular-restricted" in failed
+
+    def folded(S):
+        # one row of pi(x) moved onto another's column: not a partial isometry
+        T = restricted_left_regular(S).table.copy()
+        x = int(np.argmax((T >= 0).sum(axis=1) >= 2))
+        ys = np.flatnonzero(T[x] >= 0)
+        T[x, ys[1]] = T[x, ys[0]]
+        return Representation(S, T, KIND_RESTRICTED, "lambda_r")
+
+    with monkeypatch.context() as m:
+        m.setattr(restalg.verify, "restricted_left_regular", folded)
+        checks = {c.id: c for c in suite_reps(I2, "I2", seed=3)}
+    assert not checks["reps.partial-isometry"].passed
+    assert checks["reps.partial-isometry"].deviation == 1.0
+    assert not checks["reps.left-regular-restricted"].passed
+    assert "> 1" in checks["reps.left-regular-restricted"].witness  # the contraction law
