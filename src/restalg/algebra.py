@@ -127,18 +127,12 @@ def inner(f, g):
     return complex(np.vdot(g.coeffs, f.coeffs))
 
 
-def _scatter(base, weights):
-    flat = base.mul.ravel()
-    w = weights.ravel()
-    out = np.bincount(flat, weights=w.real, minlength=base.n).astype(np.complex128)
-    out += 1j * np.bincount(flat, weights=w.imag, minlength=base.n)
-    return AlgebraElement(base, out, copy=False)
-
-
 def conv(f, g):
     """Classical convolution: (f*g)(x) = sum over st = x of f(s) g(t)."""
     _same_base(f, g)
-    return _scatter(f.base, f.coeffs[:, None] * g.coeffs[None, :])
+    S = f.base
+    w = (f.coeffs[:, None] * g.coeffs[None, :]).ravel()
+    return AlgebraElement(S, scatter(w, S.mul.ravel(), S.n), copy=False)
 
 
 # bytes of kernel temporaries per composable triple and row: the complex

@@ -62,8 +62,7 @@ def _add_common(p):
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="override a tolerance (entrywise, norm, identity, cstar, "
-        "minimized, pivot)",
+        help="override a tolerance (entrywise, norm, identity, cstar, pivot)",
     )
     p.add_argument("--max-order", type=int, default=MAX_ORDER)
     fmt = p.add_mutually_exclusive_group()

@@ -1,6 +1,8 @@
 """Dense linear-algebra backends: spectral norm by a Hermitian
 eigensolve on M*M (with LAPACK SVD as the independent cross-check),
-pivoted column rank, and Haar-random unitaries."""
+min over scalars c of ||A + cP|| for a rank-one projection P in closed
+form (Parrott's theorem), pivoted column rank, and Haar-random
+unitaries."""
 
 from __future__ import annotations
 
@@ -63,28 +65,13 @@ def haar_unitary(dim, rng):
     return q * (d / np.abs(d))
 
 
-def golden_min(fn, lo, hi, iters=40):
-    """Golden-section minimum of a unimodal function on [lo, hi].
+def min_shift_norm(A, P):
+    """min over complex c of ||A + c P||, in closed form.
 
-    Returns (best value, argmin).  Endpoint values are included.
+    Parrott's theorem (On a quotient norm and the Sz.-Nagy-Foias lifting
+    theorem, J. Funct. Anal. 30, 1978): when P is a rank-one orthogonal
+    projection, the minimum is max(||(I - P) A||, ||A (I - P)||).  That
+    is the one premise; P need not commute with A.  Both norms are
+    LAPACK SVDs.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_v, best_x = min((fn(a), a), (fn(b), b), (fc, c), (fd, d))
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        if fc < best_v:
-            best_v, best_x = fc, c
-        if fd < best_v:
-            best_v, best_x = fd, d
-    return best_v, best_x
+    return max(svd_op_norm(A - P @ A), svd_op_norm(A - A @ P))

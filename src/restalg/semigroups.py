@@ -75,19 +75,6 @@ class FiniteInvSemigroup:
             return self.labels[x]
         return str(x)
 
-    def product(self, x, y):
-        return int(self.mul[x, y])
-
-    def inv(self, x):
-        return int(self.star[x])
-
-    def elements(self):
-        return range(self.n)
-
-    @property
-    def is_unital(self):
-        return self.identity is not None
-
     @property
     def is_group(self):
         # one idempotent <=> a group

@@ -24,7 +24,6 @@ SEED = 20260808
 TOL_ENTRYWISE = 1e-12
 TOL_IDENTITY = 1e-10
 TOL_CSTAR = 1e-8
-TOL_MINIMIZED = 1e-6
 TOL_NORM_SLACK = 1e-9
 TOL_PIVOT = 1e-9
 TOL_L1_ISOMETRY = 1e-13
@@ -36,7 +35,6 @@ PINNED = {
     "norm": TOL_NORM_SLACK,
     "identity": TOL_IDENTITY,
     "cstar": TOL_CSTAR,
-    "minimized": TOL_MINIMIZED,
     "pivot": TOL_PIVOT,
 }
 ACCEPTANCE = Tolerances(**PINNED)
@@ -232,7 +230,7 @@ def test_criterion_12_quotient_isomorphism(corpus):
     worst_min = 0.0
     for label, S in corpus:
         report = cstar.quotient_match_report(
-            S, trials=100, seed=SEED + 8, tol=TOL_CSTAR, minimized_tol=TOL_MINIMIZED, label=label
+            S, trials=100, seed=SEED + 8, tol=TOL_CSTAR, label=label
         )
         assert report.ok, (label, report.max_deviation, report.minimized_deviation)
         worst = max(worst, report.max_deviation)
@@ -240,7 +238,7 @@ def test_criterion_12_quotient_isomorphism(corpus):
     assert _line(
         12,
         "quotient isomorphism of operator norms",
-        worst < TOL_CSTAR and worst_min < TOL_MINIMIZED,
+        worst < TOL_CSTAR and worst_min < TOL_CSTAR,
         f"all deltas + 100 random per member: |quotient - reduced| <= "
         f"{worst:.2e}; scalar-minimization route agrees within {worst_min:.2e}",
     )

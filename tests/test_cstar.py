@@ -141,14 +141,14 @@ def test_minimized_quotient_norm_agrees():
     for f in cases:
         q = cstar.quotient_cstar_norm(f, rs.zero_index)
         m = cstar.minimized_quotient_norm(f, rs.zero_index)
-        assert abs(q - m) < 1e-6
+        assert abs(q - m) < 1e-8
 
 
 def test_quotient_match_report():
     report = cstar.quotient_match_report(CHAIN2, trials=20, seed=25, label="chain2")
     assert report.ok
     assert report.max_deviation < 1e-8
-    assert report.minimized_deviation < 1e-6
+    assert report.minimized_deviation < 1e-8
 
 
 def test_l1_quotient_deviation():
@@ -254,6 +254,14 @@ def test_quotient_norm_needs_the_zero():
     rs = build_restricted_semigroup(I2)
     with pytest.raises(ValueError):
         cstar.quotient_cstar_norm(AlgebraElement.delta(rs.sr, 0), 0)
+
+
+def test_minimized_quotient_norm_needs_the_zero():
+    # only at the zero is the lifted delta a rank-one projection
+    rs = build_restricted_semigroup(I2)
+    assert rs.zero_index != 0
+    with pytest.raises(ValueError):
+        cstar.minimized_quotient_norm(AlgebraElement.delta(rs.sr, 0), 0)
 
 
 def test_block_norms_memory_on_cold_i4():

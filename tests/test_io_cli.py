@@ -238,6 +238,9 @@ def test_cli_tolerance_override(tmp_path, capsys):
     # the membership laws are exact on the tables, so there is no slack to set
     assert main(["verify", str(path), "--suite", "reps", "--tol", "contraction=1e-9"]) == 2
     assert "unknown tolerance 'contraction'" in capsys.readouterr().err
+    # the minimized route is exact, so it is held to the cstar tolerance
+    assert main(["verify", str(path), "--suite", "cstar", "--tol", "minimized=1e-6"]) == 2
+    assert "unknown tolerance 'minimized'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

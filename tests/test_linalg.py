@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from restalg.linalg import column_rank, golden_min, haar_unitary, op_norm, svd_op_norm
+from restalg.linalg import (
+    column_rank,
+    haar_unitary,
+    min_shift_norm,
+    op_norm,
+    svd_op_norm,
+)
 
 
 def test_op_norm_identity_and_zero():
@@ -74,12 +80,33 @@ def test_haar_unitary():
     assert np.abs(U @ U.conj().T - np.eye(6)).max() < 1e-12
 
 
-def test_golden_min_quadratic():
-    v, x = golden_min(lambda t: (t - 1.3) ** 2 + 0.25, 0.0, 4.0, iters=60)
-    assert v == pytest.approx(0.25, abs=1e-12)
-    assert x == pytest.approx(1.3, abs=1e-6)
+def _grid_min_shift(A, P, rounds=30, points=7):
+    """min over complex c of ||A + c P|| on a shrinking complex grid."""
+    center, width = 0.0j, 2.0 * svd_op_norm(A) + 1.0
+    best = svd_op_norm(A)
+    steps = np.linspace(-1.0, 1.0, points)
+    for _ in range(rounds):
+        grid = center + width * (steps[:, None] + 1j * steps[None, :]).ravel()
+        values = [svd_op_norm(A + c * P) for c in grid]
+        k = int(np.argmin(values))
+        if values[k] < best:
+            best = values[k]
+        center = grid[k]
+        width *= 2.0 / (points - 1)
+    return best
 
 
-def test_golden_min_flat_valley():
-    v, _ = golden_min(lambda t: max(1.0, abs(t - 2.0)), 0.0, 5.0, iters=50)
-    assert v == pytest.approx(1.0, abs=1e-12)
+def test_min_shift_norm_against_grid_search():
+    # random A with a random rank-one P that does not commute with it
+    rng = np.random.default_rng(16)
+    for dim in (2, 3, 4, 5):
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        P = np.outer(v, v.conj())
+        assert np.abs(A @ P - P @ A).max() > 1e-3
+        value = min_shift_norm(A, P)
+        assert value == pytest.approx(_grid_min_shift(A, P), abs=1e-10)
+        # a lower bound: no shift goes below it
+        for c in 3.0 * (rng.standard_normal(20) + 1j * rng.standard_normal(20)):
+            assert svd_op_norm(A + c * P) >= value - 1e-12
