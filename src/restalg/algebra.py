@@ -1,15 +1,15 @@
 """Coefficient vectors over a finite semigroup and the products on them.
 
-``conv`` is the classical convolution summing over every factorization of
-x; ``dot`` sums only over composable factorizations (s, t) with s*s = tt*
-and is the product that matches the restricted regular representations.
-``dot_many`` is its kernel, applied row by row to (B, n) arrays through the
-semigroup's cached composable triples; ``dot`` is its one-row case.
-``dot_direct`` evaluates the same product coordinate-by-coordinate from
-the translation formula sum_{x*x = yy*} f(xy) g(y*); the two routes are
-compared in the test suite.  ``order_dot`` relaxes the composability
-equality to the natural order and is kept only for the associativity
-witness search: it is not an algebra product.
+Each product is a triple set: a triple (a, b, c) adds f(a) g(b) into
+coordinate c, and one gather-scatter kernel runs them all, row by row on
+(B, n) arrays.  ``conv`` is the classical convolution over the triples
+(x, y, xy) of every pair; ``dot`` keeps only the composable pairs
+x*x = yy* and is the product that matches the restricted regular
+representations.  ``order_dot`` sums the triples (xy, y*, x) over the
+pairs with yy* <= x*x, the composability equality relaxed to the natural
+order; it is not associative and serves the associativity witness search
+only.  ``dot_direct`` evaluates ``dot`` per coordinate from the
+translation sum, the independent route the test suite compares with.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BaseMismatch
+from .semigroups import kept_on
 
 
 class AlgebraElement:
@@ -127,24 +128,52 @@ def inner(f, g):
     return complex(np.vdot(g.coeffs, f.coeffs))
 
 
-def conv(f, g):
-    """Classical convolution: (f*g)(x) = sum over st = x of f(s) g(t)."""
-    _same_base(f, g)
-    S = f.base
-    w = (f.coeffs[:, None] * g.coeffs[None, :]).ravel()
-    return AlgebraElement(S, scatter(w, S.mul.ravel(), S.n), copy=False)
+# ---------------------------------------------------------------------
+# the products as triple sets: a triple (a, b, c) adds F[a] G[b] into
+# coordinate c
 
 
-# bytes of kernel temporaries per composable triple and row: the complex
-# weights, their real and imaginary copies, the bin indices and the gathers
+def _triple_set(a, b, c):
+    """A read-only (T, 3) int array, one contiguous column per slot."""
+    triples = np.stack([a, b, c]).astype(np.intp, copy=False).T
+    triples.setflags(write=False)
+    return triples
+
+
+def _xy_triples(S, pairs):
+    xs, ys = np.nonzero(pairs)
+    return _triple_set(xs, ys, S.mul[xs, ys])
+
+
+def dot_triples(S):
+    """(x, y, xy) over the composable pairs x*x = yy*, row-major."""
+    return kept_on(S, "dot triples", lambda: _xy_triples(S, S.composable_matrix()))
+
+
+def conv_triples(S):
+    """(x, y, xy) over every pair, row-major."""
+    return kept_on(S, "conv triples", lambda: _xy_triples(S, np.ones((S.n, S.n), bool)))
+
+
+def order_triples(S):
+    """(xy, y*, x) over the pairs (x, y) with yy* <= x*x, row-major."""
+
+    def build():
+        xs, ys = np.nonzero(S.order_table()[S.ran[None, :], S.dom[:, None]])
+        return _triple_set(S.mul[xs, ys], S.star[ys], xs)
+
+    return kept_on(S, "order triples", build)
+
+
+# bytes of kernel temporaries per triple and row: the complex weights,
+# their real and imaginary copies, the bin indices and the gathers
 _BYTES_PER_TERM = 64
 _BLOCK_BYTES = 1 << 20
 
 
-def _rows_per_block(S):
-    """Rows dot_many takes at once, so its temporaries stay near 1 MB."""
-    terms = max(1, S.composable_triples().shape[0])
-    return max(1, _BLOCK_BYTES // (_BYTES_PER_TERM * terms))
+def _rows_per_block(triples):
+    """Rows the kernel takes at once, so its temporaries stay near 1 MB."""
+    return max(1, _BLOCK_BYTES // (_BYTES_PER_TERM * max(1, triples.shape[0])))
 
 
 def scatter(values, index, size):
@@ -157,24 +186,18 @@ def scatter(values, index, size):
 
 
 def _dot_block(F, G, triples, n):
-    xs, ys, xys = triples[:, 0], triples[:, 1], triples[:, 2]
+    a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
     rows = F.shape[0]
-    w = (F[:, xs] * G[:, ys]).ravel()
-    bins = (np.arange(rows)[:, None] * n + xys).ravel()
-    # each bin is summed in the row-major order of the pairs, so a row's
-    # result does not depend on the batch it came in
+    w = (F[:, a] * G[:, b]).ravel()
+    bins = (np.arange(rows)[:, None] * n + c).ravel()
+    # each bin is summed in the order of the triples, so a row's result
+    # does not depend on the batch it came in
     return scatter(w, bins, rows * n).reshape(rows, n)
 
 
-def dot_many(S, F, G):
-    """Row-wise dot product of two (B, n) coefficient arrays over S.
-
-    Sums f(x) g(y) into coordinate xy over the composable triples
-    (x, y, xy) only, with one bincount for the real and one for the
-    imaginary parts; each row is bitwise equal to dot on that row.  Rows
-    go through in blocks sized from the triple count, so the temporaries
-    stay near 1 MB whatever B is.
-    """
+def _product_many(S, F, G, triples):
+    """Row-wise product of two (B, n) coefficient arrays over a triple
+    set, in blocks of rows sized from its triple count."""
     F = np.asarray(F, dtype=np.complex128)
     G = np.asarray(G, dtype=np.complex128)
     n = S.n
@@ -182,8 +205,7 @@ def dot_many(S, F, G):
         raise ValueError(
             f"expected two (B, {n}) arrays of one shape, got {F.shape} and {G.shape}"
         )
-    triples = S.composable_triples()
-    step = _rows_per_block(S)
+    step = _rows_per_block(triples)
     if F.shape[0] <= step:
         return _dot_block(F, G, triples, n)
     return np.concatenate(
@@ -194,12 +216,38 @@ def dot_many(S, F, G):
     )
 
 
+def dot_many(S, F, G):
+    """Row-wise dot product of two (B, n) coefficient arrays over S: f(x)
+    g(y) summed into xy over the composable triples only.  Each row is
+    bitwise equal to dot on that row, and the temporaries stay near 1 MB
+    whatever B is."""
+    return _product_many(S, F, G, dot_triples(S))
+
+
+def conv_many(S, F, G):
+    """Row-wise convolution of two (B, n) coefficient arrays over S."""
+    return _product_many(S, F, G, conv_triples(S))
+
+
+def order_dot_many(S, F, G):
+    """Row-wise order-relaxed product of two (B, n) coefficient arrays."""
+    return _product_many(S, F, G, order_triples(S))
+
+
+def _one_row(product_many, f, g):
+    _same_base(f, g)
+    row = product_many(f.base, f.coeffs[None, :], g.coeffs[None, :])[0]
+    return AlgebraElement(f.base, row, copy=False)
+
+
+def conv(f, g):
+    """Classical convolution: (f*g)(x) = sum over st = x of f(s) g(t)."""
+    return _one_row(conv_many, f, g)
+
+
 def dot(f, g):
     """Composable-factorization product: the terms of conv with s*s = tt*."""
-    _same_base(f, g)
-    S = f.base
-    row = dot_many(S, f.coeffs[None, :], g.coeffs[None, :])[0]
-    return AlgebraElement(S, row, copy=False)
+    return _one_row(dot_many, f, g)
 
 
 def dot_direct(f, g):
@@ -216,17 +264,10 @@ def dot_direct(f, g):
 
 
 def order_dot(f, g):
-    """The order-relaxed variant: sum over y with yy* <= x*x (natural
-    order instead of equality).  Not associative in general."""
-    _same_base(f, g)
-    S = f.base
-    L = S.order_table()
-    gs = g.coeffs[S.star]
-    out = np.zeros(S.n, dtype=np.complex128)
-    for x in range(S.n):
-        ys = np.flatnonzero(L[S.ran, S.dom[x]])
-        out[x] = f.coeffs[S.mul[x, ys]] @ gs[ys]
-    return AlgebraElement(S, out, copy=False)
+    """The order-relaxed variant: (f.'g)(x) = sum over y with yy* <= x*x
+    of f(xy) g(y*), the natural order in place of equality.  Not
+    associative in general."""
+    return _one_row(order_dot_many, f, g)
 
 
 # ---------------------------------------------------------------------
@@ -284,43 +325,33 @@ def extend_from_base(f, rs, zero_coeff=0.0):
 # associativity witness search for the order-relaxed product
 
 
-def order_dot_delta_table(S):
-    """All products of two deltas under order_dot, as an (n, n, n) float
-    array D with D[x, y] the coefficient vector of delta_x .' delta_y."""
-    n = S.n
-    L = S.order_table()
-    cond = L[np.ix_(S.dom, S.dom)]          # [y, w]: dom(y) <= dom(w)
-    prod = S.mul[:, S.star]                  # [w, y]: w y*
-    D = np.zeros((n, n, n))
-    ys, ws = np.nonzero(cond)
-    xs = prod[ws, ys]
-    D[xs, ys, ws] = 1.0
-    return D
-
-
 def order_dot_assoc_witness(S):
-    """First delta triple (x, y, z) on which order_dot fails to associate.
-
-    Returns (x, y, z, lhs, rhs) with the two associations as coefficient
-    vectors, or None when the scan certifies an exhaustive pass.
+    """First delta triple (x, y, z), x-major, on which order_dot fails to
+    associate, as (x, y, z, lhs, rhs) with both associations, or None
+    when the exhaustive scan passes.  The kernel runs on delta rows, one
+    (n, n) block of (y, z) pairs per x and z; d_x .' g gets only the
+    triples (x, b, c) and f .' d_z only the triples (a, z, c), as the
+    others add exact zeros.
     """
     n = S.n
-    D = order_dot_delta_table(S)
-    L = S.order_table()
-    G = S.mul[:, S.star]                       # [w, z] = w z*
-    maskz = L[np.ix_(S.dom, S.dom)]            # [z, w] = dom(z) <= dom(w)
-    O_base = L[np.ix_(S.ran, S.dom)].T         # [w, u] = ran(u) <= dom(w)
-    Dstar = D[:, :, S.star].reshape(n * n, n)  # rows (y, z), columns u
+    triples = order_triples(S)
+    left = [triples[triples[:, 0] == v] for v in range(n)]
+    right = [triples[triples[:, 1] == v] for v in range(n)]
+    deltas = np.eye(n, dtype=np.complex128)
     for x in range(n):
-        # lhs[y, z, w] = [dom z <= dom w] * D[x, y][w z*]
-        lhs = D[x][:, G].transpose(0, 2, 1) * maskz[None, :, :]
-        # rhs[y, z, w] = sum_u [ran u <= dom w][w u = x] D[y, z][u*]
-        Ox = (O_base & (S.mul == x)).astype(float)
-        rhs = (Dstar @ Ox.T).reshape(n, n, n)
-        bad = np.argwhere(np.any(lhs != rhs, axis=2))
-        if bad.size:
-            y, z = (int(v) for v in bad[0])
-            return x, y, z, lhs[y, z].copy(), rhs[y, z].copy()
+        Dx = deltas[np.full(n, x)]
+        xy = _product_many(S, Dx, deltas, left[x])  # row y: d_x .' d_y
+        hit = None
+        for z in range(n):
+            Dz = deltas[np.full(n, z)]
+            lhs = _product_many(S, xy, Dz, right[z])
+            rhs = _product_many(S, Dx, _product_many(S, deltas, Dz, right[z]), left[x])
+            bad = np.flatnonzero(np.any(lhs != rhs, axis=1))
+            if bad.size and (hit is None or bad[0] < hit[1]):
+                y = int(bad[0])
+                hit = (x, y, z, lhs[y], rhs[y])
+        if hit is not None:
+            return hit
     return None
 
 
@@ -334,18 +365,10 @@ def order_dot_scan(members):
     results = []
     for label, S in members:
         hit = order_dot_assoc_witness(S)
-        if hit is None:
-            results.append({"label": label, "witness": None})
-        else:
-            x, y, z, lhs, rhs = hit
-            results.append(
-                {
-                    "label": label,
-                    "witness": (x, y, z),
-                    "lhs": lhs,
-                    "rhs": rhs,
-                }
-            )
+        record = {"label": label, "witness": None if hit is None else hit[:3]}
+        if hit is not None:
+            record["lhs"], record["rhs"] = hit[3:]
+        results.append(record)
     return results
 
 

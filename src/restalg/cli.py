@@ -129,17 +129,17 @@ def cmd_gen(args):
     return EXIT_PASS
 
 
-def _members_for(args):
+def _members_for(args, include_restricted):
     if args.semigroup:
         S = load_semigroup(args.semigroup, max_order=args.max_order)
         return [(args.semigroup, S)]
-    return default_corpus(include_restricted=not args.no_restricted)
+    return default_corpus(include_restricted=include_restricted)
 
 
 def cmd_verify(args):
     tol = _tolerances(args)
     suites = ["axioms", "algebra", "reps", "cstar"] if args.suite == "all" else [args.suite]
-    members = _members_for(args)
+    members = _members_for(args, not args.no_restricted)
     reports = run_suites(members, suites, seed=args.seed, trials=args.trials, tol=tol)
     ok = all(r.passed for r in reports)
     if args.as_json:
@@ -217,7 +217,7 @@ def cmd_norm(args):
 
 
 def cmd_quotient_check(args):
-    members = _members_for(args)
+    members = _members_for(args, include_restricted=False)
     worst = None
     for label, S in members:
         report = cstar.quotient_match_report(
@@ -235,7 +235,7 @@ def cmd_quotient_check(args):
 
 
 def cmd_witness_search(args):
-    members = _members_for(args)
+    members = _members_for(args, not args.no_restricted)
     results = order_dot_scan(members)
     found = False
     for record in results:
@@ -322,7 +322,6 @@ def build_parser():
     p = sub.add_parser("quotient-check", help="quotient-norm comparison")
     p.add_argument("semigroup", nargs="?", default=None)
     p.add_argument("--corpus", default="default")
-    p.add_argument("--no-restricted", action="store_true", default=True, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(fn=cmd_quotient_check)
 

@@ -24,8 +24,9 @@ import numpy as np
 from .algebra import AlgebraElement, dot, restrict_to_base, scatter
 from .errors import BaseMismatch, VerificationFailure
 from .linalg import haar_unitary, min_shift_norm, op_norm
-from .reps import kept_on, left_regular, lift, restricted_left_regular
+from .reps import left_regular, lift, restricted_left_regular
 from .restricted import build_restricted_semigroup
+from .semigroups import kept_on
 
 
 def reduced_cstar_norm(f):

@@ -52,10 +52,6 @@ class PartialInjection:
     def empty(cls, n):
         return cls(n, ())
 
-    @classmethod
-    def from_dict(cls, n, mapping):
-        return cls(n, tuple(sorted(mapping.items())))
-
     def __call__(self, p):
         for q, r in self.pairs:
             if q == p:

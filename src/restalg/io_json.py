@@ -56,7 +56,8 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
     """Build a semigroup from its JSON object.
 
     The full axiom check runs (NotAssociative / NotInverse / StarMismatch
-    propagate); schema problems raise ParseError.
+    propagate); schema problems, non-integer entries among them, raise
+    ParseError.
     """
     if not isinstance(obj, dict):
         raise ParseError("semigroup object must be a JSON object")
@@ -66,10 +67,18 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
         raise ParseError('semigroup object lacks the "mul" table') from None
     if not isinstance(mul, list) or not all(isinstance(r, list) for r in mul):
         raise ParseError('"mul" must be a list of rows')
+    star = obj.get("star")
+    if star is not None and not isinstance(star, list):
+        raise ParseError('"star" must be a list')
+    values = [*(v for row in mul for v in row), *(star or [])]
+    values += [obj[key] for key in ("order", "identity", "zero") if key in obj]
+    # JSON integers only: floats such as 1.0, strings and booleans are not
+    bad = [v for v in values if not isinstance(v, int) or isinstance(v, bool)]
+    if bad:
+        raise ParseError(f"{json.dumps(bad[0])} is not an integer")
     n = len(mul)
     if "order" in obj and obj["order"] != n:
         raise ParseError(f'"order" is {obj["order"]} but the table has {n} rows')
-    star = obj.get("star")
     labels = obj.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or len(labels) != n
@@ -98,11 +107,14 @@ def coeffs_to_pairs(coeffs):
 
 def pairs_to_coeffs(pairs):
     try:
-        return np.array(
+        coeffs = np.array(
             [complex(re, im) for re, im in pairs], dtype=np.complex128
         )
     except (TypeError, ValueError) as exc:
         raise ParseError('"coeffs" must be a list of [re, im] pairs') from exc
+    if not np.all(np.isfinite(coeffs.view(np.float64))):
+        raise ParseError('"coeffs" must be finite numbers')
+    return coeffs
 
 
 def function_to_dict(f, *, semigroup_path=None):

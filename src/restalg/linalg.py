@@ -1,8 +1,8 @@
 """Dense linear-algebra backends: spectral norm by a Hermitian
 eigensolve on M*M (with LAPACK SVD as the independent cross-check),
 min over scalars c of ||A + cP|| for a rank-one projection P in closed
-form (Parrott's theorem), pivoted column rank, and Haar-random
-unitaries."""
+form (Parrott's theorem), column rank from the singular values, and
+Haar-random unitaries."""
 
 from __future__ import annotations
 
@@ -35,26 +35,13 @@ def svd_op_norm(mat):
 
 
 def column_rank(cols, rel_tol=1e-9):
-    """Numerical column rank by modified Gram-Schmidt with greedy
-    pivoting; pivots below rel_tol times the largest initial column norm
-    are treated as zero.  Real input stays in real arithmetic."""
-    A = np.array(cols, dtype=np.complex128 if np.iscomplexobj(cols) else np.float64)
+    """Numerical column rank: the number of singular values (LAPACK SVD)
+    above rel_tol times the largest."""
+    A = np.asarray(cols)
     if A.ndim != 2 or A.size == 0:
         return 0
-    norms = np.linalg.norm(A, axis=0)
-    scale = float(norms.max())
-    if scale == 0.0:
-        return 0
-    rank = 0
-    for _ in range(min(A.shape)):
-        norms = np.linalg.norm(A, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= rel_tol * scale:
-            break
-        q = A[:, j] / norms[j]
-        A -= np.outer(q, q.conj() @ A)
-        rank += 1
-    return rank
+    s = np.linalg.svd(A, compute_uv=False)
+    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
 def haar_unitary(dim, rng):

@@ -28,19 +28,10 @@ from .errors import (
     NotRestrictedMultiplicative,
 )
 from .linalg import column_rank
+from .semigroups import kept_on
 
 KIND_FULL = "full"
 KIND_RESTRICTED = "restricted"
-
-
-def kept_on(owner, key, build):
-    """build() once per owner (a semigroup or a representation) and key,
-    kept on the owner so it is freed with it."""
-    value = owner._rep_data.get(key)
-    if value is None:
-        value = build()
-        owner._rep_data[key] = value
-    return value
 
 
 def _read_only(arr):

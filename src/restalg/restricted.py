@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import dot_triples
 from .errors import NotAssociative, NotInverse, StarMismatch, VerificationFailure
 from .semigroups import MAX_ORDER, build_from_table
 
@@ -22,7 +23,7 @@ def restricted_product(S, x, y):
 
 def composable_pairs(S):
     """All (x, y) for which the partial product is defined, row-major."""
-    triples = S.composable_triples()
+    triples = dot_triples(S)
     return list(zip(triples[:, 0].tolist(), triples[:, 1].tolist()))
 
 

@@ -21,6 +21,16 @@ from .errors import (
 MAX_ORDER = 256
 
 
+def kept_on(owner, key, build):
+    """build() once per owner (a semigroup or a representation) and key,
+    kept on the owner so it is freed with it."""
+    value = owner._rep_data.get(key)
+    if value is None:
+        value = build()
+        owner._rep_data[key] = value
+    return value
+
+
 class FiniteInvSemigroup:
     """An inverse semigroup on indices 0..n-1 with a dense product table.
 
@@ -52,10 +62,9 @@ class FiniteInvSemigroup:
         for arr in (self.mul, self.star, self.dom, self.ran):
             arr.setflags(write=False)
         self._composable = None
-        self._triples = None
         self._leq = None
         self._idem = None
-        self._rep_data = {}  # key -> regular representations, L-class blocks; see reps, cstar
+        self._rep_data = {}  # key -> product triples, regular representations, L-class blocks
 
     # -- basic queries ------------------------------------------------
 
@@ -135,19 +144,6 @@ class FiniteInvSemigroup:
             comp.setflags(write=False)
             self._composable = comp
         return self._composable
-
-    def composable_triples(self):
-        """Read-only (T, 3) int array of the rows (x, y, xy) over the
-        composable pairs, in the row-major order of np.nonzero, cached."""
-        if self._triples is None:
-            xs, ys = np.nonzero(self.composable_matrix())
-            triples = np.empty((xs.size, 3), dtype=np.intp, order="F")
-            triples[:, 0] = xs
-            triples[:, 1] = ys
-            triples[:, 2] = self.mul[xs, ys]
-            triples.setflags(write=False)
-            self._triples = triples
-        return self._triples
 
 
 # ---------------------------------------------------------------------

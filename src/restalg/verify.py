@@ -20,12 +20,12 @@ from . import cstar
 from .algebra import (
     AlgebraElement,
     approx_identity,
-    conv,
+    conv_many,
     dot,
     dot_direct,
     dot_many,
     max_abs_diff,
-    order_dot,
+    order_dot_many,
     restrict_to_base,
 )
 from .errors import RestalgError
@@ -454,8 +454,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
     margins = np.abs(dot_many(S, F, G)).sum(axis=1) - np.abs(F).sum(axis=1) * np.abs(G).sum(axis=1)
     worst_margin = float(np.max(margins, initial=-np.inf))
     Fp, Gp = np.abs(F), np.abs(G)
-    conv_norms = [conv(AlgebraElement(S, fp), AlgebraElement(S, gp)).norm(1) for fp, gp in zip(Fp, Gp)]
-    margins = np.abs(dot_many(S, Fp, Gp)).sum(axis=1) - np.array(conv_norms).reshape(-1)
+    margins = np.abs(dot_many(S, Fp, Gp)).sum(axis=1) - np.abs(conv_many(S, Fp, Gp)).sum(axis=1)
     pos_margin = float(np.max(margins, initial=-np.inf))
     checks.append(
         Check(
@@ -549,12 +548,8 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
 
     if S.is_group:
         F, G = _random_rows(S, rng, min(trials, 25), 2)
-        worst = 0.0
-        for fg, f, g in zip(dot_many(S, F, G), F, G):
-            f, g = AlgebraElement(S, f), AlgebraElement(S, g)
-            c = conv(f, g)
-            worst = max(worst, max_abs_diff(AlgebraElement(S, fg), c))
-            worst = max(worst, max_abs_diff(order_dot(f, g), c))
+        C = conv_many(S, F, G)
+        worst = max(_max_dev(dot_many(S, F, G), C), _max_dev(order_dot_many(S, F, G), C))
         checks.append(
             Check(
                 "algebra.group-coincidence",
@@ -722,24 +717,20 @@ def tau_homomorphism_deviation(rs, rng, trials=50):
     sr, S = rs.sr, rs.base
     n = S.n
     worst, wit = 0.0, ""
-    deltas = [AlgebraElement.delta(sr, x) for x in range(sr.n)]
     for As, Bs in _delta_pairs(sr.n, np.arange(sr.n)):
-        lhs = [restrict_to_base(conv(deltas[a], deltas[b]), rs).coeffs for a, b in zip(As, Bs)]
-        rhs = dot_many(S, _delta_rows(sr.n, As)[:, :n], _delta_rows(sr.n, Bs)[:, :n])
-        dev, i = _first_max(_row_devs(np.array(lhs), rhs))
+        DA, DB = _delta_rows(sr.n, As), _delta_rows(sr.n, Bs)
+        # [:, :n] drops the zero coordinate: restrict_to_base on every row
+        lhs = conv_many(sr, DA, DB)[:, :n]
+        dev, i = _first_max(_row_devs(lhs, dot_many(S, DA[:, :n], DB[:, :n])))
         if dev > worst:
             worst, wit = dev, f"delta pair ({int(As[i])}, {int(Bs[i])})"
     F, G = _random_rows(sr, rng, trials, 2)
-    lhs = [
-        restrict_to_base(conv(AlgebraElement(sr, f), AlgebraElement(sr, g)), rs).coeffs
-        for f, g in zip(F, G)
-    ]
-    devs = _row_devs(np.array(lhs).reshape(trials, n), dot_many(S, F[:, :n], G[:, :n]))
+    devs = _row_devs(conv_many(sr, F, G)[:, :n], dot_many(S, F[:, :n], G[:, :n]))
     # random pairs only count above 1e-12
     dev, t = _first_max(np.where(devs > 1e-12, devs, 0.0))
     if dev > worst:
         worst, wit = dev, f"random pair {t}"
-    kernel = restrict_to_base(deltas[rs.zero_index], rs)
+    kernel = restrict_to_base(AlgebraElement.delta(sr, rs.zero_index), rs)
     if kernel.norm(1) != 0.0:
         worst, wit = max(worst, kernel.norm(1)), "restriction of d_0"
     return worst, wit

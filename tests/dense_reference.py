@@ -1,9 +1,15 @@
-"""Dense (n, dim, dim) matrix stacks: the reference route the partial-map
-tables of restalg.reps are tested against.
+"""Reference routes the library is tested against.
 
-Nothing here is used by the library.  The builders evaluate each regular
-representation's defining rule element by element, and the membership
-report is the float-matmul check the table laws replaced.
+Nothing here is used by the library.
+- Dense (n, dim, dim) matrix stacks for the partial-map tables of
+  restalg.reps: the builders evaluate each regular representation's
+  defining rule element by element, and the membership report is the
+  float-matmul check the table laws replaced.
+- Column rank by modified Gram-Schmidt, for the SVD rank of
+  restalg.linalg.
+- The order-relaxed product coordinate by coordinate, and its
+  associativity scan over an (n, n, n) table of delta products, for the
+  triple-set kernel of restalg.algebra.
 """
 
 import numpy as np
@@ -138,3 +144,75 @@ def sigma_r_samples(S, trials, seed):
     """Random contractive restricted representations as dense stacks: the
     images of the lambda_r stack under cstar's sampled representations."""
     yield from cstar._sigma_r_images(S, dense_lambda_r(S), trials, seed)
+
+
+def gram_schmidt_rank(cols, rel_tol=1e-9):
+    """Numerical column rank by modified Gram-Schmidt with greedy
+    pivoting; pivots below rel_tol times the largest initial column norm
+    are treated as zero.  Real input stays in real arithmetic."""
+    A = np.array(cols, dtype=np.complex128 if np.iscomplexobj(cols) else np.float64)
+    if A.ndim != 2 or A.size == 0:
+        return 0
+    norms = np.linalg.norm(A, axis=0)
+    scale = float(norms.max())
+    if scale == 0.0:
+        return 0
+    rank = 0
+    for _ in range(min(A.shape)):
+        norms = np.linalg.norm(A, axis=0)
+        j = int(np.argmax(norms))
+        if norms[j] <= rel_tol * scale:
+            break
+        q = A[:, j] / norms[j]
+        A -= np.outer(q, q.conj() @ A)
+        rank += 1
+    return rank
+
+
+def order_dot_loop(S, f, g):
+    """(f.'g)(x) = sum over y with yy* <= x*x of f(xy) g(y*), one
+    coordinate at a time."""
+    L = S.order_table()
+    gs = g[S.star]
+    out = np.zeros(S.n, dtype=np.complex128)
+    for x in range(S.n):
+        ys = np.flatnonzero(L[S.ran, S.dom[x]])
+        out[x] = f[S.mul[x, ys]] @ gs[ys]
+    return out
+
+
+def order_dot_delta_table(S):
+    """All products of two deltas under the order-relaxed product, as an
+    (n, n, n) float array D with D[x, y] the coefficients of d_x .' d_y."""
+    n = S.n
+    L = S.order_table()
+    cond = L[np.ix_(S.dom, S.dom)]          # [y, w]: dom(y) <= dom(w)
+    prod = S.mul[:, S.star]                  # [w, y]: w y*
+    D = np.zeros((n, n, n))
+    ys, ws = np.nonzero(cond)
+    xs = prod[ws, ys]
+    D[xs, ys, ws] = 1.0
+    return D
+
+
+def order_dot_assoc_witness_dense(S):
+    """First delta triple (x, y, z) on which the order-relaxed product
+    fails to associate, as (x, y, z, lhs, rhs), or None."""
+    n = S.n
+    D = order_dot_delta_table(S)
+    L = S.order_table()
+    G = S.mul[:, S.star]                       # [w, z] = w z*
+    maskz = L[np.ix_(S.dom, S.dom)]            # [z, w] = dom(z) <= dom(w)
+    O_base = L[np.ix_(S.ran, S.dom)].T         # [w, u] = ran(u) <= dom(w)
+    Dstar = D[:, :, S.star].reshape(n * n, n)  # rows (y, z), columns u
+    for x in range(n):
+        # lhs[y, z, w] = [dom z <= dom w] * D[x, y][w z*]
+        lhs = D[x][:, G].transpose(0, 2, 1) * maskz[None, :, :]
+        # rhs[y, z, w] = sum_u [ran u <= dom w][w u = x] D[y, z][u*]
+        Ox = (O_base & (S.mul == x)).astype(float)
+        rhs = (Dstar @ Ox.T).reshape(n, n, n)
+        bad = np.argwhere(np.any(lhs != rhs, axis=2))
+        if bad.size:
+            y, z = (int(v) for v in bad[0])
+            return x, y, z, lhs[y, z].copy(), rhs[y, z].copy()
+    return None

@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import order_dot_assoc_witness_dense, order_dot_loop
 from restalg.algebra import (
     AlgebraElement,
     approx_identity,
     conv,
     _rows_per_block,
+    conv_many,
+    conv_triples,
     dot,
     dot_direct,
     dot_many,
+    dot_triples,
     extend_from_base,
     find_nonassoc_witness,
     inner,
@@ -149,17 +155,19 @@ def test_dot_many_rows_equal_dot(full_corpus):
     # rows around the block boundary and about 60 spread over the rest
     rngl = np.random.default_rng(6)
     for label, S in full_corpus:
-        block = _rows_per_block(S)
-        for B in (0, 1, block + 3):
-            F = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
-            G = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
-            P = dot_many(S, F, G)
-            assert P.shape == (B, S.n), label
-            rows = set(range(0, B, max(1, B // 60))) | {block - 1, block, B - 1}
-            for i in sorted(r for r in rows if 0 <= r < B):
-                f, g = AlgebraElement(S, F[i]), AlgebraElement(S, G[i])
-                assert np.array_equal(P[i], dot(f, g).coeffs), (label, B, i)
-                assert np.abs(P[i] - dot_direct(f, g).coeffs).max() < 1e-12, (label, B, i)
+        for many, one, triples in ((dot_many, dot, dot_triples), (conv_many, conv, conv_triples)):
+            block = _rows_per_block(triples(S))
+            for B in (0, 1, block + 3):
+                F = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
+                G = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
+                P = many(S, F, G)
+                assert P.shape == (B, S.n), label
+                rows = set(range(0, B, max(1, B // 60))) | {block - 1, block, B - 1}
+                for i in sorted(r for r in rows if 0 <= r < B):
+                    f, g = AlgebraElement(S, F[i]), AlgebraElement(S, G[i])
+                    assert np.array_equal(P[i], one(f, g).coeffs), (label, many.__name__, B, i)
+                    if many is dot_many:
+                        assert np.abs(P[i] - dot_direct(f, g).coeffs).max() < 1e-12, (label, B, i)
 
 
 def test_dot_many_rejects_wrong_shapes():
@@ -339,6 +347,45 @@ def test_order_dot_not_associative_on_chain2():
 def test_order_dot_groups_certified_associative():
     for S in (Z2, gen_group("cyclic", 4), gen_group("symmetric", 3)):
         assert order_dot_assoc_witness(S) is None
+
+
+def test_order_dot_matches_the_coordinate_loop(full_corpus):
+    rngl = np.random.default_rng(8)
+    for label, S in full_corpus:
+        for x in range(S.n):
+            for y in range(S.n):
+                dx, dy = AlgebraElement.delta(S, x), AlgebraElement.delta(S, y)
+                want = order_dot_loop(S, dx.coeffs, dy.coeffs)
+                assert np.array_equal(order_dot(dx, dy).coeffs, want), (label, x, y)
+        for _ in range(20):
+            f, g = AlgebraElement.random(S, rngl), AlgebraElement.random(S, rngl)
+            want = order_dot_loop(S, f.coeffs, g.coeffs)
+            assert np.abs(order_dot(f, g).coeffs - want).max() < 1e-12, label
+
+
+def test_order_dot_scan_matches_the_dense_scan(full_corpus):
+    for record, (label, S) in zip(order_dot_scan(full_corpus), full_corpus):
+        want = order_dot_assoc_witness_dense(S)
+        assert record["label"] == label
+        if want is None:
+            assert record["witness"] is None, label
+            continue
+        assert record["witness"] == want[:3], label
+        assert np.array_equal(record["lhs"], want[3]), label
+        assert np.array_equal(record["rhs"], want[4]), label
+
+
+def test_order_dot_scan_memory_on_cold_i4():
+    # no (n, n, n) table of delta products: the kernel streams (y, z) blocks
+    S = gen_symmetric_inverse_monoid(4)
+    tracemalloc.start()
+    try:
+        hit = order_dot_assoc_witness(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit is not None and hit[:3] == (0, 0, 1)
+    assert peak < 20e6
 
 
 def test_witness_search_deterministic_over_corpus():

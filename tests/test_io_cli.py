@@ -46,6 +46,27 @@ def test_semigroup_dict_validation():
         semigroup_from_dict({"mul": [[0, 1], [1, 0]], "labels": ["a"]})
 
 
+@pytest.mark.parametrize("bad", [1.4, 1.0, "1", True])
+def test_semigroup_values_must_be_json_integers(bad, tmp_path, capsys):
+    # the chain 0 < 1: 1 is the identity, 0 the zero, and every bad value
+    # would read as 1 if it were coerced
+    chain = {"mul": [[0, 0], [0, 1]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"mul": [[0, 0], [0, bad]]}))
+    assert main(["verify", str(path), "--suite", "axioms"]) == 2
+    assert "not an integer" in capsys.readouterr().err
+    for extra in (
+        {"mul": [[0, 0], [0, bad]]},
+        {"star": [0, bad]},
+        {"order": bad},
+        {"identity": bad},
+        {"zero": bad},
+    ):
+        with pytest.raises(ParseError, match="not an integer"):
+            semigroup_from_dict({**chain, **extra})
+    assert semigroup_from_dict({**chain, "star": [0, 1], "order": 2, "identity": 1, "zero": 0})
+
+
 def test_parse_error_carries_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"order": 1,\n  "mul": [[0]],,}\n')
@@ -180,6 +201,18 @@ def test_cli_norm(tmp_path, capsys):
     assert report["reduced"] == pytest.approx(2.0, abs=1e-10)
     assert report["full"] == pytest.approx(2.0, abs=1e-10)
     assert report["blocks"] == [2]  # Z2 is one D-class, one 2 x 2 block
+
+
+@pytest.mark.parametrize("value", ["NaN", "1e400", "-Infinity"])
+def test_cli_norm_rejects_non_finite_coefficients(value, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(
+        '{"semigroup": {"mul": [[0, 1], [1, 0]]}, "coeffs": [[%s, 0], [1, 0]]}' % value
+    )
+    with pytest.raises(ParseError, match="finite"):
+        load_function(str(path))
+    assert main(["norm", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_norm_reports_blocks(tmp_path, capsys):

@@ -11,6 +11,7 @@ from dense_reference import (
     dense_multiplicativity_witness,
     dense_representation_report,
     dense_rho_r,
+    gram_schmidt_rank,
     stack_of,
 )
 from restalg import cstar
@@ -20,7 +21,9 @@ from restalg.errors import (
     NotRestrictedMultiplicative,
 )
 from restalg.families import (
+    adjoin_identity,
     all_partial_injections,
+    gen_brandt,
     gen_chain_semilattice,
     gen_group,
     gen_symmetric_inverse_monoid,
@@ -28,6 +31,7 @@ from restalg.families import (
 from restalg.linalg import column_rank, svd_op_norm
 from restalg.reps import (
     Representation,
+    _incidence,
     column_multiplicity,
     compression_deviation,
     drop_zero,
@@ -413,6 +417,31 @@ def test_incidence_ranks_match_the_dense_ranks(full_corpus):
             V = reference(S).reshape(S.n, -1)
             assert lift_rank(rep) == column_rank(V.T), (label, rep.name)
             assert trace_form_rank(rep) == column_rank(V @ V.conj().T), (label, rep.name)
+
+
+def _fresh_reps_tables():
+    # the tables of the fresh-reps benchmark: Brandt(Z_k, 4) with identity,
+    # S4 and I3 with identity, each also zero-adjoined
+    tables = [adjoin_identity(gen_brandt(gen_group("cyclic", k).mul, 4)) for k in (2, 3, 4, 5)]
+    tables += [gen_group("symmetric", 4), adjoin_identity(I3)]
+    return tables + [build_restricted_semigroup(S).sr for S in tables]
+
+
+def _ranks_match_gram_schmidt(rep):
+    V = _incidence(rep)
+    return (lift_rank(rep), trace_form_rank(rep)) == (
+        gram_schmidt_rank(V.T),
+        gram_schmidt_rank(V @ V.T),
+    )
+
+
+def test_svd_ranks_match_gram_schmidt(full_corpus):
+    for S in [S for _, S in full_corpus] + _fresh_reps_tables():
+        for build in (restricted_left_regular, restricted_right_regular, left_regular):
+            assert _ranks_match_gram_schmidt(build(S)), (S, build.__name__)
+    # on I4 only lambda: the restricted incidences have rank n by inspection,
+    # one nonzero position per x, and the reference takes about 0.8 s each
+    assert _ranks_match_gram_schmidt(left_regular(gen_symmetric_inverse_monoid(4)))
 
 
 def test_table_laws_memory_on_cold_i4():
