@@ -50,9 +50,9 @@ class AlgebraElement:
 
     @classmethod
     def random(cls, base, rng):
-        """Real and imaginary parts uniform on [-1, 1]."""
-        c = rng.uniform(-1.0, 1.0, base.n) + 1j * rng.uniform(-1.0, 1.0, base.n)
-        return cls(base, c, copy=False)
+        """Real and imaginary parts uniform on [-1, 1]: the one-row case of
+        random_rows."""
+        return cls(base, random_rows(base, rng, 1)[0][0], copy=False)
 
     # -- involutions and norms -------------------------------------------
 
@@ -165,15 +165,55 @@ def order_triples(S):
     return kept_on(S, "order triples", build)
 
 
-# bytes of kernel temporaries per triple and row: the complex weights,
+# bytes of kernel temporaries per term and row: the complex weights,
 # their real and imaginary copies, the bin indices and the gathers
 _BYTES_PER_TERM = 64
 _BLOCK_BYTES = 1 << 20
 
 
-def _rows_per_block(triples):
-    """Rows the kernel takes at once, so its temporaries stay near 1 MB."""
-    return max(1, _BLOCK_BYTES // (_BYTES_PER_TERM * max(1, triples.shape[0])))
+def _rows_per_block(terms):
+    """Rows taken at once by a row-wise computation with ``terms`` terms
+    per row (triples, table entries, matrix entries), so its temporaries
+    stay near 1 MB."""
+    return max(1, _BLOCK_BYTES // (_BYTES_PER_TERM * max(1, int(terms))))
+
+
+def map_rows(fn, terms, *arrays):
+    """fn applied to blocks of rows of the (B, ...) arrays, sized by
+    _rows_per_block(terms), with the results concatenated along the first
+    axis; fn must act row by row."""
+    step = _rows_per_block(terms)
+    count = arrays[0].shape[0]
+    if count <= step:
+        return fn(*arrays)
+    return np.concatenate(
+        [fn(*(a[lo : lo + step] for a in arrays)) for lo in range(0, count, step)]
+    )
+
+
+def random_rows(S, rng, trials, count=1):
+    """``count`` (trials, n) arrays of random coefficients, real and
+    imaginary parts uniform on [-1, 1], from one draw: row t of array k is
+    the k-th element of round t, so the stream is read in the order of
+    trials * count elements drawn one by one, real parts first."""
+    draws = rng.uniform(-1.0, 1.0, (trials, count, 2, S.n))
+    return [draws[:, k, 0] + 1j * draws[:, k, 1] for k in range(count)]
+
+
+def tilde_rows(S, F):
+    """The involution f -> f~ applied to every row of a (B, n) array."""
+    return np.conj(F[:, S.star])
+
+
+def first_max(values):
+    """(largest value, index of its first entry); a NaN counts as
+    infinite, and no entries give (0.0, None).  A sequential scan that
+    keeps a witness on strict increase ends at the same entry."""
+    values = np.where(np.isnan(values), np.inf, values)
+    if not values.size:
+        return 0.0, None
+    i = int(np.argmax(values))
+    return float(values[i]), i
 
 
 def scatter(values, index, size):
@@ -205,15 +245,7 @@ def _product_many(S, F, G, triples):
         raise ValueError(
             f"expected two (B, {n}) arrays of one shape, got {F.shape} and {G.shape}"
         )
-    step = _rows_per_block(triples)
-    if F.shape[0] <= step:
-        return _dot_block(F, G, triples, n)
-    return np.concatenate(
-        [
-            _dot_block(F[lo : lo + step], G[lo : lo + step], triples, n)
-            for lo in range(0, F.shape[0], step)
-        ]
-    )
+    return map_rows(lambda f, g: _dot_block(f, g, triples, n), len(triples), F, G)
 
 
 def dot_many(S, F, G):

@@ -33,6 +33,10 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
 
@@ -81,7 +85,9 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
         raise ParseError(f'"order" is {obj["order"]} but the table has {n} rows')
     labels = obj.get("labels")
     if labels is not None and (
-        not isinstance(labels, list) or len(labels) != n
+        not isinstance(labels, list)
+        or len(labels) != n
+        or not all(isinstance(label, str) for label in labels)
     ):
         raise ParseError('"labels" must list one string per element')
     try:

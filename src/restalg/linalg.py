@@ -1,28 +1,38 @@
 """Dense linear-algebra backends: spectral norm by a Hermitian
-eigensolve on M*M (with LAPACK SVD as the independent cross-check),
+eigensolve on M*M, of one matrix or of a stack at once (with LAPACK SVD
+as the independent cross-check),
 min over scalars c of ||A + cP|| for a rank-one projection P in closed
 form (Parrott's theorem), column rank from the singular values, and
 Haar-random unitaries."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
 def op_norm(mat):
     """Largest singular value of a dense matrix: the square root of the
-    top eigenvalue of the Hermitian Gram matrix M*M (LAPACK eigensolver)."""
+    top eigenvalue of the Hermitian Gram matrix M*M (LAPACK eigensolver);
+    the one-matrix case of op_norms."""
     M = np.asarray(mat, dtype=np.complex128)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
+    return float(op_norms(M[None])[0])
+
+
+def op_norms(stack):
+    """op_norm of every matrix of a (B, m, k) stack, with one stacked
+    eigensolve over the (B, k, k) Gram matrices; each value is bitwise the
+    one its matrix gives alone."""
+    M = np.asarray(stack, dtype=np.complex128)
+    if M.ndim != 3:
+        raise ValueError("expected a stack of matrices")
     if M.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(M.view(np.float64))):
+        return np.zeros(M.shape[0])
+    if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    top = np.linalg.eigvalsh(M.conj().T @ M)[-1]
-    return math.sqrt(max(float(top), 0.0))
+    top = np.linalg.eigvalsh(np.conj(M).transpose(0, 2, 1) @ M)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def svd_op_norm(mat):

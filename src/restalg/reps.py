@@ -19,7 +19,7 @@ from functools import wraps
 
 import numpy as np
 
-from .algebra import AlgebraElement, dot, scatter
+from .algebra import dot_many, first_max, map_rows, random_rows, scatter, tilde_rows
 from .errors import (
     BaseMismatch,
     NotAdjointClosed,
@@ -125,12 +125,21 @@ def restricted_right_regular(S):
 
 def lift(rep, f):
     """The lifted operator sum_x f(x) pi(x): f(x) scattered into entry
-    (y, table[x, y]) for every nonzero entry, O(nnz)."""
+    (y, table[x, y]) for every nonzero entry, O(nnz); the one-row case of
+    lift_many."""
     if f.base is not rep.base:
         raise BaseMismatch("element and representation live over different bases")
+    return lift_many(rep, f.coeffs[None, :])[0]
+
+
+def lift_many(rep, F):
+    """The (B, dim, dim) stack of lifts of the rows of a (B, n) coefficient
+    array, in one scatter; each is bitwise the lift of its row alone.
+    Callers bound B (see algebra.map_rows)."""
     xs, ys, cols = rep.entries()
-    dim = rep.dim
-    return scatter(f.coeffs[xs], ys * dim + cols, dim * dim).reshape(dim, dim)
+    dim, rows = rep.dim, F.shape[0]
+    bins = (np.arange(rows)[:, None] * (dim * dim) + (ys * dim + cols)).ravel()
+    return scatter(np.take(F, xs, axis=1).ravel(), bins, rows * dim * dim).reshape(rows, dim, dim)
 
 
 def extend_with_zero(rep, rs):
@@ -307,42 +316,51 @@ class IdentityReport:
         return self.max_deviation < self.tolerance
 
 
+def _pairings(rep, at, Xi, Eta):
+    """Row t: <pi(x) Xi[t], Eta[t]> per entry of rep, summed into
+    coordinate at[entry], in blocks of rows."""
+    _, ys, cols = rep.entries()
+    n = rep.base.n
+
+    def block(X, Y):
+        # np.take lays the gathers out row-major, so each product is
+        # bitwise the one its row gives alone
+        w = np.take(X, cols, axis=1) * np.conj(np.take(Y, ys, axis=1))
+        bins = (np.arange(X.shape[0])[:, None] * n + at).ravel()
+        return scatter(w.ravel(), bins, X.shape[0] * n).reshape(-1, n)
+
+    return map_rows(block, ys.size, Xi, Eta)
+
+
+def _identity_report(name, lhs, rhs, tol):
+    """Worst row of |lhs - rhs|, with its first trial and coordinate."""
+    dev = np.abs(lhs - rhs)
+    worst, t = first_max(dev.max(axis=1, initial=0.0))
+    witness = f"trial {t}, x={int(np.argmax(dev[t]))}" if worst > 0 else ""
+    return IdentityReport(name, worst, tol, witness)
+
+
 def lambda_inner_identity_report(S, *, trials=100, seed=0, tol=1e-10):
     """<lambda_r(x*) xi, eta> = (xi . eta~)(x) for every x and random
     vectors."""
-    xs, ys, cols = restricted_left_regular(S).entries()
-    at = S.star[xs]  # entry (ys, cols) of lambda_r(xs) is one of lambda_r(x*) for x = xs*
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = ""
-    for t in range(trials):
-        xi = AlgebraElement.random(S, rng)
-        eta = AlgebraElement.random(S, rng)
-        lhs = scatter(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), at, S.n)
-        rhs = dot(xi, eta.tilde()).coeffs
-        dev = float(np.abs(lhs - rhs).max())
-        if dev > worst:
-            worst = dev
-            witness = f"trial {t}, x={int(np.argmax(np.abs(lhs - rhs)))}"
-    return IdentityReport("lambda_r inner identity", worst, tol, witness)
+    rep = restricted_left_regular(S)
+    xs = rep.entries()[0]
+    Xi, Eta = random_rows(S, np.random.default_rng(seed), trials, 2)
+    # entry (ys, cols) of lambda_r(xs) is one of lambda_r(x*) for x = xs*
+    lhs = _pairings(rep, S.star[xs], Xi, Eta)
+    return _identity_report(
+        "lambda_r inner identity", lhs, dot_many(S, Xi, tilde_rows(S, Eta)), tol
+    )
 
 
 def rho_inner_identity_report(S, *, trials=100, seed=0, tol=1e-10):
     """<rho_r(x) xi, eta> = (eta~ . xi)(x) for every x and random vectors."""
-    xs, ys, cols = restricted_right_regular(S).entries()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = ""
-    for t in range(trials):
-        xi = AlgebraElement.random(S, rng)
-        eta = AlgebraElement.random(S, rng)
-        lhs = scatter(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), xs, S.n)
-        rhs = dot(eta.tilde(), xi).coeffs
-        dev = float(np.abs(lhs - rhs).max())
-        if dev > worst:
-            worst = dev
-            witness = f"trial {t}, x={int(np.argmax(np.abs(lhs - rhs)))}"
-    return IdentityReport("rho_r inner identity", worst, tol, witness)
+    rep = restricted_right_regular(S)
+    Xi, Eta = random_rows(S, np.random.default_rng(seed), trials, 2)
+    lhs = _pairings(rep, rep.entries()[0], Xi, Eta)
+    return _identity_report(
+        "rho_r inner identity", lhs, dot_many(S, tilde_rows(S, Eta), Xi), tol
+    )
 
 
 @dataclass
@@ -381,33 +399,29 @@ def rho_lift_identity_report(S, *, trials=100, seed=0, tol=1e-10):
     if S.identity is None:
         raise ValueError("the lifted identity is evaluated at the identity element")
     rho = restricted_right_regular(S)
-    rng = np.random.default_rng(seed)
+    Phi, Xi, Eta = random_rows(S, np.random.default_rng(seed), trials, 3)
     E = S.idempotents()
-    unit_range = S.ran == S.identity
-    d_sum = d_ident = d_local = 0.0
-    witness = ""
-    for t in range(trials):
-        phi = AlgebraElement.random(S, rng)
-        xi = AlgebraElement.random(S, rng)
-        eta = AlgebraElement.random(S, rng)
-        lhs = complex(np.vdot(eta.coeffs, lift(rho, phi) @ xi.coeffs))
-        full = dot(phi, dot(xi.check(), eta.conj())).coeffs
-        rhs_sum = complex(full[E].sum())
-        rhs_ident = complex(full[S.identity])
-        pairing = phi.coeffs * dot(eta.tilde(), xi).coeffs
-        rhs_local = complex(pairing[unit_range].sum())
-        if abs(lhs - rhs_sum) > d_sum:
-            d_sum = abs(lhs - rhs_sum)
-            witness = f"trial {t}"
-        d_ident = max(d_ident, abs(lhs - rhs_ident))
-        d_local = max(d_local, abs(rhs_ident - rhs_local))
+    unit_range = np.flatnonzero(S.ran == S.identity)
+
+    def lifted(P, X, Y):
+        # <eta, lift(phi) xi> per row, as vdot on one row gives it
+        return (np.conj(Y)[:, None, :] @ (lift_many(rho, P) @ X[:, :, None]))[:, 0, 0]
+
+    lhs = map_rows(lifted, rho.dim * rho.dim + rho.entries()[0].size, Phi, Xi, Eta)
+    full = dot_many(S, Phi, dot_many(S, Xi[:, S.star], np.conj(Eta)))
+    # np.take keeps the rows contiguous, so each sum is the one-row sum
+    rhs_sum = np.take(full, E, axis=1).sum(axis=1)
+    rhs_ident = full[:, S.identity]
+    pairing = Phi * dot_many(S, tilde_rows(S, Eta), Xi)
+    rhs_local = np.take(pairing, unit_range, axis=1).sum(axis=1)
+    d_sum, t = first_max(np.abs(lhs - rhs_sum))
     return LiftedRhoReport(
         summed=d_sum,
-        at_identity=d_ident,
-        localized=d_local,
+        at_identity=float(np.abs(lhs - rhs_ident).max(initial=0.0)),
+        localized=float(np.abs(rhs_ident - rhs_local).max(initial=0.0)),
         tolerance=tol,
         group_like=len(E) == 1,
-        witness=witness,
+        witness=f"trial {t}" if d_sum > 0 else "",
     )
 
 

@@ -21,12 +21,15 @@ from .algebra import (
     AlgebraElement,
     approx_identity,
     conv_many,
-    dot,
     dot_direct,
     dot_many,
+    first_max,
+    map_rows,
     max_abs_diff,
     order_dot_many,
+    random_rows,
     restrict_to_base,
+    tilde_rows,
 )
 from .errors import RestalgError
 from .linalg import op_norm, svd_op_norm
@@ -37,6 +40,7 @@ from .reps import (
     lambda_inner_identity_report,
     left_regular,
     lift,
+    lift_many,
     lift_rank,
     representation_report,
     restricted_left_regular,
@@ -122,10 +126,6 @@ class SuiteReport:
                 extra += f" [{c.witness}]"
             lines.append(f"  [{mark}] {c.id} -- {c.claim}{extra}")
         return "\n".join(lines)
-
-
-def _random_elements(S, rng, count):
-    return [AlgebraElement.random(S, rng) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------
@@ -294,18 +294,6 @@ def _delta_pairs(n, inner):
         yield np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
-def _random_rows(S, rng, trials, count):
-    """``count`` (trials, n) arrays: row t holds the t-th of ``trials``
-    rounds of ``count`` random elements, drawn in that order."""
-    draws = [[AlgebraElement.random(S, rng).coeffs for _ in range(count)] for _ in range(trials)]
-    return [np.array([d[k] for d in draws]).reshape(trials, S.n) for k in range(count)]
-
-
-def _tilde_rows(S, A):
-    """The involution f -> f~ applied to every row."""
-    return np.conj(A[:, S.star])
-
-
 def _row_devs(A, B):
     """max_abs_diff of each row pair; B may also be a scalar."""
     return np.abs(A - B).max(axis=1)
@@ -315,17 +303,6 @@ def _max_dev(A, B):
     """The largest max_abs_diff over the row pairs, 0.0 for no rows; a NaN
     propagates, so it fails every tolerance."""
     return float(np.abs(A - B).max(initial=0.0))
-
-
-def _first_max(devs):
-    """(largest value, index of its first row); a NaN counts as infinite.
-    A sequential scan that keeps a witness on strict increase ends at the
-    same row."""
-    devs = np.where(np.isnan(devs), np.inf, devs)
-    if not devs.size:
-        return 0.0, None
-    i = int(np.argmax(devs))
-    return float(devs[i]), i
 
 
 def delta_dot_deviation(S):
@@ -339,7 +316,7 @@ def delta_dot_deviation(S):
         want = np.zeros_like(got)
         hit = comp[xs, ys]
         want[np.flatnonzero(hit), S.mul[xs[hit], ys[hit]]] = 1.0
-        dev, i = _first_max(_row_devs(got, want))
+        dev, i = first_max(_row_devs(got, want))
         if dev > worst:
             worst, witness = dev, f"x={S.label(int(xs[i]))}, y={S.label(int(ys[i]))}"
     return worst, witness
@@ -382,7 +359,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
         )
     )
 
-    F, G, H = _random_rows(S, rng, trials, 3)
+    F, G, H = random_rows(S, rng, trials, 3)
     worst = _max_dev(
         dot_many(S, dot_many(S, F, G), H), dot_many(S, F, dot_many(S, G, H))
     )
@@ -401,7 +378,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
         xs, ys = np.array(
             [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(100)]
         ).T
-    F, G = _random_rows(S, rng, min(trials, 25), 2)
+    F, G = random_rows(S, rng, min(trials, 25), 2)
     F = np.concatenate([_delta_rows(n, xs), F])
     G = np.concatenate([_delta_rows(n, ys), G])
     direct = [dot_direct(AlgebraElement(S, f), AlgebraElement(S, g)).coeffs for f, g in zip(F, G)]
@@ -421,14 +398,14 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
         worst = max(
             worst,
             _max_dev(
-                _tilde_rows(S, dot_many(S, Dx, Dy)),
-                dot_many(S, _tilde_rows(S, Dy), _tilde_rows(S, Dx)),
+                tilde_rows(S, dot_many(S, Dx, Dy)),
+                dot_many(S, tilde_rows(S, Dy), tilde_rows(S, Dx)),
             ),
         )
-    F, G = _random_rows(S, rng, trials, 2)
+    F, G = random_rows(S, rng, trials, 2)
     rworst = _max_dev(
-        _tilde_rows(S, dot_many(S, F, G)),
-        dot_many(S, _tilde_rows(S, G), _tilde_rows(S, F)),
+        tilde_rows(S, dot_many(S, F, G)),
+        dot_many(S, tilde_rows(S, G), tilde_rows(S, F)),
     )
     checks.append(
         Check(
@@ -450,7 +427,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
     )
 
     # row sums of |.| are bitwise the 1-norms AlgebraElement.norm gives
-    F, G = _random_rows(S, rng, trials, 2)
+    F, G = random_rows(S, rng, trials, 2)
     margins = np.abs(dot_many(S, F, G)).sum(axis=1) - np.abs(F).sum(axis=1) * np.abs(G).sum(axis=1)
     worst_margin = float(np.max(margins, initial=-np.inf))
     Fp, Gp = np.abs(F), np.abs(G)
@@ -479,7 +456,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
         Dy, De = _delta_rows(n, ys), _delta_rows(n, es)
         want_right = np.where((S.dom[ys] == es)[:, None], Dy, 0.0)
         want_left = np.where((S.ran[ys] == es)[:, None], Dy, 0.0)
-        dev, i = _first_max(
+        dev, i = first_max(
             np.maximum(
                 _row_devs(dot_many(S, Dy, De), want_right),
                 _row_devs(dot_many(S, De, Dy), want_left),
@@ -532,10 +509,8 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
             dev,
         )
     )
-    dev = 0.0
-    for _ in range(trials):
-        fz = AlgebraElement.random(rs.sr, rng)
-        dev = max(dev, cstar.l1_quotient_deviation(fz, rs.zero_index, rs))
+    Fz = random_rows(rs.sr, rng, trials)[0]
+    dev = float(cstar.l1_quotient_deviations(Fz, rs.zero_index, rs).max(initial=0.0))
     checks.append(
         Check(
             "algebra.restriction-isometry",
@@ -547,7 +522,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
     )
 
     if S.is_group:
-        F, G = _random_rows(S, rng, min(trials, 25), 2)
+        F, G = random_rows(S, rng, min(trials, 25), 2)
         C = conv_many(S, F, G)
         worst = max(_max_dev(dot_many(S, F, G), C), _max_dev(order_dot_many(S, F, G), C))
         checks.append(
@@ -590,7 +565,7 @@ def finite_unit_laws_deviation(S, rng):
         partners, fs = [], []
         for _ in block:
             partners.append(tuple(sorted(rng.choice(n, size=min(3, n), replace=False).tolist())))
-            fs.append(AlgebraElement.random(S, rng).coeffs)
+            fs.append(random_rows(S, rng, 1)[0][0])
         dev, key = _unit_laws_block(S, block, partners, np.array(fs))
         if dev > worst:
             worst, wit = dev, _unit_law_witness(S, block, partners, key)
@@ -665,7 +640,7 @@ def _unit_laws_block(S, block, partners, fs):
 
     devs, keys = np.concatenate(devs), np.concatenate(keys)
     order = np.argsort(keys, kind="stable")
-    dev, i = _first_max(devs[order])
+    dev, i = first_max(devs[order])
     return dev, None if i is None else int(keys[order][i])
 
 
@@ -692,25 +667,44 @@ def _unit_law_witness(S, block, partners, key):
 
 def approx_identity_property(S, rng):
     """50 decaying random functions are epsilon-reproduced by e_F, at
-    epsilon 1e-1 and 1e-3, once F captures all but epsilon of the mass."""
-    for t in range(50):
-        mags = 0.5 ** np.arange(S.n, dtype=float)
-        rng.shuffle(mags)
-        phase = np.exp(2j * np.pi * rng.uniform(size=S.n))
-        f = AlgebraElement(S, mags * phase)
-        order = np.argsort(-np.abs(f.coeffs))
-        sorted_abs = np.abs(f.coeffs[order])
-        tails = np.concatenate([np.cumsum(sorted_abs[::-1])[::-1][1:], [0.0]])
-        for eps in (1e-1, 1e-3):
-            hits = np.flatnonzero(tails < eps)
-            N = int(hits[0]) + 1 if hits.size else S.n
-            F = order[:N].tolist()
-            eF = approx_identity(S, F)
-            d1 = (f - dot(f, eF)).norm(1)
-            d2 = (f - dot(eF, f)).norm(1)
-            if not (d1 < eps and d2 < eps):
-                return False, f"trial {t}, eps={eps}, |F|={N}, dev={max(d1, d2):.3e}"
-    return True, ""
+    epsilon 1e-1 and 1e-3, once F captures all but epsilon of the mass.
+    All trials are drawn, in the order of a trial-by-trial loop, before
+    any is checked; the witness is the first failing (trial, epsilon)."""
+    n, trials = S.n, 50
+    mags, turns = [], []
+    for _ in range(trials):
+        m = 0.5 ** np.arange(n, dtype=float)
+        rng.shuffle(m)
+        mags.append(m)
+        turns.append(rng.uniform(size=n))
+    f = np.reshape(mags, (trials, n)) * np.exp(2j * np.pi * np.reshape(turns, (trials, n)))
+    order = np.argsort(-np.abs(f), axis=1)
+    sorted_abs = np.take_along_axis(np.abs(f), order, axis=1)
+    # tails[t, i]: the mass of row t outside its i + 1 largest coordinates
+    tails = np.concatenate(
+        [np.cumsum(sorted_abs[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((trials, 1))], axis=1
+    )
+
+    # row 2t + k: trial t at the k-th epsilon
+    eps = np.tile([1e-1, 1e-3], trials)
+    f, order, tails = (np.repeat(a, 2, axis=0) for a in (f, order, tails))
+    hits = tails < eps[:, None]
+    sizes = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, n)
+    rows, ranks = np.nonzero(np.arange(n) < sizes[:, None])
+    members = order[rows, ranks]
+    eF = np.zeros_like(f)
+    eF[rows, S.ran[members]] = 1.0
+    eF[rows, S.dom[members]] = 1.0
+    d1 = np.abs(f - dot_many(S, f, eF)).sum(axis=1)
+    d2 = np.abs(f - dot_many(S, eF, f)).sum(axis=1)
+    bad = np.flatnonzero(~((d1 < eps) & (d2 < eps)))
+    if not bad.size:
+        return True, ""
+    r = int(bad[0])
+    return False, (
+        f"trial {r // 2}, eps={float(eps[r])}, |F|={int(sizes[r])}, "
+        f"dev={max(d1[r], d2[r]):.3e}"
+    )
 
 
 def tau_homomorphism_deviation(rs, rng, trials=50):
@@ -721,13 +715,13 @@ def tau_homomorphism_deviation(rs, rng, trials=50):
         DA, DB = _delta_rows(sr.n, As), _delta_rows(sr.n, Bs)
         # [:, :n] drops the zero coordinate: restrict_to_base on every row
         lhs = conv_many(sr, DA, DB)[:, :n]
-        dev, i = _first_max(_row_devs(lhs, dot_many(S, DA[:, :n], DB[:, :n])))
+        dev, i = first_max(_row_devs(lhs, dot_many(S, DA[:, :n], DB[:, :n])))
         if dev > worst:
             worst, wit = dev, f"delta pair ({int(As[i])}, {int(Bs[i])})"
-    F, G = _random_rows(sr, rng, trials, 2)
+    F, G = random_rows(sr, rng, trials, 2)
     devs = _row_devs(conv_many(sr, F, G)[:, :n], dot_many(S, F[:, :n], G[:, :n]))
     # random pairs only count above 1e-12
-    dev, t = _first_max(np.where(devs > 1e-12, devs, 0.0))
+    dev, t = first_max(np.where(devs > 1e-12, devs, 0.0))
     if dev > worst:
         worst, wit = dev, f"random pair {t}"
     kernel = restrict_to_base(AlgebraElement.delta(sr, rs.zero_index), rs)
@@ -824,12 +818,19 @@ def suite_reps(S, label, *, seed=0, trials=100, tol=None):
         )
     )
 
-    worst = 0.0
-    for _ in range(min(trials, 25)):
-        f, g = _random_elements(S, rng, 2)
-        A = lift(lam_r, dot(f, g)) - lift(lam_r, f) @ lift(lam_r, g)
-        B = lift(lam_r, f.tilde()) - lift(lam_r, f).conj().T
-        worst = max(worst, float(np.abs(A).max()), float(np.abs(B).max()))
+    def lift_deviations(F, G, FG, Ft):
+        LF = lift_many(lam_r, F)
+        A = lift_many(lam_r, FG) - LF @ lift_many(lam_r, G)
+        B = lift_many(lam_r, Ft) - np.conj(LF).transpose(0, 2, 1)
+        return np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(B).max(axis=(1, 2)))
+
+    # about eight (n, n) arrays per row: two matrix entries per term
+    F, G = random_rows(S, rng, min(trials, 25), 2)
+    worst = float(
+        map_rows(
+            lift_deviations, 2 * S.n * S.n, F, G, dot_many(S, F, G), tilde_rows(S, F)
+        ).max(initial=0.0)
+    )
     checks.append(
         Check(
             "reps.lift-homomorphism",
@@ -939,12 +940,11 @@ def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
     checks = []
     rs = build_restricted_semigroup(S)
 
-    fs = [AlgebraElement.delta(S, x) for x in range(S.n)]
-    fs += _random_elements(S, rng, min(trials, 25))
-
-    margin = -np.inf
-    for f in fs:
-        margin = max(margin, cstar.reduced_cstar_norm(f) - f.norm(1))
+    lam_r = restricted_left_regular(S)
+    rows = np.concatenate([np.eye(S.n, dtype=np.complex128), random_rows(S, rng, min(trials, 25))[0]])
+    reduced = cstar.block_norms(lam_r, rows)
+    l1 = np.abs(rows).sum(axis=1)
+    margin = float(np.max(reduced - l1, initial=-np.inf))
     checks.append(
         Check(
             "cstar.lift-contractive",
@@ -954,10 +954,8 @@ def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
         )
     )
 
-    worst = 0.0
-    for _ in range(min(trials, 25)):
-        f = AlgebraElement.random(S, rng)
-        worst = max(worst, cstar.cstar_identity_deviation(f))
+    F = random_rows(S, rng, min(trials, 25))[0]
+    worst = float(cstar.cstar_identity_deviations(S, F).max(initial=0.0))
     checks.append(
         Check(
             "cstar.identity",
@@ -967,12 +965,11 @@ def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
         )
     )
 
-    order_ok = True
-    for f in fs[: S.n + 10]:
-        report = cstar.norm_report(f)
-        if not report.ordering_ok(tol.norm):
-            order_ok = False
-            break
+    # the deltas and the first 10 random rows; the supremum norm is the
+    # reduced norm at finite scale (cstar.full_cstar_norm), so the order
+    # to check is reduced = supremum <= 1-norm
+    head = slice(0, S.n + 10)
+    order_ok = bool(np.all(reduced[head] <= l1[head] + tol.norm))
     checks.append(
         Check(
             "cstar.norm-order",
@@ -1023,10 +1020,8 @@ def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
         )
     )
 
-    dev = 0.0
-    for _ in range(min(trials, 25)):
-        fz = AlgebraElement.random(rs.sr, rng)
-        dev = max(dev, cstar.l1_quotient_deviation(fz, rs.zero_index, rs))
+    Fz = random_rows(rs.sr, rng, min(trials, 25))[0]
+    dev = float(cstar.l1_quotient_deviations(Fz, rs.zero_index, rs).max(initial=0.0))
     checks.append(
         Check(
             "cstar.l1-quotient",
@@ -1037,7 +1032,6 @@ def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
     )
 
     worst = 0.0
-    lam_r = restricted_left_regular(S)
     for i in range(5):
         M = rng.standard_normal((S.n, S.n)) + 1j * rng.standard_normal((S.n, S.n))
         worst = max(worst, abs(op_norm(M) - svd_op_norm(M)) / max(1.0, svd_op_norm(M)))

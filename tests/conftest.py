@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from restalg.corpus import default_corpus, restricted_of
+# one BLAS thread: on a few cores the default thread pool makes the
+# LAPACK-heavy tests slower and their timings noisy; set before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from restalg.corpus import default_corpus, restricted_of  # noqa: E402
 
 SEED = 20260808
 

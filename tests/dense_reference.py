@@ -10,13 +10,27 @@ Nothing here is used by the library.
 - The order-relaxed product coordinate by coordinate, and its
   associativity scan over an (n, n, n) table of delta products, for the
   triple-set kernel of restalg.algebra.
+- The random-trial checks one trial at a time through the scalar dot and
+  the one-row norms (the inner-identity reports, the lifted rho report,
+  the approximate identity and the quotient match), for the batched
+  checks of restalg.reps, restalg.verify and restalg.cstar.
 """
 
 import numpy as np
 
 from restalg import cstar
+from restalg.algebra import AlgebraElement, approx_identity, dot, restrict_to_base, scatter
 from restalg.linalg import op_norm
-from restalg.reps import KIND_RESTRICTED, MembershipReport, Violation
+from restalg.reps import (
+    KIND_RESTRICTED,
+    IdentityReport,
+    LiftedRhoReport,
+    MembershipReport,
+    Violation,
+    lift,
+    restricted_left_regular,
+    restricted_right_regular,
+)
 
 
 def dense_lambda_r(S):
@@ -216,3 +230,114 @@ def order_dot_assoc_witness_dense(S):
             y, z = (int(v) for v in bad[0])
             return x, y, z, lhs[y, z].copy(), rhs[y, z].copy()
     return None
+
+
+# ---------------------------------------------------------------------
+# the random-trial checks, one trial at a time
+
+
+def lambda_inner_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
+    xs, ys, cols = restricted_left_regular(S).entries()
+    at = S.star[xs]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    witness = ""
+    for t in range(trials):
+        xi = AlgebraElement.random(S, rng)
+        eta = AlgebraElement.random(S, rng)
+        lhs = scatter(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), at, S.n)
+        rhs = dot(xi, eta.tilde()).coeffs
+        dev = float(np.abs(lhs - rhs).max())
+        if dev > worst:
+            worst = dev
+            witness = f"trial {t}, x={int(np.argmax(np.abs(lhs - rhs)))}"
+    return IdentityReport("lambda_r inner identity", worst, tol, witness)
+
+
+def rho_inner_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
+    xs, ys, cols = restricted_right_regular(S).entries()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    witness = ""
+    for t in range(trials):
+        xi = AlgebraElement.random(S, rng)
+        eta = AlgebraElement.random(S, rng)
+        lhs = scatter(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), xs, S.n)
+        rhs = dot(eta.tilde(), xi).coeffs
+        dev = float(np.abs(lhs - rhs).max())
+        if dev > worst:
+            worst = dev
+            witness = f"trial {t}, x={int(np.argmax(np.abs(lhs - rhs)))}"
+    return IdentityReport("rho_r inner identity", worst, tol, witness)
+
+
+def rho_lift_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
+    rho = restricted_right_regular(S)
+    rng = np.random.default_rng(seed)
+    E = S.idempotents()
+    unit_range = S.ran == S.identity
+    d_sum = d_ident = d_local = 0.0
+    witness = ""
+    for t in range(trials):
+        phi = AlgebraElement.random(S, rng)
+        xi = AlgebraElement.random(S, rng)
+        eta = AlgebraElement.random(S, rng)
+        lhs = complex(np.vdot(eta.coeffs, lift(rho, phi) @ xi.coeffs))
+        full = dot(phi, dot(xi.check(), eta.conj())).coeffs
+        rhs_sum = complex(full[E].sum())
+        rhs_ident = complex(full[S.identity])
+        pairing = phi.coeffs * dot(eta.tilde(), xi).coeffs
+        rhs_local = complex(pairing[unit_range].sum())
+        if abs(lhs - rhs_sum) > d_sum:
+            d_sum = abs(lhs - rhs_sum)
+            witness = f"trial {t}"
+        d_ident = max(d_ident, abs(lhs - rhs_ident))
+        d_local = max(d_local, abs(rhs_ident - rhs_local))
+    return LiftedRhoReport(
+        summed=d_sum,
+        at_identity=d_ident,
+        localized=d_local,
+        tolerance=tol,
+        group_like=len(E) == 1,
+        witness=witness,
+    )
+
+
+def approx_identity_loop(S, rng):
+    """Stops at the first failing trial, so it reads fewer draws then."""
+    for t in range(50):
+        mags = 0.5 ** np.arange(S.n, dtype=float)
+        rng.shuffle(mags)
+        phase = np.exp(2j * np.pi * rng.uniform(size=S.n))
+        f = AlgebraElement(S, mags * phase)
+        order = np.argsort(-np.abs(f.coeffs))
+        sorted_abs = np.abs(f.coeffs[order])
+        tails = np.concatenate([np.cumsum(sorted_abs[::-1])[::-1][1:], [0.0]])
+        for eps in (1e-1, 1e-3):
+            hits = np.flatnonzero(tails < eps)
+            N = int(hits[0]) + 1 if hits.size else S.n
+            eF = approx_identity(S, order[:N].tolist())
+            d1 = (f - dot(f, eF)).norm(1)
+            d2 = (f - dot(eF, f)).norm(1)
+            if not (d1 < eps and d2 < eps):
+                return False, f"trial {t}, eps={eps}, |F|={N}, dev={max(d1, d2):.3e}"
+    return True, ""
+
+
+def quotient_match_loop(S, rs, *, trials=100, seed=7):
+    """The worst |quotient - reduced| over the deltas and random elements of
+    the zero-adjoined semigroup, and its witness."""
+    sr = rs.sr
+    rng = np.random.default_rng(seed)
+    elems = [AlgebraElement.delta(sr, x) for x in range(sr.n)]
+    elems += [AlgebraElement.random(sr, rng) for _ in range(trials)]
+    worst = 0.0
+    witness = ""
+    for i, f in enumerate(elems):
+        q = cstar.quotient_cstar_norm(f, rs.zero_index)
+        r = cstar.reduced_cstar_norm(restrict_to_base(f, rs))
+        dev = abs(q - r)
+        if dev > worst:
+            worst = dev
+            witness = f"element #{i} (delta)" if i < sr.n else f"element #{i} (random)"
+    return worst, witness

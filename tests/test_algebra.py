@@ -22,6 +22,7 @@ from restalg.algebra import (
     inner,
     max_abs_diff,
     order_dot,
+    random_rows,
     order_dot_assoc_witness,
     order_dot_scan,
     restrict_to_base,
@@ -156,7 +157,7 @@ def test_dot_many_rows_equal_dot(full_corpus):
     rngl = np.random.default_rng(6)
     for label, S in full_corpus:
         for many, one, triples in ((dot_many, dot, dot_triples), (conv_many, conv, conv_triples)):
-            block = _rows_per_block(triples(S))
+            block = _rows_per_block(len(triples(S)))
             for B in (0, 1, block + 3):
                 F = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
                 G = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
@@ -168,6 +169,20 @@ def test_dot_many_rows_equal_dot(full_corpus):
                     assert np.array_equal(P[i], one(f, g).coeffs), (label, many.__name__, B, i)
                     if many is dot_many:
                         assert np.abs(P[i] - dot_direct(f, g).coeffs).max() < 1e-12, (label, B, i)
+
+
+def test_random_rows_read_the_stream_element_by_element():
+    # one draw for all trials, read as per-element draws of the real and
+    # then the imaginary parts, round by round
+    F, G = random_rows(I2, np.random.default_rng(9), 4, 2)
+    rngl = np.random.default_rng(9)
+    for t in range(4):
+        for R in (F, G):
+            want = rngl.uniform(-1, 1, I2.n) + 1j * rngl.uniform(-1, 1, I2.n)
+            assert np.array_equal(R[t], want)
+    rngl = np.random.default_rng(9)
+    assert np.array_equal(AlgebraElement.random(I2, rngl).coeffs, F[0])
+    assert np.array_equal(AlgebraElement.random(I2, rngl).coeffs, G[0])
 
 
 def test_dot_many_rejects_wrong_shapes():

@@ -5,7 +5,7 @@ import pytest
 
 from dense_reference import dense_lambda_r, dense_representation_report, sigma_r_samples
 from restalg import cstar
-from restalg.algebra import AlgebraElement, restrict_to_base
+from restalg.algebra import AlgebraElement, _rows_per_block, random_rows, restrict_to_base
 from restalg.corpus import corpus_member, default_corpus, restricted_of
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
 from restalg.linalg import op_norm, svd_op_norm
@@ -153,10 +153,9 @@ def test_quotient_match_report():
 
 def test_l1_quotient_deviation():
     rs = build_restricted_semigroup(I2)
-    rng = np.random.default_rng(26)
-    for _ in range(20):
-        f = AlgebraElement.random(rs.sr, rng)
-        assert cstar.l1_quotient_deviation(f, rs.zero_index, rs) < 1e-13
+    F = random_rows(rs.sr, np.random.default_rng(26), 20)[0]
+    devs = cstar.l1_quotient_deviations(F, rs.zero_index, rs)
+    assert devs.shape == (20,) and devs.max() < 1e-13
 
 
 def test_norms_close_convention():
@@ -198,26 +197,71 @@ def _rel(a, b):
     return abs(a - b) / max(1.0, abs(b))
 
 
+def _batch_cases(S, rs):
+    """(representation, cleared element, the one-row norm) per block norm
+    over S: lambda_r and lambda, and for a base member the quotient over
+    its zero-adjoined semigroup."""
+    cases = [
+        (restricted_left_regular(S), None, cstar.reduced_cstar_norm),
+        (left_regular(S), None, cstar.unrestricted_reduced_norm),
+    ]
+    if S is rs.base:
+        cases.append(
+            (left_regular(rs.sr), rs.zero_index, lambda f: cstar.quotient_cstar_norm(f, rs.zero_index))
+        )
+    return cases
+
+
 @pytest.mark.parametrize("S, rs", _block_cases())
 def test_block_norms_match_dense_svd(S, rs):
-    # every corpus member and I4 through lambda_r and lambda; the quotient
-    # over the zero-adjoined semigroup of each base member
+    # one batch of deltas and random rows per block norm, each row against
+    # LAPACK's SVD of the dense lift (cleared column zeroed) and bitwise
+    # against the one-row norm
     rng = np.random.default_rng(32)
-    lam_r, lam = restricted_left_regular(S), left_regular(S)
     worst = 0.0
-    for f in _elements(S, rng):
-        worst = max(
-            worst,
-            _rel(cstar.reduced_cstar_norm(f), svd_op_norm(lift(lam_r, f))),
-            _rel(cstar.unrestricted_reduced_norm(f), svd_op_norm(lift(lam, f))),
-        )
-    if S is rs.base:
-        Lam, z = left_regular(rs.sr), rs.zero_index
-        for f in _elements(rs.sr, rng):
-            A = lift(Lam, f)
-            A[:, z] = 0.0
-            worst = max(worst, _rel(cstar.quotient_cstar_norm(f, z), svd_op_norm(A)))
+    for rep, cleared, one_row in _batch_cases(S, rs):
+        elements = _elements(rep.base, rng)
+        norms = cstar.block_norms(rep, np.array([f.coeffs for f in elements]), cleared)
+        assert norms.shape == (len(elements),)
+        for f, value in zip(elements, norms):
+            A = lift(rep, f)
+            if cleared is not None:
+                A[:, cleared] = 0.0
+            worst = max(worst, _rel(value, svd_op_norm(A)))
+            assert one_row(f) == value
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["chain4", "I3", "B2_1_r", "I4"])
+def test_block_norms_rows_do_not_depend_on_the_batch(label):
+    # B = 0, B = 1, and a batch over more than one block of rows for the
+    # largest representative block: the rows around its boundaries and
+    # about 60 spread over the rest equal their value alone, bitwise
+    S = gen_symmetric_inverse_monoid(4) if label == "I4" else corpus_member(label)
+    rs = build_restricted_semigroup(S)
+    rng = np.random.default_rng(36)
+    for rep, cleared, _ in _batch_cases(S, rs):
+        n = rep.base.n
+        step = min(_rows_per_block(L.size * L.size + xs.size) for L, xs, _ in cstar._block_index(rep))
+        for B in (0, 1, 2 * step + 3):
+            F = rng.uniform(-1, 1, (B, n)) + 1j * rng.uniform(-1, 1, (B, n))
+            norms = cstar.block_norms(rep, F, cleared)
+            assert norms.shape == (B,)
+            rows = set(range(0, B, max(1, B // 60))) | {step - 1, step, 2 * step, B - 1}
+            for i in sorted(r for r in rows if 0 <= r < B):
+                alone = cstar.block_norms(rep, F[i : i + 1], cleared)[0]
+                assert norms[i] == alone, (label, rep.name, B, i)
+
+
+def test_block_norms_reject_bad_input():
+    lam_r = restricted_left_regular(I2)
+    for F in (np.zeros(I2.n), np.zeros((2, I2.n + 1))):
+        with pytest.raises(ValueError):
+            cstar.block_norms(lam_r, F)
+    F = np.zeros((3, I2.n), dtype=np.complex128)
+    F[1, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        cstar.block_norms(lam_r, F)
 
 
 def test_block_norm_attained_off_the_largest_block():

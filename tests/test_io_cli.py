@@ -158,6 +158,25 @@ def test_cli_verify_missing_file_is_input_error(capsys):
     assert main(["verify", "/nonexistent/x.json"]) == 2
 
 
+def test_cli_verify_directory_is_input_error(tmp_path, capsys):
+    assert main(["verify", str(tmp_path), "--suite", "axioms"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_verify_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"mul": [[0]], "labels": ["\u00e9"]}'.encode("latin-1"))
+    assert main(["verify", str(path), "--suite", "axioms"]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_non_string_labels(tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"mul": [[0]], "labels": [[1, 2]]}))
+    assert main(["verify", str(path), "--suite", "axioms"]) == 2
+    assert "one string per element" in capsys.readouterr().err
+
+
 def test_cli_rep_matrix(capsys):
     code = main(["rep", "--family", "cyclic", "--n", "2", "--which", "lambda_r", "--element", "1"])
     assert code == 0

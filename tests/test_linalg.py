@@ -6,6 +6,7 @@ from restalg.linalg import (
     haar_unitary,
     min_shift_norm,
     op_norm,
+    op_norms,
     svd_op_norm,
 )
 
@@ -56,6 +57,34 @@ def test_op_norm_exactly_degenerate_top(gap):
     q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     M = q @ np.diag([3.0, 3.0 * (1.0 - gap), 1.0, 0.5, 0.2, 0.1]) @ q.T
     assert op_norm(M) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_op_norms_stack_is_bitwise_one_matrix_at_a_time():
+    # one stacked eigensolve gives what each matrix gives alone, for the
+    # block sizes the corpus and I4 meet and beyond
+    rng = np.random.default_rng(37)
+    for d in range(1, 36):
+        M = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        M[M.real > 1.0] = 0.0
+        norms = op_norms(M)
+        assert [op_norm(m) for m in M] == norms.tolist(), d
+    assert op_norms(np.zeros((0, 3, 3))).shape == (0,)
+    assert op_norms(np.zeros((2, 0, 3))).tolist() == [0.0, 0.0]
+
+
+def test_op_norms_check_entries():
+    M = np.zeros((3, 2, 2), dtype=np.complex128)
+    M[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        op_norms(M)
+    with pytest.raises(ValueError):
+        op_norms(np.zeros((2, 2)))
+
+
+def test_op_norm_of_a_transposed_view():
+    # a non-contiguous complex view used to fail the finite-entries check
+    A = np.arange(6).reshape(2, 3) + 1j
+    assert op_norm(A.T) == pytest.approx(svd_op_norm(A), rel=1e-12)
 
 
 def test_column_rank():

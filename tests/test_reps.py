@@ -39,6 +39,7 @@ from restalg.reps import (
     lambda_inner_identity_report,
     left_regular,
     lift,
+    lift_many,
     lift_rank,
     representation_report,
     require_membership,
@@ -462,3 +463,31 @@ def test_table_laws_memory_on_cold_i4():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_batched_trial_checks_memory_on_cold_i4():
+    # 100 trials over I4's 3809 lambda_r entries: the pairings, lifts and
+    # block norms go through in blocks of rows, not as one batch
+    S = gen_symmetric_inverse_monoid(4)
+    rs = build_restricted_semigroup(S)
+    tracemalloc.start()
+    try:
+        assert lambda_inner_identity_report(S, trials=100, seed=1).ok
+        assert rho_inner_identity_report(S, trials=100, seed=2).ok
+        assert rho_lift_identity_report(S, trials=100, seed=3).ok
+        assert cstar.quotient_match_report(S, trials=100, seed=4, rs=rs).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_lift_many_rows_equal_lift():
+    rng = np.random.default_rng(38)
+    for S in (gen_symmetric_inverse_monoid(3), gen_brandt([[0]], 2)):
+        for rep in (restricted_left_regular(S), left_regular(S), restricted_right_regular(S)):
+            F = rng.uniform(-1, 1, (7, S.n)) + 1j * rng.uniform(-1, 1, (7, S.n))
+            stack = lift_many(rep, F)
+            assert stack.shape == (7, rep.dim, rep.dim)
+            for f, M in zip(F, stack):
+                assert np.array_equal(M, lift(rep, AlgebraElement(S, f)))

@@ -2,13 +2,31 @@ import numpy as np
 import pytest
 
 import restalg.verify
+from dense_reference import (
+    approx_identity_loop,
+    lambda_inner_identity_loop,
+    quotient_match_loop,
+    rho_inner_identity_loop,
+    rho_lift_identity_loop,
+)
 from restalg.algebra import AlgebraElement, conv
 from restalg.corpus import corpus_member
+from restalg.cstar import quotient_match_report
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
-from restalg.reps import KIND_RESTRICTED, Representation, left_regular, restricted_left_regular
+from restalg.reps import (
+    KIND_RESTRICTED,
+    Representation,
+    lambda_inner_identity_report,
+    left_regular,
+    restricted_left_regular,
+    rho_inner_identity_report,
+    rho_lift_identity_report,
+)
+from restalg.restricted import build_restricted_semigroup
 from restalg.verify import (
     PLUMBING,
     Tolerances,
+    approx_identity_property,
     delta_assoc_witness,
     run_suite,
     run_suites,
@@ -105,3 +123,29 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
     assert checks["reps.partial-isometry"].deviation == 1.0
     assert not checks["reps.left-regular-restricted"].passed
     assert "> 1" in checks["reps.left-regular-restricted"].witness  # the contraction law
+
+
+def test_batched_checks_match_the_scalar_loops(full_corpus):
+    # the random-trial checks, batched, against the loops they replaced:
+    # same verdicts and witnesses, deviations within 1e-14
+    for label, S in full_corpus:
+        for batched, loop in (
+            (lambda_inner_identity_report, lambda_inner_identity_loop),
+            (rho_inner_identity_report, rho_inner_identity_loop),
+        ):
+            got, want = batched(S, trials=100, seed=5), loop(S, trials=100, seed=5)
+            assert (got.ok, got.witness) == (want.ok, want.witness), (label, got.name)
+            assert abs(got.max_deviation - want.max_deviation) <= 1e-14, (label, got.name)
+        if S.identity is not None:
+            got = rho_lift_identity_report(S, trials=100, seed=6)
+            want = rho_lift_identity_loop(S, trials=100, seed=6)
+            assert (got.ok, got.witness) == (want.ok, want.witness), label
+            for field in ("summed", "at_identity", "localized"):
+                assert abs(getattr(got, field) - getattr(want, field)) <= 1e-14, (label, field)
+        got = approx_identity_property(S, np.random.default_rng(7))
+        assert got == approx_identity_loop(S, np.random.default_rng(7)), label
+        rs = build_restricted_semigroup(S)
+        got = quotient_match_report(S, trials=40, seed=8, rs=rs)
+        worst, witness = quotient_match_loop(S, rs, trials=40, seed=8)
+        assert got.witness == witness, label
+        assert abs(got.max_deviation - worst) <= 1e-14, label
