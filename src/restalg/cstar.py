@@ -363,15 +363,14 @@ def quotient_match_report(
     if worst > 0:
         witness = f"element #{i} (delta)" if i < sr.n else f"element #{i} (random)"
 
-    spread = np.linspace(0, sr.n - 1, num=min(4, sr.n), dtype=int)
-    sample = [AlgebraElement.delta(sr, rs.zero_index)]
-    sample += [AlgebraElement.delta(sr, int(x)) for x in spread]
-    sample += [AlgebraElement.random(sr, rng) for _ in range(2)]
-    worst_min = 0.0
-    for f in sample:
-        q = quotient_cstar_norm(f, rs.zero_index)
-        m = minimized_quotient_norm(f, rs.zero_index)
-        worst_min = max(worst_min, abs(q - m))
+    # the delta rows take their quotient norms from the batch above, the
+    # random ones from one more call: a row's norm does not depend on its batch
+    deltas = np.concatenate([[rs.zero_index], np.linspace(0, sr.n - 1, num=min(4, sr.n), dtype=int)])
+    extra = random_rows(sr, rng, 2)[0]
+    sample = np.concatenate([rows[deltas], extra])
+    q = np.concatenate([quotient[deltas], block_norms(left_regular(sr), extra, cleared=rs.zero_index)])
+    m = np.array([minimized_quotient_norm(AlgebraElement(sr, f), rs.zero_index) for f in sample])
+    worst_min = float(np.abs(q - m).max())
     return QuotientMatchReport(
         label=label,
         max_deviation=worst,

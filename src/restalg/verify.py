@@ -271,12 +271,6 @@ def suite_axioms(S, label, *, seed=0, trials=100, tol=None):
 # algebra
 
 
-# subsets of the unit laws handled per batch, and delta-pair rows per batch
-# times n: both bound the arrays held at once (about 1 MB each)
-_UNIT_BLOCK = 64
-_PAIR_ENTRIES = 1 << 16
-
-
 def _delta_rows(n, xs):
     """Row i is the delta at xs[i]."""
     rows = np.zeros((len(xs), n), dtype=np.complex128)
@@ -284,14 +278,23 @@ def _delta_rows(n, xs):
     return rows
 
 
-def _delta_pairs(n, inner):
-    """All pairs (x, y) with x in range(n) and y in ``inner``, x-major, as
-    (xs, ys) index arrays in blocks of about _PAIR_ENTRIES / n rows."""
-    inner = np.asarray(inner, dtype=np.intp)
-    step = max(1, _PAIR_ENTRIES // max(1, inner.size * n))
-    for lo in range(0, n, step):
-        outer = np.arange(lo, min(lo + step, n))
-        yield np.repeat(outer, inner.size), np.tile(inner, outer.size)
+def _coded_rows(count, n):
+    """``count`` copies of the coded row g[b] = 1 + (b + 1)i.
+
+    The product kernel is a scatter-add, so in each coordinate of
+    f . g, f a 0/1 row, the real part counts the pairs that reach it and
+    the imaginary part sums their codes b + 1.  Two sides that agree
+    exactly, with every count at most 1, therefore agree pair by pair; a
+    plain integer code would not, as one pair could be replaced by two
+    whose codes add up to its own."""
+    return np.broadcast_to(1.0 + 1j * np.arange(1, n + 1), (count, n))
+
+
+def _coded_devs(got, want):
+    """Per row: max_abs_diff of got and want, or the excess of a count in
+    got over 1 where that is larger."""
+    excess = np.maximum(got.real - 1.0, 0.0).max(axis=1, initial=0.0)
+    return np.maximum(_row_devs(got, want), excess)
 
 
 def _row_devs(A, B):
@@ -306,20 +309,66 @@ def _max_dev(A, B):
 
 
 def delta_dot_deviation(S):
-    """Exhaustive check of d_x . d_y against the composability rule;
-    returns (max deviation, witness string)."""
+    """d_x . g for every x, g the coded row, against the table: the
+    expected row holds g[y] at xy for each y with x*x = yy* (x and xy
+    determine y) and 0 elsewhere, so exact equality is d_x . d_y = d_xy
+    or 0 for every pair.  Returns (max deviation in code units, witness)."""
     n = S.n
-    comp = S.composable_matrix()
-    worst, witness = 0.0, ""
-    for xs, ys in _delta_pairs(n, np.arange(n)):
-        got = dot_many(S, _delta_rows(n, xs), _delta_rows(n, ys))
-        want = np.zeros_like(got)
-        hit = comp[xs, ys]
-        want[np.flatnonzero(hit), S.mul[xs[hit], ys[hit]]] = 1.0
-        dev, i = first_max(_row_devs(got, want))
-        if dev > worst:
-            worst, witness = dev, f"x={S.label(int(xs[i]))}, y={S.label(int(ys[i]))}"
-    return worst, witness
+    G = _coded_rows(n, n)
+    xs, ys = np.nonzero(S.composable_matrix())
+    want = np.zeros((n, n), dtype=np.complex128)
+    want[xs, S.mul[xs, ys]] = G[0, ys]
+    dev, x = first_max(_coded_devs(dot_many(S, np.eye(n, dtype=np.complex128), G), want))
+    return dev, f"x={S.label(x)}" if dev > 0 else ""
+
+
+def tilde_delta_deviation(S):
+    """(d_x . g)~ against g~ . d_x* for every x, g the coded row: exact
+    equality with every count at most 1 is (d_x . d_y)~ = d_y~ . d_x~ for
+    every pair."""
+    n = S.n
+    D, G = np.eye(n, dtype=np.complex128), _coded_rows(n, n)
+    lhs = tilde_rows(S, dot_many(S, D, G))
+    return float(_coded_devs(lhs, dot_many(S, tilde_rows(S, G), tilde_rows(S, D))).max(initial=0.0))
+
+
+def _units(S, members):
+    """Row r is e_F for F the elements in row r of a (B, k) index array:
+    ones at the idempotents i(F)."""
+    rows = np.zeros((len(members), S.n), dtype=np.complex128)
+    r = np.arange(len(members))[:, None]
+    rows[r, S.ran[members]] = 1.0
+    rows[r, S.dom[members]] = 1.0
+    return rows
+
+
+def _filter_devs(S, units):
+    """(B, 2) coded-row deviations for the rows e_I of a (B, n) 0/1 array:
+    of e_I . g from g kept where yy* is in I, and of g . e_I from g kept
+    where y*y is in I.  Exact equality is each filter law for every
+    function at once, since it pins every pair (e, y) and (y, e) with e
+    in I."""
+    G = _coded_rows(len(units), S.n)
+    left = _coded_devs(dot_many(S, units, G), np.where(units[:, S.ran] != 0, G, 0))
+    right = _coded_devs(dot_many(S, G, units), np.where(units[:, S.dom] != 0, G, 0))
+    return np.stack([left, right], axis=1)
+
+
+def _worst_filter(S, members):
+    """(max deviation, row, side) of _filter_devs over the units e_F of the
+    rows of a non-empty (B, k) index array, in blocks of rows; side 0 is
+    e_F . g and side 1 is g . e_F."""
+    devs = map_rows(lambda m: _filter_devs(S, _units(S, m)), S.n, members)
+    dev, k = first_max(devs.ravel())
+    return (dev, *divmod(k, 2))
+
+
+def delta_absorption_deviation(S):
+    """The filter laws of d_e = e_{e} for every idempotent e; returns (max
+    deviation in code units, witness)."""
+    E = S.idempotents()
+    dev, e, side = _worst_filter(S, E[:, None])
+    return dev, f"{('d_e . g', 'g . d_e')[side]} at e={S.label(int(E[e]))}" if dev > 0 else ""
 
 
 def delta_assoc_witness(S):
@@ -392,16 +441,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
         )
     )
 
-    worst = 0.0
-    for xs, ys in _delta_pairs(n, np.arange(n)):
-        Dx, Dy = _delta_rows(n, xs), _delta_rows(n, ys)
-        worst = max(
-            worst,
-            _max_dev(
-                tilde_rows(S, dot_many(S, Dx, Dy)),
-                dot_many(S, tilde_rows(S, Dy), tilde_rows(S, Dx)),
-            ),
-        )
+    worst = tilde_delta_deviation(S)
     F, G = random_rows(S, rng, trials, 2)
     rworst = _max_dev(
         tilde_rows(S, dot_many(S, F, G)),
@@ -450,20 +490,7 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
         )
     )
 
-    worst = 0.0
-    wit = ""
-    for ys, es in _delta_pairs(n, S.idempotents()):
-        Dy, De = _delta_rows(n, ys), _delta_rows(n, es)
-        want_right = np.where((S.dom[ys] == es)[:, None], Dy, 0.0)
-        want_left = np.where((S.ran[ys] == es)[:, None], Dy, 0.0)
-        dev, i = first_max(
-            np.maximum(
-                _row_devs(dot_many(S, Dy, De), want_right),
-                _row_devs(dot_many(S, De, Dy), want_left),
-            )
-        )
-        if dev > worst:
-            worst, wit = dev, f"y={S.label(int(ys[i]))}, e={S.label(int(es[i]))}"
+    worst, wit = delta_absorption_deviation(S)
     checks.append(
         Check(
             "algebra.delta-absorption",
@@ -538,131 +565,48 @@ def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
 
 
 def finite_unit_laws_deviation(S, rng):
-    """Laws of the finitely-supported units e_F.
+    """Laws of the finitely-supported units e_F, for every F with |F| <= 3
+    and 20 random bigger sets.
 
-    Enumerates every F with |F| <= 3 plus 20 random bigger sets.  For
-    each F: e_F absorbs the deltas over F from both sides; e_F . e_G is
-    the sum of deltas over i(F) & i(G) (checked against F itself, a
-    subset, the empty set, and a random partner); right/left
-    multiplication filters a random f by its domain/range idempotents;
-    and e_F is a two-sided unit on functions supported in F.
-
-    The sets go through in blocks of _UNIT_BLOCK; each block draws its
-    random partners and functions set by set, in the order a set-by-set
-    loop would, and the witness is the first law, in that loop's order,
-    that reaches the worst deviation.
+    e_F is the sum of the deltas over I = i(F), so each law on F (e_F
+    absorbs the deltas over F, e_F . e_G is the sum of deltas over
+    I & i(G), right and left multiplication filter by domain and range
+    idempotents in I, e_F is a unit on functions supported in F) is a
+    case of the filter laws on every function, which _filter_devs checks
+    exactly.  I depends on F only through the pairs {xx*, x*x} of its
+    elements, so the sets with |F| <= 3 run as the unions of one to three
+    distinct pairs, each pair named by its first element.  Returns (max
+    deviation in code units, witness).
     """
     n = S.n
     bigger = []
     for _ in range(20):
         size = int(rng.integers(4, max(5, n + 1)))
-        bigger.append(tuple(sorted(rng.choice(n, size=min(size, n), replace=False).tolist())))
-    small = (itertools.combinations(range(n), size) for size in (1, 2, 3))
-    subsets = itertools.chain(*small, bigger)
+        bigger.append(sorted(rng.choice(n, size=min(size, n), replace=False).tolist()))
+    # shorter sets are padded with their first element, which leaves i(F) as it is
+    width = max(len(F) for F in bigger)
+    padded = np.array([F + F[:1] * (width - len(F)) for F in bigger], dtype=np.intp)
+    pair = np.minimum(S.ran, S.dom) * n + np.maximum(S.ran, S.dom)
+    names = np.sort(np.unique(pair, return_index=True)[1])
+    blocks = itertools.chain((names[P] for P in _pair_unions(names.size)), [padded])
 
     worst, wit = 0.0, ""
-    while block := list(itertools.islice(subsets, _UNIT_BLOCK)):
-        partners, fs = [], []
-        for _ in block:
-            partners.append(tuple(sorted(rng.choice(n, size=min(3, n), replace=False).tolist())))
-            fs.append(random_rows(S, rng, 1)[0][0])
-        dev, key = _unit_laws_block(S, block, partners, np.array(fs))
+    for members in blocks:
+        dev, r, side = _worst_filter(S, members)
         if dev > worst:
-            worst, wit = dev, _unit_law_witness(S, block, partners, key)
+            F = ", ".join(S.label(x) for x in dict.fromkeys(members[r].tolist()))
+            worst, wit = dev, f"{('e_F . g', 'g . e_F')[side]} on F=({F})"
     return worst, wit
 
 
-def _members(subsets):
-    """(owner, element, rank) per entry of the subsets, flattened: entry k
-    is subsets[owner[k]][rank[k]] = element[k]."""
-    sizes = np.array([len(F) for F in subsets], dtype=np.intp)
-    owner = np.repeat(np.arange(len(subsets)), sizes)
-    element = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp, count=int(sizes.sum()))
-    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return owner, element, rank
-
-
-def _unit_rows(S, subsets):
-    """Row r is e_F for F = subsets[r]: ones at the idempotents i(F)."""
-    owner, element, _ = _members(subsets)
-    rows = np.zeros((len(subsets), S.n), dtype=np.complex128)
-    rows[owner, S.ran[element]] = 1.0
-    rows[owner, S.dom[element]] = 1.0
-    return rows
-
-
-def _unit_laws_block(S, block, partners, fs):
-    """Worst deviation of the unit laws over ``block`` and its key, the
-    position of the first law reaching it (see _unit_law_witness)."""
-    n, b = S.n, len(block)
-    K = 2 * n + 16
-    owner, element, rank = _members(block)
-    inF = np.zeros((b, n), dtype=bool)
-    inF[owner, element] = True
-    eF = _unit_rows(S, block)
-    devs, keys = [], []
-
-    # e_F absorbs d_s for s in F: slots 2j (left) and 2j + 1 (right)
-    Ds, Es = _delta_rows(n, element), eF[owner]
-    devs += [_row_devs(dot_many(S, Es, Ds), Ds), _row_devs(dot_many(S, Ds, Es), Ds)]
-    keys += [owner * K + 2 * rank, owner * K + 2 * rank + 1]
-
-    # partners p = F, F[:|F|/2], (), random: slots 2n + 3p + {0, 1, 2}
-    halves = [F[: len(F) // 2] for F in block]
-    eG = np.concatenate(
-        [eF, _unit_rows(S, halves), np.zeros((b, n), np.complex128), _unit_rows(S, partners)]
-    )
-    eF4 = np.tile(eF, (4, 1))
-    P, Q = dot_many(S, eF4, eG), dot_many(S, eG, eF4)
-    nested = np.ones(4 * b, dtype=bool)
-    nested[3 * b :] = [bool(inF[r, list(G)].all()) for r, G in enumerate(partners)]
-    base = np.tile(np.arange(b), 4) * K + 2 * n + 3 * np.repeat(np.arange(4), b)
-    common = ((eF4 != 0) & (eG != 0)).astype(np.complex128)
-    devs += [
-        _row_devs(P, common),
-        _row_devs(P, Q),
-        np.where(nested, _row_devs(P, eG), 0.0),
-    ]
-    keys += [base, base + 1, base + 2]
-
-    # filters and units on functions supported in F: slots 2n + 12 + {0..3}
-    keep_dom = eF[:, S.dom] != 0
-    keep_ran = eF[:, S.ran] != 0
-    gs = np.where(inF, fs, 0)
-    base = np.arange(b) * K + 2 * n + 12
-    devs += [
-        _row_devs(dot_many(S, fs, eF), np.where(keep_dom, fs, 0)),
-        _row_devs(dot_many(S, eF, fs), np.where(keep_ran, fs, 0)),
-        _row_devs(dot_many(S, gs, eF), gs),
-        _row_devs(dot_many(S, eF, gs), gs),
-    ]
-    keys += [base, base + 1, base + 2, base + 3]
-
-    devs, keys = np.concatenate(devs), np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    dev, i = first_max(devs[order])
-    return dev, None if i is None else int(keys[order][i])
-
-
-def _unit_law_witness(S, block, partners, key):
-    """The message of the law at ``key`` (subset * (2n + 16) + slot)."""
-    n = S.n
-    r, slot = divmod(key, 2 * n + 16)
-    F = block[r]
-    if slot < 2 * n:
-        j, side = divmod(slot, 2)
-        return f"{('left', 'right')[side]} unit on F={F}, s={F[j]}"
-    if slot < 2 * n + 12:
-        p, k = divmod(slot - 2 * n, 3)
-        G = (F, F[: len(F) // 2], (), partners[r])[p]
-        return ("e_F.e_G on", "e_F.e_G commutes on", "nested unit on")[k] + f" F={F}, G={G}"
-    k = slot - 2 * n - 12
-    return (
-        f"domain filter on F={F}",
-        f"range filter on F={F}",
-        f"supported unit (right) on F={F}",
-        f"supported unit (left) on F={F}",
-    )[k]
+def _pair_unions(m):
+    """The unions of one to three of m items, one (B, 3) index array per
+    smallest member: {i} as (i, i, i), {i, j} as (i, j, j) and {i, j, k}
+    as (i, j, k), with i < j < k."""
+    for i in range(m):
+        j, k = np.triu_indices(m - i)
+        keep = (j > 0) | (k == 0)
+        yield np.stack([np.full(int(keep.sum()), i), i + j[keep], i + k[keep]], axis=1)
 
 
 def approx_identity_property(S, rng):
@@ -708,16 +652,18 @@ def approx_identity_property(S, rng):
 
 
 def tau_homomorphism_deviation(rs, rng, trials=50):
+    """Dropping the zero coordinate carries conv over the zero-adjoined
+    semigroup to dot over S: exactly on conv(d_A, g) for every A, g the
+    coded row, with every count at most 1 (so on every delta pair), and
+    above 1e-12 on random pairs; and d_0 restricts to 0.  Returns (max
+    deviation, witness)."""
     sr, S = rs.sr, rs.base
     n = S.n
-    worst, wit = 0.0, ""
-    for As, Bs in _delta_pairs(sr.n, np.arange(sr.n)):
-        DA, DB = _delta_rows(sr.n, As), _delta_rows(sr.n, Bs)
-        # [:, :n] drops the zero coordinate: restrict_to_base on every row
-        lhs = conv_many(sr, DA, DB)[:, :n]
-        dev, i = first_max(_row_devs(lhs, dot_many(S, DA[:, :n], DB[:, :n])))
-        if dev > worst:
-            worst, wit = dev, f"delta pair ({int(As[i])}, {int(Bs[i])})"
+    D, G = np.eye(sr.n, dtype=np.complex128), _coded_rows(sr.n, sr.n)
+    # [:, :n] drops the zero coordinate: restrict_to_base on every row
+    devs = _coded_devs(conv_many(sr, D, G)[:, :n], dot_many(S, D[:, :n], G[:, :n]))
+    worst, A = first_max(devs)
+    wit = f"delta row {A}" if worst > 0 else ""
     F, G = random_rows(sr, rng, trials, 2)
     devs = _row_devs(conv_many(sr, F, G)[:, :n], dot_many(S, F[:, :n], G[:, :n]))
     # random pairs only count above 1e-12

@@ -14,12 +14,28 @@ Nothing here is used by the library.
   the one-row norms (the inner-identity reports, the lifted rho report,
   the approximate identity and the quotient match), for the batched
   checks of restalg.reps, restalg.verify and restalg.cstar.
+- The delta-level algebra laws one product per delta pair, and the unit
+  laws set by set with one random partner and function each, for the
+  coded-row checks of restalg.verify.
 """
+
+import itertools
 
 import numpy as np
 
 from restalg import cstar
-from restalg.algebra import AlgebraElement, approx_identity, dot, restrict_to_base, scatter
+from restalg.algebra import (
+    AlgebraElement,
+    approx_identity,
+    conv_many,
+    dot,
+    dot_many,
+    first_max,
+    random_rows,
+    restrict_to_base,
+    scatter,
+    tilde_rows,
+)
 from restalg.linalg import op_norm
 from restalg.reps import (
     KIND_RESTRICTED,
@@ -326,7 +342,8 @@ def approx_identity_loop(S, rng):
 
 def quotient_match_loop(S, rs, *, trials=100, seed=7):
     """The worst |quotient - reduced| over the deltas and random elements of
-    the zero-adjoined semigroup, and its witness."""
+    the zero-adjoined semigroup, its witness, and the worst
+    |quotient - minimized| over the subsample drawn next."""
     sr = rs.sr
     rng = np.random.default_rng(seed)
     elems = [AlgebraElement.delta(sr, x) for x in range(sr.n)]
@@ -340,4 +357,240 @@ def quotient_match_loop(S, rs, *, trials=100, seed=7):
         if dev > worst:
             worst = dev
             witness = f"element #{i} (delta)" if i < sr.n else f"element #{i} (random)"
+    return worst, witness, minimized_loop(rs, rng)
+
+
+def minimized_loop(rs, rng):
+    """The worst |quotient - minimized| over the delta at zero, 4 spread-out
+    other deltas and 2 random elements, one element at a time."""
+    sr = rs.sr
+    spread = np.linspace(0, sr.n - 1, num=min(4, sr.n), dtype=int)
+    sample = [AlgebraElement.delta(sr, rs.zero_index)]
+    sample += [AlgebraElement.delta(sr, int(x)) for x in spread]
+    sample += [AlgebraElement.random(sr, rng) for _ in range(2)]
+    worst_min = 0.0
+    for f in sample:
+        q = cstar.quotient_cstar_norm(f, rs.zero_index)
+        m = cstar.minimized_quotient_norm(f, rs.zero_index)
+        worst_min = max(worst_min, abs(q - m))
+    return worst_min
+
+
+# ---------------------------------------------------------------------
+# the delta-level algebra laws, one product per delta pair
+
+# delta-pair rows per batch times n, and subsets of the unit laws per
+# batch: both bound the arrays held at once (about 1 MB each)
+_PAIR_ENTRIES = 1 << 16
+_UNIT_BLOCK = 64
+
+
+def _delta_rows(n, xs):
+    rows = np.zeros((len(xs), n), dtype=np.complex128)
+    rows[np.arange(len(xs)), xs] = 1.0
+    return rows
+
+
+def _delta_pairs(n, inner):
+    """All pairs (x, y) with x in range(n) and y in ``inner``, x-major, as
+    (xs, ys) index arrays in blocks of about _PAIR_ENTRIES / n rows."""
+    inner = np.asarray(inner, dtype=np.intp)
+    step = max(1, _PAIR_ENTRIES // max(1, inner.size * n))
+    for lo in range(0, n, step):
+        outer = np.arange(lo, min(lo + step, n))
+        yield np.repeat(outer, inner.size), np.tile(inner, outer.size)
+
+
+def _row_devs(A, B):
+    return np.abs(A - B).max(axis=1)
+
+
+def delta_dot_pairs(S):
+    """d_x . d_y against the composability rule for every pair; (max
+    deviation, witness)."""
+    n = S.n
+    comp = S.composable_matrix()
+    worst, witness = 0.0, ""
+    for xs, ys in _delta_pairs(n, np.arange(n)):
+        got = dot_many(S, _delta_rows(n, xs), _delta_rows(n, ys))
+        want = np.zeros_like(got)
+        hit = comp[xs, ys]
+        want[np.flatnonzero(hit), S.mul[xs[hit], ys[hit]]] = 1.0
+        dev, i = first_max(_row_devs(got, want))
+        if dev > worst:
+            worst, witness = dev, f"x={S.label(int(xs[i]))}, y={S.label(int(ys[i]))}"
     return worst, witness
+
+
+def tilde_delta_pairs(S):
+    """The largest |(d_x . d_y)~ - d_y~ . d_x~| over every pair."""
+    n = S.n
+    worst = 0.0
+    for xs, ys in _delta_pairs(n, np.arange(n)):
+        Dx, Dy = _delta_rows(n, xs), _delta_rows(n, ys)
+        lhs = tilde_rows(S, dot_many(S, Dx, Dy))
+        worst = max(worst, float(np.abs(lhs - dot_many(S, tilde_rows(S, Dy), tilde_rows(S, Dx))).max()))
+    return worst
+
+
+def delta_absorption_pairs(S):
+    """d_y . d_e and d_e . d_y against d_y or 0 for every y and idempotent
+    e; (max deviation, witness)."""
+    n = S.n
+    worst, wit = 0.0, ""
+    for ys, es in _delta_pairs(n, S.idempotents()):
+        Dy, De = _delta_rows(n, ys), _delta_rows(n, es)
+        want_right = np.where((S.dom[ys] == es)[:, None], Dy, 0.0)
+        want_left = np.where((S.ran[ys] == es)[:, None], Dy, 0.0)
+        dev, i = first_max(
+            np.maximum(
+                _row_devs(dot_many(S, Dy, De), want_right),
+                _row_devs(dot_many(S, De, Dy), want_left),
+            )
+        )
+        if dev > worst:
+            worst, wit = dev, f"y={S.label(int(ys[i]))}, e={S.label(int(es[i]))}"
+    return worst, wit
+
+
+def tau_homomorphism_pairs(rs, rng, trials=50):
+    """The restriction homomorphism on every delta pair of the zero-adjoined
+    semigroup and on random pairs (above 1e-12), and the kernel; (max
+    deviation, witness)."""
+    sr, S = rs.sr, rs.base
+    n = S.n
+    worst, wit = 0.0, ""
+    for As, Bs in _delta_pairs(sr.n, np.arange(sr.n)):
+        DA, DB = _delta_rows(sr.n, As), _delta_rows(sr.n, Bs)
+        lhs = conv_many(sr, DA, DB)[:, :n]
+        dev, i = first_max(_row_devs(lhs, dot_many(S, DA[:, :n], DB[:, :n])))
+        if dev > worst:
+            worst, wit = dev, f"delta pair ({int(As[i])}, {int(Bs[i])})"
+    F, G = random_rows(sr, rng, trials, 2)
+    devs = _row_devs(conv_many(sr, F, G)[:, :n], dot_many(S, F[:, :n], G[:, :n]))
+    dev, t = first_max(np.where(devs > 1e-12, devs, 0.0))
+    if dev > worst:
+        worst, wit = dev, f"random pair {t}"
+    kernel = restrict_to_base(AlgebraElement.delta(sr, rs.zero_index), rs)
+    if kernel.norm(1) != 0.0:
+        worst, wit = max(worst, kernel.norm(1)), "restriction of d_0"
+    return worst, wit
+
+
+def unit_laws_blocks(S, rng):
+    """Laws of the units e_F for every F with |F| <= 3 and 20 random bigger
+    sets: e_F absorbs the deltas over F from both sides; e_F . e_G is the
+    sum of deltas over i(F) & i(G) (G is F, a subset, the empty set and a
+    random partner); right/left multiplication filters a random f by its
+    domain/range idempotents; e_F is a unit on functions supported in F.
+    The sets go through in blocks of _UNIT_BLOCK, each set drawing its own
+    partner and function; (max deviation, witness)."""
+    n = S.n
+    bigger = []
+    for _ in range(20):
+        size = int(rng.integers(4, max(5, n + 1)))
+        bigger.append(tuple(sorted(rng.choice(n, size=min(size, n), replace=False).tolist())))
+    small = (itertools.combinations(range(n), size) for size in (1, 2, 3))
+    subsets = itertools.chain(*small, bigger)
+
+    worst, wit = 0.0, ""
+    while block := list(itertools.islice(subsets, _UNIT_BLOCK)):
+        partners, fs = [], []
+        for _ in block:
+            partners.append(tuple(sorted(rng.choice(n, size=min(3, n), replace=False).tolist())))
+            fs.append(random_rows(S, rng, 1)[0][0])
+        dev, key = _unit_laws_block(S, block, partners, np.array(fs))
+        if dev > worst:
+            worst, wit = dev, _unit_law_witness(S, block, partners, key)
+    return worst, wit
+
+
+def _members(subsets):
+    """(owner, element, rank) per entry of the subsets, flattened: entry k
+    is subsets[owner[k]][rank[k]] = element[k]."""
+    sizes = np.array([len(F) for F in subsets], dtype=np.intp)
+    owner = np.repeat(np.arange(len(subsets)), sizes)
+    element = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp, count=int(sizes.sum()))
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return owner, element, rank
+
+
+def _unit_rows(S, subsets):
+    owner, element, _ = _members(subsets)
+    rows = np.zeros((len(subsets), S.n), dtype=np.complex128)
+    rows[owner, S.ran[element]] = 1.0
+    rows[owner, S.dom[element]] = 1.0
+    return rows
+
+
+def _unit_laws_block(S, block, partners, fs):
+    """Worst deviation of the unit laws over ``block`` and its key, the
+    position of the first law reaching it (subset * (2n + 16) + slot)."""
+    n, b = S.n, len(block)
+    K = 2 * n + 16
+    owner, element, rank = _members(block)
+    inF = np.zeros((b, n), dtype=bool)
+    inF[owner, element] = True
+    eF = _unit_rows(S, block)
+    devs, keys = [], []
+
+    # e_F absorbs d_s for s in F: slots 2j (left) and 2j + 1 (right)
+    Ds, Es = _delta_rows(n, element), eF[owner]
+    devs += [_row_devs(dot_many(S, Es, Ds), Ds), _row_devs(dot_many(S, Ds, Es), Ds)]
+    keys += [owner * K + 2 * rank, owner * K + 2 * rank + 1]
+
+    # partners p = F, F[:|F|/2], (), random: slots 2n + 3p + {0, 1, 2}
+    halves = [F[: len(F) // 2] for F in block]
+    eG = np.concatenate(
+        [eF, _unit_rows(S, halves), np.zeros((b, n), np.complex128), _unit_rows(S, partners)]
+    )
+    eF4 = np.tile(eF, (4, 1))
+    P, Q = dot_many(S, eF4, eG), dot_many(S, eG, eF4)
+    nested = np.ones(4 * b, dtype=bool)
+    nested[3 * b :] = [bool(inF[r, list(G)].all()) for r, G in enumerate(partners)]
+    base = np.tile(np.arange(b), 4) * K + 2 * n + 3 * np.repeat(np.arange(4), b)
+    common = ((eF4 != 0) & (eG != 0)).astype(np.complex128)
+    devs += [
+        _row_devs(P, common),
+        _row_devs(P, Q),
+        np.where(nested, _row_devs(P, eG), 0.0),
+    ]
+    keys += [base, base + 1, base + 2]
+
+    # filters and units on functions supported in F: slots 2n + 12 + {0..3}
+    keep_dom = eF[:, S.dom] != 0
+    keep_ran = eF[:, S.ran] != 0
+    gs = np.where(inF, fs, 0)
+    base = np.arange(b) * K + 2 * n + 12
+    devs += [
+        _row_devs(dot_many(S, fs, eF), np.where(keep_dom, fs, 0)),
+        _row_devs(dot_many(S, eF, fs), np.where(keep_ran, fs, 0)),
+        _row_devs(dot_many(S, gs, eF), gs),
+        _row_devs(dot_many(S, eF, gs), gs),
+    ]
+    keys += [base, base + 1, base + 2, base + 3]
+
+    devs, keys = np.concatenate(devs), np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    dev, i = first_max(devs[order])
+    return dev, None if i is None else int(keys[order][i])
+
+
+def _unit_law_witness(S, block, partners, key):
+    n = S.n
+    r, slot = divmod(key, 2 * n + 16)
+    F = block[r]
+    if slot < 2 * n:
+        j, side = divmod(slot, 2)
+        return f"{('left', 'right')[side]} unit on F={F}, s={F[j]}"
+    if slot < 2 * n + 12:
+        p, k = divmod(slot - 2 * n, 3)
+        G = (F, F[: len(F) // 2], (), partners[r])[p]
+        return ("e_F.e_G on", "e_F.e_G commutes on", "nested unit on")[k] + f" F={F}, G={G}"
+    k = slot - 2 * n - 12
+    return (
+        f"domain filter on F={F}",
+        f"range filter on F={F}",
+        f"supported unit (right) on F={F}",
+        f"supported unit (left) on F={F}",
+    )[k]

@@ -134,6 +134,14 @@ def test_cli_verify_single_file(tmp_path, capsys):
     assert "axioms" in capsys.readouterr().out
 
 
+def test_cli_verify_algebra_suite_on_i4(tmp_path, capsys):
+    # order 209: the delta-level laws run on one coded row per element
+    path = tmp_path / "i4.json"
+    assert main(["gen", "--family", "symmetric-inverse", "--n", "4", "--out", str(path)]) == 0
+    assert main(["verify", str(path), "--suite", "algebra"]) == 0
+    assert "13/13 checks passed" in capsys.readouterr().out
+
+
 def test_cli_verify_rejects_right_zero(tmp_path, capsys):
     path = tmp_path / "rz.json"
     path.write_text(json.dumps({"mul": [[0, 1], [0, 1]]}))

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+import restalg.algebra
 import restalg.verify
 from dense_reference import (
     approx_identity_loop,
+    delta_absorption_pairs,
+    delta_dot_pairs,
     lambda_inner_identity_loop,
     quotient_match_loop,
     rho_inner_identity_loop,
     rho_lift_identity_loop,
+    tau_homomorphism_pairs,
+    tilde_delta_pairs,
+    unit_laws_blocks,
 )
-from restalg.algebra import AlgebraElement, conv
+from restalg.algebra import AlgebraElement, conv, conv_triples, dot_triples
 from restalg.corpus import corpus_member
 from restalg.cstar import quotient_match_report
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
@@ -26,12 +32,18 @@ from restalg.restricted import build_restricted_semigroup
 from restalg.verify import (
     PLUMBING,
     Tolerances,
+    _coded_devs,
     approx_identity_property,
+    delta_absorption_deviation,
     delta_assoc_witness,
+    delta_dot_deviation,
+    finite_unit_laws_deviation,
     run_suite,
     run_suites,
     suite_algebra,
     suite_reps,
+    tau_homomorphism_deviation,
+    tilde_delta_deviation,
 )
 
 Z2 = gen_group("cyclic", 2)
@@ -98,7 +110,12 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(restalg.verify, "dot_many", _conv_many)
         failed = {c.id for c in suite_algebra(I2, "I2", seed=3) if not c.passed}
-    assert {"algebra.delta-dot", "algebra.delta-absorption", "algebra.unit-laws"} <= failed
+    assert {
+        "algebra.delta-dot",
+        "algebra.delta-absorption",
+        "algebra.unit-laws",
+        "algebra.restriction-homomorphism",
+    } <= failed
 
     def order_based(S):
         return Representation(S, left_regular(S).table, KIND_RESTRICTED, "lambda_r")
@@ -146,6 +163,81 @@ def test_batched_checks_match_the_scalar_loops(full_corpus):
         assert got == approx_identity_loop(S, np.random.default_rng(7)), label
         rs = build_restricted_semigroup(S)
         got = quotient_match_report(S, trials=40, seed=8, rs=rs)
-        worst, witness = quotient_match_loop(S, rs, trials=40, seed=8)
+        worst, witness, worst_min = quotient_match_loop(S, rs, trials=40, seed=8)
         assert got.witness == witness, label
         assert abs(got.max_deviation - worst) <= 1e-14, label
+        assert got.minimized_deviation == worst_min, label
+
+
+def _delta_law_deviations(S, seed, *, unit_pairs=True):
+    """The five delta-level checks through the coded rows and through the
+    pair loops, as two lists of deviations in check order; without
+    ``unit_pairs`` the slow set-by-set unit laws are left out (None)."""
+    rs = build_restricted_semigroup(S)
+    coded = [
+        delta_dot_deviation(S)[0],
+        tilde_delta_deviation(S),
+        delta_absorption_deviation(S)[0],
+        finite_unit_laws_deviation(S, np.random.default_rng(seed))[0],
+        tau_homomorphism_deviation(rs, np.random.default_rng(seed))[0],
+    ]
+    pairs = [
+        delta_dot_pairs(S)[0],
+        tilde_delta_pairs(S),
+        delta_absorption_pairs(S)[0],
+        unit_laws_blocks(S, np.random.default_rng(seed))[0] if unit_pairs else None,
+        tau_homomorphism_pairs(rs, np.random.default_rng(seed))[0],
+    ]
+    return coded, pairs
+
+
+def test_coded_rows_match_the_pair_loops(full_corpus):
+    # every delta-level law holds exactly on every member through both routes
+    for label, S in full_corpus:
+        coded, pairs = _delta_law_deviations(S, seed=4)
+        assert coded == [0.0] * 5 and pairs == [0.0] * 5, (label, coded, pairs)
+
+
+def test_coded_devs_flag_a_pair_counted_twice():
+    # equal sides are not enough: a count of 2 hides which pairs reached
+    # the coordinate, as (1 + 2i) + (1 + 4i) = 2 + 6i = (1 + 1i) + (1 + 5i)
+    got = np.array([[2 + 6j, 1 + 3j], [0, 1 + 3j]])
+    assert _coded_devs(got, got).tolist() == [1.0, 0.0]
+
+
+def _broken_triples(S):
+    """dot triple sets with one fault each, by name."""
+    T = np.array(dot_triples(S))
+    # a triple (a, b, c) with b > 0, so that b can be split into 0 and b - 1
+    candidates = np.flatnonzero(T[:, 1] > 0)
+    k = int(candidates[len(candidates) // 3])
+    a, b, c = T[k]
+    misrouted = T.copy()
+    misrouted[k, 2] = (c + 1) % S.n
+    # two triples whose codes (b1 + 1) + (b2 + 1) sum to the code b + 1
+    split = np.concatenate([np.delete(T, k, axis=0), [[a, 0, c], [a, b - 1, c]]])
+    return {
+        "dropped": np.delete(T, k, axis=0),
+        "duplicated": np.concatenate([T, T[k : k + 1]]),
+        "misrouted": misrouted,
+        "two for one": split,
+        "convolution": conv_triples(S),
+    }
+
+
+@pytest.mark.parametrize("label", ["I2", "I3", "B2_1_r"])
+def test_both_routes_fail_on_broken_triple_sets(monkeypatch, label):
+    S = corpus_member(label)
+    for name, triples in _broken_triples(S).items():
+        with monkeypatch.context() as m:
+            m.setattr(restalg.algebra, "dot_triples", lambda _S, t=triples: t)
+            coded, pairs = _delta_law_deviations(S, seed=4, unit_pairs=False)
+            if coded[3] == 0:
+                pairs[3] = unit_laws_blocks(S, np.random.default_rng(4))[0]
+        assert coded[0] > 0 and pairs[0] > 0, (label, name)
+        # the coded checks are at least as strict as the pair loops, and as
+        # strict for delta-dot, delta-absorption and the restriction map
+        for i, (c, p) in enumerate(zip(coded, pairs)):
+            assert c > 0 or p == 0, (label, name, i, coded, pairs)
+            if i in (0, 2, 4):
+                assert (c > 0) == (p > 0), (label, name, i, coded, pairs)
