@@ -266,8 +266,11 @@ def minimized_quotient_norm(f, zero_index):
     Parrott's theorem gives the minimum in closed form (see
     linalg.min_shift_norm).  Only that rank is used, not the centrality
     of P that quotient_cstar_norm relies on, and the norms are LAPACK SVDs
-    of the dense lift, not eigensolves on its diagonal blocks, so the two
-    routes share no argument and no factorization.
+    of the dense lift (linalg.svd_op_norm), not eigensolves on
+    representative blocks: the SVDs run over every connected component of
+    the matrix's own zero pattern, found from its entries with no
+    idempotent classes or D-classes, so the two routes share no argument
+    and no factorization.
     """
     if zero_index != f.base.zero:
         raise ValueError(f"element {zero_index} is not the zero of the semigroup")

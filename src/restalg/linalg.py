@@ -1,9 +1,10 @@
 """Dense linear-algebra backends: spectral norm by a Hermitian
-eigensolve on M*M, of one matrix or of a stack at once (with LAPACK SVD
-as the independent cross-check),
-min over scalars c of ||A + cP|| for a rank-one projection P in closed
-form (Parrott's theorem), column rank from the singular values, and
-Haar-random unitaries."""
+eigensolve on M*M, of one matrix or of a stack at once, and by LAPACK
+SVD as the independent cross-check, taken block by block over the
+connected components of the matrix's own zero pattern; min over scalars
+c of ||A + cP|| for a rank-one projection P in closed form (Parrott's
+theorem), column rank from the singular values, and Haar-random
+unitaries."""
 
 from __future__ import annotations
 
@@ -35,13 +36,94 @@ def op_norms(stack):
     return np.sqrt(np.maximum(top, 0.0))
 
 
+# Matrices with fewer rows or columns than this take one dense SVD: the
+# component search does not pay for itself below it.  Measured with one
+# BLAS thread (timeit, best of 7) on random complex block-diagonal
+# matrices with permuted rows and columns, split against dense: 395 us
+# against 249 us at n = 48, 455 against 438 at n = 64, 860 against 931
+# at n = 82, 2.0 ms against 6.5 ms at n = 209; on I3's lambda_r (n = 34)
+# 287 us against 58 us, on I4's (n = 209) 1.0 ms against 4.9 ms.
+SPLIT_MIN_DIM = 64
+
+
 def svd_op_norm(mat):
-    """Largest singular value straight from LAPACK; used as the
-    independent backend in cross-checks."""
+    """Largest singular value by LAPACK SVD; the independent backend in
+    cross-checks.
+
+    From SPLIT_MIN_DIM rows and columns on, the matrix is split into the
+    connected components of the bipartite graph of its nonzero entries
+    (pattern_blocks) and the result is the largest singular value over
+    the components: row and column permutations are unitary and the norm
+    of a direct sum is the largest norm of its parts.  The blocks come
+    from the entries alone, every component is taken, and the values are
+    singular values, not eigenvalues of a Gram matrix, so this route
+    shares nothing with the block norms of restalg.cstar.
+    """
     M = np.asarray(mat, dtype=np.complex128)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
+    if min(M.shape) < SPLIT_MIN_DIM:
+        return float(np.linalg.svd(M, compute_uv=False)[0])
+    tops = [np.linalg.svd(stack, compute_uv=False)[:, 0].max() for stack in pattern_blocks(M)]
+    return float(max(tops, default=0.0))
+
+
+def _pattern_labels(nonzero):
+    """A component label per row and per column of an (m, k) boolean
+    pattern, as one array of length m + k (rows first): two of them share
+    a label exactly when a path of True entries joins them.
+
+    Hook and compress over the edges np.nonzero(nonzero), O(nnz) a
+    round: every label is a node of its own component and at most the
+    node itself.  Each round lowers the label of the root each edge end
+    points at to the smaller of the two ends' labels, then follows labels
+    until every node points at a root (a node labelled with itself).  It
+    stops when both ends of every edge carry the same label.
+    """
+    m, k = nonzero.shape
+    # flatnonzero and divmod: several times faster than a 2-D np.nonzero
+    rows, cols = np.divmod(np.flatnonzero(nonzero), k)
+    ends = (rows, cols + m)
+    labels = np.arange(m + k)
+    while True:
+        a, b = labels[ends[0]], labels[ends[1]]
+        if np.array_equal(a, b):
+            return labels
+        low = np.minimum(a, b)
+        np.minimum.at(labels, a, low)
+        np.minimum.at(labels, b, low)
+        while not np.array_equal(nxt := labels[labels], labels):
+            labels = nxt
+
+
+def pattern_blocks(M):
+    """The connected components of M's nonzero pattern (_pattern_labels) as
+    (q, a, b) stacks, one per component shape: entry [i] of a stack is
+    M restricted to the a rows and b columns of one component, in their
+    order in M.  Rows and columns with no nonzero entry are left out;
+    together the blocks hold every nonzero entry of M once."""
+    m = M.shape[0]
+    nonzero = M != 0
+    labels = _pattern_labels(nonzero)
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    # stable sorts keep each component's rows and columns in their order
+    rows = rows[np.argsort(labels[rows], kind="stable")]
+    cols = cols[np.argsort(labels[cols + m], kind="stable")]
+    _, row_count = np.unique(labels[rows], return_counts=True)
+    _, col_count = np.unique(labels[cols + m], return_counts=True)
+    row_start = np.cumsum(row_count) - row_count
+    col_start = np.cumsum(col_count) - col_count
+    shapes = np.stack([row_count, col_count], axis=1)
+    for a, b in np.unique(shapes, axis=0):
+        hit = np.flatnonzero((row_count == a) & (col_count == b))
+        R = rows[row_start[hit, None] + np.arange(a)]
+        C = cols[col_start[hit, None] + np.arange(b)]
+        yield M[R[:, :, None], C[:, None, :]]
 
 
 def column_rank(cols, rel_tol=1e-9):
@@ -68,7 +150,13 @@ def min_shift_norm(A, P):
     Parrott's theorem (On a quotient norm and the Sz.-Nagy-Foias lifting
     theorem, J. Funct. Anal. 30, 1978): when P is a rank-one orthogonal
     projection, the minimum is max(||(I - P) A||, ||A (I - P)||).  That
-    is the one premise; P need not commute with A.  Both norms are
-    LAPACK SVDs.
+    is the one premise; P need not commute with A.  It also gives
+    P = P[:, j] P[j, :] / P[j, j] at the largest diagonal entry j, so P A
+    and A P are outer products.  Both norms are svd_op_norm.
     """
-    return max(svd_op_norm(A - P @ A), svd_op_norm(A - A @ P))
+    j = int(np.argmax(np.diagonal(P).real))
+    col, row = P[:, j] / P[j, j], P[j, :]
+    return max(
+        svd_op_norm(A - np.outer(col, row @ A)),
+        svd_op_norm(A - np.outer(A @ col, row)),
+    )

@@ -6,7 +6,9 @@ Nothing here is used by the library.
   defining rule element by element, and the membership report is the
   float-matmul check the table laws replaced.
 - Column rank by modified Gram-Schmidt, for the SVD rank of
-  restalg.linalg.
+  restalg.linalg, and the spectral norm as one LAPACK SVD of the whole
+  matrix, for the block-by-block SVD norm of restalg.linalg and as the
+  dense-lift reference of the block norms.
 - The order-relaxed product coordinate by coordinate, and its
   associativity scan over an (n, n, n) table of delta products, for the
   triple-set kernel of restalg.algebra.
@@ -174,6 +176,11 @@ def sigma_r_samples(S, trials, seed):
     """Random contractive restricted representations as dense stacks: the
     images of the lambda_r stack under cstar's sampled representations."""
     yield from cstar._sigma_r_images(S, dense_lambda_r(S), trials, seed)
+
+
+def dense_svd_norm(M):
+    """Largest singular value from one LAPACK SVD of the whole matrix."""
+    return float(np.linalg.norm(M, 2))
 
 
 def gram_schmidt_rank(cols, rel_tol=1e-9):

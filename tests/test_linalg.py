@@ -1,14 +1,25 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from dense_reference import dense_svd_norm
+from restalg import linalg
+from restalg.algebra import random_rows
+from restalg.families import gen_symmetric_inverse_monoid
 from restalg.linalg import (
+    SPLIT_MIN_DIM,
     column_rank,
     haar_unitary,
     min_shift_norm,
     op_norm,
     op_norms,
+    pattern_blocks,
     svd_op_norm,
 )
+from restalg.reps import left_regular, lift, lift_many, restricted_left_regular
+from restalg.restricted import build_restricted_semigroup
 
 
 def test_op_norm_identity_and_zero():
@@ -43,10 +54,19 @@ def test_op_norm_survives_orthogonal_start():
 
 
 def test_op_norm_rejects_bad_input():
-    with pytest.raises(ValueError):
-        op_norm(np.ones(3))
-    with pytest.raises(ValueError):
-        op_norm(np.array([[np.nan, 0], [0, 1]]))
+    # both backends, on both sides of the SVD route's split gate
+    for norm in (op_norm, svd_op_norm):
+        for bad in (np.ones(3), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="expected a matrix"):
+                norm(bad)
+        for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+            for n in (2, SPLIT_MIN_DIM):
+                M = np.eye(n, dtype=np.complex128)
+                M[1, 0] = bad
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    norm(M)
+        assert norm(np.zeros((0, 0))) == 0.0
+        assert norm(np.zeros((0, 100))) == 0.0
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-7, 1e-5])
@@ -139,3 +159,112 @@ def test_min_shift_norm_against_grid_search():
         # a lower bound: no shift goes below it
         for c in 3.0 * (rng.standard_normal(20) + 1j * rng.standard_normal(20)):
             assert svd_op_norm(A + c * P) >= value - 1e-12
+
+
+# ---------------------------------------------------------------------
+# the SVD norm block by block against one SVD of the whole matrix
+
+
+def _close(value, want):
+    return abs(value - want) <= 1e-12 * abs(want)
+
+
+def _random_block_diagonal(rng, dim):
+    """Random complex rectangular blocks, some of them with no rows or no
+    columns (zero columns or rows of the result), a few entries cleared,
+    rows and columns permuted."""
+    shapes = rng.integers(0, max(2, dim // 6), size=(dim, 2))
+    shapes = shapes[: int(np.searchsorted(np.cumsum(shapes.min(axis=1)), dim)) + 1]
+    m, k = shapes.sum(axis=0)
+    M = np.zeros((m, k), dtype=np.complex128)
+    i = j = 0
+    for a, b in shapes:
+        M[i : i + a, j : j + b] = rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
+        i, j = i + a, j + b
+    M[rng.random(M.shape) < 0.1] = 0.0
+    return M[rng.permutation(m)][:, rng.permutation(k)]
+
+
+def _lifts():
+    """lambda_r and lambda lifts of the deltas and of 20 random rows, over
+    I4 and its zero-adjoined semigroup."""
+    rng = np.random.default_rng(41)
+    I4 = gen_symmetric_inverse_monoid(4)
+    rs = build_restricted_semigroup(I4)
+    for S in (I4, rs.sr):
+        rows = np.concatenate([np.eye(S.n, dtype=np.complex128), random_rows(S, rng, 20)[0]])
+        for rep in (restricted_left_regular(S), left_regular(S)):
+            for lo in range(0, rows.shape[0], 32):
+                yield from lift_many(rep, rows[lo : lo + 32])
+
+
+def test_svd_op_norm_matches_one_dense_svd():
+    rng = np.random.default_rng(40)
+    cases = []
+    for dim in (12, SPLIT_MIN_DIM // 2, SPLIT_MIN_DIM, 150):
+        cases += [_random_block_diagonal(rng, dim) for _ in range(5)]
+    assert any(min(M.shape) < SPLIT_MIN_DIM for M in cases)
+    assert any(min(M.shape) >= SPLIT_MIN_DIM for M in cases)
+    # one component of the largest possible diameter, in order and permuted
+    B = np.diag(rng.uniform(1, 2, 100)) + np.diag(rng.uniform(1, 2, 99), 1)
+    cases += [B, B[::-1], B[rng.permutation(100)][:, rng.permutation(100)]]
+    # a weighted partial permutation
+    P = np.zeros((120, 130), dtype=np.complex128)
+    rows = rng.choice(120, 90, replace=False)
+    P[rows, rng.choice(130, 90, replace=False)] = rng.standard_normal(90) + 1j * rng.standard_normal(90)
+    cases.append(P)
+    one = np.zeros((100, 100))
+    one[37, 81] = -2.5
+    cases += [one, np.zeros((100, 100)), np.zeros((0, 0))]
+    for M in cases:
+        assert _close(svd_op_norm(M), dense_svd_norm(M)), M.shape
+    assert svd_op_norm(one) == 2.5
+    assert svd_op_norm(np.zeros((100, 100))) == 0.0
+    for A in _lifts():
+        assert _close(svd_op_norm(A), dense_svd_norm(A))
+
+
+def test_pattern_blocks_of_i4_lifts():
+    # above the gate the SVDs run on components of at most 24 x 24, which
+    # together hold every nonzero entry of the lift once
+    I4 = gen_symmetric_inverse_monoid(4)
+    rng = np.random.default_rng(42)
+    rep = restricted_left_regular(I4)
+    assert rep.dim >= SPLIT_MIN_DIM
+    for A in lift_many(rep, random_rows(I4, rng, 5)[0]):
+        stacks = list(pattern_blocks(A))
+        assert max(max(s.shape[1:]) for s in stacks) <= 24
+        assert sum(s.shape[0] for s in stacks) > 1
+        entries = np.concatenate([s[s != 0] for s in stacks])
+        assert np.array_equal(np.sort_complex(entries), np.sort_complex(A[A != 0]))
+
+
+def test_svd_op_norm_is_svd_alone(monkeypatch):
+    # the cross-check backend takes no eigensolve and nothing but numpy
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve in the SVD route")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    A = next(iter(_lifts()))
+    assert svd_op_norm(A) == pytest.approx(1.0, rel=1e-12)
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(linalg))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or ".")
+    assert imported == {"__future__", "numpy"}
+
+
+def test_min_shift_norm_of_a_lift_is_the_dense_products():
+    # for the lifted d_0 (exact 0/1 entries) the outer products are the
+    # matmuls P A and A P bitwise
+    I4 = gen_symmetric_inverse_monoid(4)
+    rs = build_restricted_semigroup(I4)
+    Lam = left_regular(rs.sr)
+    P = Lam.mat(rs.zero_index)
+    for row in random_rows(rs.sr, np.random.default_rng(43), 3)[0]:
+        A = lift_many(Lam, row[None])[0]
+        want = max(svd_op_norm(A - P @ A), svd_op_norm(A - A @ P))
+        assert min_shift_norm(A, P) == want
