@@ -50,7 +50,6 @@ def _base_members():
     )
 
 
-@lru_cache(maxsize=32)
 def restricted_of(label):
     base = dict(_base_members())
     if label in base:

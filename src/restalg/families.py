@@ -134,10 +134,13 @@ def gen_group(kind, n, *, max_order=MAX_ORDER):
         labels = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
         return build_from_table(mul, labels=labels, max_order=max_order)
     if kind == "symmetric":
+        # n! without listing the permutations, stopping once past max_order
+        m = 1
+        for k in range(2, n + 1):
+            m *= k
+            if m > max_order:
+                raise SizeLimit(f"symmetric group on {n} letters has order {n}! > {max_order}")
         perms = list(itertools.permutations(range(n)))
-        m = len(perms)
-        if m > max_order:
-            raise SizeLimit(f"symmetric group on {n} letters has order {m}")
         index = {p: i for i, p in enumerate(perms)}
         mul = np.empty((m, m), dtype=np.intp)
         for i, p in enumerate(perms):

@@ -116,8 +116,11 @@ def pairs_to_coeffs(pairs):
         coeffs = np.array(
             [complex(re, im) for re, im in pairs], dtype=np.complex128
         )
-    except (TypeError, ValueError) as exc:
-        raise ParseError('"coeffs" must be a list of [re, im] pairs') from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError('"coeffs" must be a list of [re, im] pairs of finite numbers') from exc
+    # complex() takes JSON true and false as 1 and 0
+    if any(isinstance(v, bool) for pair in pairs for v in pair):
+        raise ParseError('"coeffs" must be numbers, not true or false')
     if not np.all(np.isfinite(coeffs.view(np.float64))):
         raise ParseError('"coeffs" must be finite numbers')
     return coeffs

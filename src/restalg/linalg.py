@@ -3,8 +3,7 @@ eigensolve on M*M, of one matrix or of a stack at once, and by LAPACK
 SVD as the independent cross-check, taken block by block over the
 connected components of the matrix's own zero pattern; min over scalars
 c of ||A + cP|| for a rank-one projection P in closed form (Parrott's
-theorem), column rank from the singular values, and Haar-random
-unitaries."""
+theorem), and column rank from the singular values."""
 
 from __future__ import annotations
 
@@ -134,14 +133,6 @@ def column_rank(cols, rel_tol=1e-9):
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     return int(np.count_nonzero(s > rel_tol * s[0]))
-
-
-def haar_unitary(dim, rng):
-    """A Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def min_shift_norm(A, P):

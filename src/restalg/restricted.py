@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import dot_triples
 from .errors import NotAssociative, NotInverse, StarMismatch, VerificationFailure
-from .semigroups import MAX_ORDER, build_from_table
+from .semigroups import MAX_ORDER, build_from_table, kept_on
 
 
 def restricted_product(S, x, y):
@@ -96,26 +96,32 @@ class RestrictedSemigroup:
 
 
 def build_restricted_semigroup(S):
-    """Adjoin a zero and route every non-composable product to it.
+    """Adjoin a zero and route every non-composable product to it; built
+    once per S and kept on it.
 
     The resulting table is validated as an inverse semigroup from scratch;
     a validation failure here would falsify the construction and is
-    reported as VerificationFailure (it is expected never to fire).
+    reported as VerificationFailure (it is expected never to fire).  A
+    build that raises is not kept, so every call reports the failure.
     """
-    n = S.n
-    z = n
-    table = np.full((n + 1, n + 1), z, dtype=np.intp)
-    table[:n, :n] = np.where(S.composable_matrix(), S.mul, z)
-    star = np.concatenate([S.star, [z]])
-    labels = None
-    if S.labels is not None:
-        labels = S.labels + ["0"]
-    try:
-        sr = build_from_table(table, star, labels=labels, max_order=max(MAX_ORDER, n + 1))
-    except (NotAssociative, NotInverse, StarMismatch) as exc:
-        raise VerificationFailure(
-            f"the zero-adjoined composability table is not an inverse "
-            f"semigroup: {exc}",
-            witness=getattr(exc, "witness", None),
-        ) from exc
-    return RestrictedSemigroup(S, sr, z)
+
+    def build():
+        n = S.n
+        z = n
+        table = np.full((n + 1, n + 1), z, dtype=np.intp)
+        table[:n, :n] = np.where(S.composable_matrix(), S.mul, z)
+        star = np.concatenate([S.star, [z]])
+        labels = None
+        if S.labels is not None:
+            labels = S.labels + ["0"]
+        try:
+            sr = build_from_table(table, star, labels=labels, max_order=max(MAX_ORDER, n + 1))
+        except (NotAssociative, NotInverse, StarMismatch) as exc:
+            raise VerificationFailure(
+                f"the zero-adjoined composability table is not an inverse "
+                f"semigroup: {exc}",
+                witness=getattr(exc, "witness", None),
+            ) from exc
+        return RestrictedSemigroup(S, sr, z)
+
+    return kept_on(S, "zero-adjoined", build)

@@ -64,7 +64,9 @@ class FiniteInvSemigroup:
         self._composable = None
         self._leq = None
         self._idem = None
-        self._rep_data = {}  # key -> product triples, regular representations, L-class blocks
+        # key -> product triples, regular representations, L-class blocks,
+        # the zero-adjoined semigroup
+        self._rep_data = {}
 
     # -- basic queries ------------------------------------------------
 

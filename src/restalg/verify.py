@@ -132,7 +132,7 @@ class SuiteReport:
 # axioms
 
 
-def suite_axioms(S, label, *, seed=0, trials=100, tol=None):
+def suite_axioms(S, *, seed=0, trials=100, tol=None):
     tol = tol or Tolerances()
     checks = []
     idx = np.arange(S.n)
@@ -381,7 +381,7 @@ def delta_assoc_witness(S):
     return associativity_witness(ext)
 
 
-def suite_algebra(S, label, *, seed=0, trials=100, tol=None):
+def suite_algebra(S, *, seed=0, trials=100, tol=None):
     tol = tol or Tolerances()
     rng = np.random.default_rng(seed)
     checks = []
@@ -680,7 +680,7 @@ def tau_homomorphism_deviation(rs, rng, trials=50):
 # representations
 
 
-def suite_reps(S, label, *, seed=0, trials=100, tol=None):
+def suite_reps(S, *, seed=0, trials=100, tol=None):
     tol = tol or Tolerances()
     rng = np.random.default_rng(seed)
     checks = []
@@ -880,7 +880,7 @@ def suite_reps(S, label, *, seed=0, trials=100, tol=None):
 # C*-norms
 
 
-def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
+def suite_cstar(S, *, seed=0, trials=100, tol=None):
     tol = tol or Tolerances()
     rng = np.random.default_rng(seed)
     checks = []
@@ -938,14 +938,7 @@ def suite_cstar(S, label, *, seed=0, trials=100, tol=None):
         )
     )
 
-    q = cstar.quotient_match_report(
-        S,
-        trials=min(trials, 40),
-        seed=seed,
-        tol=tol.cstar,
-        rs=rs,
-        label=label,
-    )
+    q = cstar.quotient_match_report(S, trials=min(trials, 40), seed=seed, tol=tol.cstar)
     checks.append(
         Check(
             "cstar.quotient-match",
@@ -1009,7 +1002,7 @@ SUITES = {
 
 def run_suite(S, label, suite, **kwargs):
     start = time.perf_counter()
-    checks = SUITES[suite](S, label, **kwargs)
+    checks = SUITES[suite](S, **kwargs)
     return SuiteReport(
         semigroup=label,
         suite=suite,

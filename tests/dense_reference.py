@@ -12,6 +12,9 @@ Nothing here is used by the library.
 - The order-relaxed product coordinate by coordinate, and its
   associativity scan over an (n, n, n) table of delta products, for the
   triple-set kernel of restalg.algebra.
+- The sampled restricted representations of restalg.cstar assembled
+  as one Haar-conjugated direct sum, for the summand-by-summand norms of
+  the sigma cross-check.
 - The random-trial checks one trial at a time through the scalar dot and
   the one-row norms (the inner-identity reports, the lifted rho report,
   the approximate identity and the quotient match), for the batched
@@ -173,9 +176,41 @@ def dense_multiplicativity_witness(S, mats):
 
 
 def sigma_r_samples(S, trials, seed):
-    """Random contractive restricted representations as dense stacks: the
-    images of the lambda_r stack under cstar's sampled representations."""
-    yield from cstar._sigma_r_images(S, dense_lambda_r(S), trials, seed)
+    """Random contractive restricted representations as dense stacks: per
+    sample, the (k, n, n, n) images of the lambda_r stack, one stack per
+    summand of cstar's sampled representations."""
+    for images in cstar._sigma_r_images(S, dense_lambda_r(S), trials, seed):
+        yield np.moveaxis(images, -3, 0)
+
+
+def haar_unitary(dim, rng):
+    """A Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def dense_sigma_r_samples(S, M, trials, seed, rng):
+    """cstar's sampled representations of a matrix M, assembled densely:
+    per sample the summands M P_i and the (kn, kn) matrix
+    U (M P_1 (+) ... (+) M P_k) U*.  k and the classes of each P_i are
+    drawn from the seed one scalar at a time, P_i = diag(1 where yy* lies
+    in the drawn classes), and the Haar unitary U is drawn from rng."""
+    draws = np.random.default_rng(seed)
+    classes = cstar.idempotent_classes(S)
+    n = S.n
+    for _ in range(trials):
+        k = int(draws.integers(1, 4))
+        summands = []
+        for _ in range(k):
+            chosen = [e for c in classes if draws.random() < 0.7 for e in c]
+            summands.append(M @ np.diag(np.isin(S.ran, chosen).astype(np.complex128)))
+        out = np.zeros((k * n, k * n), dtype=np.complex128)
+        for i, MP in enumerate(summands):
+            out[i * n : (i + 1) * n, i * n : (i + 1) * n] = MP
+        U = haar_unitary(k * n, rng)
+        yield np.array(summands), U @ out @ U.conj().T
 
 
 def dense_svd_norm(M):

@@ -3,12 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import dense_lambda_r, dense_representation_report, dense_svd_norm, sigma_r_samples
+from dense_reference import (
+    dense_lambda_r,
+    dense_representation_report,
+    dense_sigma_r_samples,
+    dense_svd_norm,
+    haar_unitary,
+    sigma_r_samples,
+)
 from restalg import cstar
 from restalg.algebra import AlgebraElement, _rows_per_block, random_rows, restrict_to_base
 from restalg.corpus import corpus_member, default_corpus, restricted_of
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
-from restalg.linalg import op_norm
+from restalg.linalg import op_norm, op_norms
 from restalg.reps import left_regular, lift, restricted_left_regular
 from restalg.restricted import build_restricted_semigroup
 
@@ -53,15 +60,16 @@ def test_central_projections_commute_with_lambda_r():
     lam = dense_lambda_r(I2)
     classes = cstar.idempotent_classes(I2)
     for k in range(1 << len(classes)):
-        subset = [c for i, c in enumerate(classes) if k >> i & 1]
-        P = cstar.central_unit_projection(I2, subset)
+        chosen = [e for i, c in enumerate(classes) if k >> i & 1 for e in c]
+        P = np.diag(np.isin(I2.ran, chosen).astype(np.complex128))
         assert np.abs(P @ lam - lam @ P).max() == 0.0
 
 
 def test_sigma_r_samples_are_restricted_representations():
-    for mats in sigma_r_samples(I2, trials=3, seed=18):
-        report = dense_representation_report(I2, mats, "restricted", atol=1e-10)
-        assert report.ok, [v.witness for v in report.violations]
+    for summands in sigma_r_samples(I2, trials=3, seed=18):
+        for mats in summands:
+            report = dense_representation_report(I2, mats, "restricted", atol=1e-10)
+            assert report.ok, [v.witness for v in report.violations]
 
 
 def test_full_norm_equals_reduced_with_cross_check():
@@ -76,14 +84,42 @@ def test_sigma_r_cross_check_matches_sampled_lifts():
     for _ in range(5):
         f = AlgebraElement.random(I2, rng)
         reduced = cstar.reduced_cstar_norm(f)
-        lifts = (np.tensordot(f.coeffs, mats, axes=1) for mats in sigma_r_samples(I2, 4, 29))
+        samples = sigma_r_samples(I2, 4, 29)
+        lifts = (np.tensordot(f.coeffs, mats, axes=1) for summands in samples for mats in summands)
         want = max(op_norm(A) for A in lifts) - reduced
         assert cstar.sigma_r_cross_check(f, trials=4, seed=29) == pytest.approx(want, abs=1e-12)
 
 
+def test_haar_unitary():
+    rng = np.random.default_rng(15)
+    U = haar_unitary(6, rng)
+    assert np.abs(U @ U.conj().T - np.eye(6)).max() < 1e-12
+
+
+def _sigma_cases():
+    I4 = gen_symmetric_inverse_monoid(4)
+    return [pytest.param(S, id=label) for label, S in default_corpus()] + [pytest.param(I4, id="I4")]
+
+
+@pytest.mark.parametrize("S", _sigma_cases())
+def test_sigma_r_images_match_the_dense_haar_reference(S):
+    # same class draws as the Haar-conjugated dense direct sum, and the
+    # same norm: the largest summand's
+    rng = np.random.default_rng(36)
+    A = lift(restricted_left_regular(S), AlgebraElement.random(S, rng))
+    trials = 3 if S.n > 100 else 6
+    new = list(cstar._sigma_r_images(S, A, trials, 37))
+    old = list(dense_sigma_r_samples(S, A, trials, 37, rng))
+    assert len(new) == len(old) == trials
+    for stack, (summands, dense) in zip(new, old):
+        assert np.array_equal(stack, summands)
+        value = op_norms(stack).max()
+        assert abs(value - op_norm(dense)) <= 1e-12 * max(1.0, value)
+
+
 @pytest.mark.parametrize("label, bound_mb", [("I3_r", 5), ("I4", 100)])
 def test_sigma_r_cross_check_memory(label, bound_mb):
-    # one (kn, kn) matrix per sample, not a stack of n of them
+    # one (k, n, n) stack of summands per sample, not a stack of n of them
     S = gen_symmetric_inverse_monoid(4) if label == "I4" else corpus_member(label)
     f = AlgebraElement.random(S, np.random.default_rng(30))
     restricted_left_regular(S)  # the table kept on S is not counted
@@ -145,7 +181,7 @@ def test_minimized_quotient_norm_agrees():
 
 
 def test_quotient_match_report():
-    report = cstar.quotient_match_report(CHAIN2, trials=20, seed=25, label="chain2")
+    report = cstar.quotient_match_report(CHAIN2, trials=20, seed=25)
     assert report.ok
     assert report.max_deviation < 1e-8
     assert report.minimized_deviation < 1e-8

@@ -160,6 +160,9 @@ def test_cli_verify_json_output(tmp_path, capsys):
     assert reports[0]["passed"] is True
     ids = [c["id"] for c in reports[0]["checks"]]
     assert ids == sorted(ids)
+    # every suite's verdicts and deviations are plain JSON values
+    assert main(["verify", str(path), "--suite", "all", "--json", "--trials", "5"]) == 0
+    assert all(c["passed"] is True for r in json.loads(capsys.readouterr().out) for c in r["checks"])
 
 
 def test_cli_verify_missing_file_is_input_error(capsys):
@@ -242,6 +245,23 @@ def test_cli_norm_rejects_non_finite_coefficients(value, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_cli_norm_rejects_boolean_coefficients(tmp_path, capsys):
+    (tmp_path / "z2.json").write_text(canonical_dumps(semigroup_to_dict(Z2)))
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"semigroup": "z2.json", "coeffs": [[True, False], [False, True]]}))
+    with pytest.raises(ParseError, match="true or false"):
+        load_function(str(path))
+    assert main(["norm", str(path)]) == 2
+    assert "true or false" in capsys.readouterr().err
+
+
+def test_cli_norm_rejects_integer_coefficients_beyond_float(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"semigroup": {"mul": [[0, 1], [1, 0]]}, "coeffs": [[1%s, 0], [1, 0]]}' % ("0" * 400))
+    assert main(["norm", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_cli_norm_reports_blocks(tmp_path, capsys):
     f = AlgebraElement.random(I2, np.random.default_rng(3))
     path = tmp_path / "f.json"
@@ -282,6 +302,9 @@ def test_cli_quotient_check_single(tmp_path, capsys):
 
 def test_cli_gen_size_limit_exit_code(capsys):
     assert main(["gen", "--family", "symmetric-inverse", "--n", "9"]) == 2
+    # 13! permutations are never listed
+    assert main(["gen", "--family", "symmetric", "--n", "13"]) == 2
+    assert "13!" in capsys.readouterr().err
 
 
 def test_cli_tolerance_override(tmp_path, capsys):

@@ -11,7 +11,6 @@ from restalg.families import gen_symmetric_inverse_monoid
 from restalg.linalg import (
     SPLIT_MIN_DIM,
     column_rank,
-    haar_unitary,
     min_shift_norm,
     op_norm,
     op_norms,
@@ -121,12 +120,6 @@ def test_column_rank_complex():
     v = np.array([[1.0], [1j]])
     A = np.hstack([v, 1j * v, v + 1j * v])
     assert column_rank(A) == 1
-
-
-def test_haar_unitary():
-    rng = np.random.default_rng(15)
-    U = haar_unitary(6, rng)
-    assert np.abs(U @ U.conj().T - np.eye(6)).max() < 1e-12
 
 
 def _grid_min_shift(A, P, rounds=30, points=7):

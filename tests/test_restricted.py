@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import restalg.restricted
 from restalg.algebra import dot_triples
+from restalg.errors import NotAssociative, VerificationFailure
 from restalg.families import (
     all_partial_injections,
     gen_chain_semilattice,
@@ -14,6 +16,7 @@ from restalg.restricted import (
     groupoid_law_violations,
     restricted_product,
 )
+from restalg.verify import suite_axioms
 
 
 def _i2_element(pairs):
@@ -141,3 +144,23 @@ def test_restricted_of_restricted_is_still_inverse():
     rs = build_restricted_semigroup(S)
     rs2 = build_restricted_semigroup(rs.sr)
     assert rs2.sr.n == 4
+
+
+def test_build_restricted_semigroup_is_kept_on_s(monkeypatch):
+    S = gen_chain_semilattice(3)
+
+    def broken(*args, **kwargs):
+        raise NotAssociative("broken on purpose", witness=(0, 1, 2))
+
+    # a build that raises is not kept, so every call and the axioms suite
+    # report it
+    with monkeypatch.context() as m:
+        m.setattr(restalg.restricted, "build_from_table", broken)
+        for _ in range(2):
+            with pytest.raises(VerificationFailure, match="broken on purpose"):
+                build_restricted_semigroup(S)
+        checks = {c.id: c for c in suite_axioms(S)}
+        assert not checks["axioms.zero-adjoined"].passed
+    rs = build_restricted_semigroup(S)
+    assert build_restricted_semigroup(S) is rs
+    assert {c.id: c for c in suite_axioms(S)}["axioms.zero-adjoined"].passed

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,21 @@ def test_symmetric_group():
     assert S3.n == 6
     assert S3.identity is not None
     assert not S3.is_group or len(S3.idempotents()) == 1
+
+
+def test_symmetric_group_size_guard_lists_no_permutations():
+    # 9! = 362880 > MAX_ORDER: refused from the order alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="9!"):
+            gen_group("symmetric", 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert gen_group("symmetric", 5).n == 120
+    with pytest.raises(SizeLimit):
+        gen_group("symmetric", 5, max_order=119)
 
 
 def test_gen_group_unknown_kind():

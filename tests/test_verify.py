@@ -109,7 +109,7 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
     # order-based regular representation passed off as the restricted one
     with monkeypatch.context() as m:
         m.setattr(restalg.verify, "dot_many", _conv_many)
-        failed = {c.id for c in suite_algebra(I2, "I2", seed=3) if not c.passed}
+        failed = {c.id for c in suite_algebra(I2, seed=3) if not c.passed}
     assert {
         "algebra.delta-dot",
         "algebra.delta-absorption",
@@ -122,7 +122,7 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(restalg.verify, "restricted_left_regular", order_based)
-        failed = {c.id for c in suite_reps(I2, "I2", seed=3) if not c.passed}
+        failed = {c.id for c in suite_reps(I2, seed=3) if not c.passed}
     assert "reps.left-regular-restricted" in failed
 
     def folded(S):
@@ -135,7 +135,7 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(restalg.verify, "restricted_left_regular", folded)
-        checks = {c.id: c for c in suite_reps(I2, "I2", seed=3)}
+        checks = {c.id: c for c in suite_reps(I2, seed=3)}
     assert not checks["reps.partial-isometry"].passed
     assert checks["reps.partial-isometry"].deviation == 1.0
     assert not checks["reps.left-regular-restricted"].passed
@@ -162,7 +162,7 @@ def test_batched_checks_match_the_scalar_loops(full_corpus):
         got = approx_identity_property(S, np.random.default_rng(7))
         assert got == approx_identity_loop(S, np.random.default_rng(7)), label
         rs = build_restricted_semigroup(S)
-        got = quotient_match_report(S, trials=40, seed=8, rs=rs)
+        got = quotient_match_report(S, trials=40, seed=8)
         worst, witness, worst_min = quotient_match_loop(S, rs, trials=40, seed=8)
         assert got.witness == witness, label
         assert abs(got.max_deviation - worst) <= 1e-14, label
