@@ -14,7 +14,6 @@ from .algebra import (
     order_dot,
     order_dot_scan,
     restrict_to_base,
-    support_idempotents,
 )
 from .corpus import default_corpus
 from .cstar import (

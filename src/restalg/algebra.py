@@ -306,27 +306,32 @@ def order_dot(f, g):
 # finitely supported units
 
 
-def support_idempotents(S, F):
-    """i(F): the idempotents xx* and x*x attached to the elements of F."""
-    out = set()
-    for x in F:
-        if not 0 <= x < S.n:
-            raise ValueError(f"element {x} out of range")
-        out.add(int(S.ran[x]))
-        out.add(int(S.dom[x]))
-    return sorted(out)
+def unit_rows(S, members):
+    """Row r is e_F for F the elements in row r of a (B, k) index array:
+    ones at the idempotents i(F), the xx* and x*x of its members.  A row
+    padded with repeats of its own members keeps its i(F)."""
+    rows = np.zeros((len(members), S.n), dtype=np.complex128)
+    r = np.arange(len(members))[:, None]
+    rows[r, S.ran[members]] = 1.0
+    rows[r, S.dom[members]] = 1.0
+    return rows
 
 
 def approx_identity(S, F):
-    """The sum of the deltas at the idempotents attached to F.
+    """e_F, the sum of the deltas at the idempotents attached to F: the
+    one-row case of unit_rows.
 
     These elements form a two-sided approximate identity for the
     composable-factorization product as F grows.
     """
-    c = np.zeros(S.n, dtype=np.complex128)
-    for e in support_idempotents(S, F):
-        c[e] = 1.0
-    return AlgebraElement(S, c, copy=False)
+    F = np.asarray(F)
+    if F.size and not np.issubdtype(F.dtype, np.integer):
+        raise TypeError(f"elements must be integers, got {F.dtype}")
+    F = F.astype(np.intp).reshape(1, -1)
+    bad = (F < 0) | (F >= S.n)
+    if bad.any():
+        raise ValueError(f"element {F[bad][0]} out of range")
+    return AlgebraElement(S, unit_rows(S, F)[0], copy=False)
 
 
 # ---------------------------------------------------------------------

@@ -54,7 +54,9 @@ EXIT_INPUT = 2
 EXIT_BROKEN_PIPE = 141
 
 
-def _add_common(p):
+def _add_sampling(p):
+    """--seed, --trials and --tol, for the commands that draw random
+    elements and judge deviations."""
     p.add_argument("--seed", type=int, default=7, help="random seed (default 7)")
     p.add_argument("--trials", type=int, default=100, help="random trials (default 100)")
     p.add_argument(
@@ -64,16 +66,22 @@ def _add_common(p):
         metavar="NAME=VALUE",
         help="override a tolerance (entrywise, norm, identity, cstar, pivot)",
     )
+
+
+def _add_max_order(p):
     p.add_argument("--max-order", type=int, default=MAX_ORDER)
+
+
+def _add_format(p):
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="as_json", action="store_true")
     fmt.add_argument("--text", dest="as_json", action="store_false")
     p.set_defaults(as_json=False)
 
 
-def _tolerances(args):
+def _tolerances(items):
     pairs = {}
-    for item in args.tol:
+    for item in items:
         if "=" not in item:
             raise ParseError(f"--tol expects NAME=VALUE, got {item!r}")
         key, value = item.split("=", 1)
@@ -84,14 +92,17 @@ def _tolerances(args):
         raise ParseError(str(exc)) from exc
 
 
-def _check_common(args):
-    """Reject option values that argparse accepts but no command can use."""
-    if args.trials < 1:
+def _check_args(args):
+    """Reject option values that argparse accepts but no command can use,
+    and read --tol into one Tolerances."""
+    if getattr(args, "trials", 1) < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise ParseError(f"--seed must be non-negative, got {args.seed}")
     if getattr(args, "corpus", "default") != "default":
         raise ParseError(f"unknown corpus {args.corpus!r}; the only one is 'default'")
+    if hasattr(args, "tol"):
+        args.tol = _tolerances(args.tol)
 
 
 def _gen_family(args):
@@ -137,10 +148,9 @@ def _members_for(args, include_restricted):
 
 
 def cmd_verify(args):
-    tol = _tolerances(args)
     suites = ["axioms", "algebra", "reps", "cstar"] if args.suite == "all" else [args.suite]
     members = _members_for(args, not args.no_restricted)
-    reports = run_suites(members, suites, seed=args.seed, trials=args.trials, tol=tol)
+    reports = run_suites(members, suites, seed=args.seed, trials=args.trials, tol=args.tol)
     ok = all(r.passed for r in reports)
     if args.as_json:
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
@@ -170,7 +180,7 @@ def cmd_rep(args):
         for name, build in builders.items():
             rep = build()
             report = representation_report(rep)
-            status = "PASS" if report.ok else "FAIL"
+            status = "FAIL" if report.violations else "PASS"
             print(f"[{status}] {name} membership ({rep.kind} law)")
             for v in report.violations:
                 print(f"    {v.code}: {v.witness}")
@@ -199,9 +209,15 @@ def cmd_norm(args):
     f = load_function(args.function, max_order=args.max_order)
     if args.cstar:
         zero = f.base.zero if f.base.zero is not None and f.base.n >= 2 else None
-        report = cstar.norm_report(
-            f, zero_index=zero, trials=min(args.trials, 5), seed=args.seed
-        )
+        report = cstar.norm_report(f, zero_index=zero)
+        # the supremum norm is the reduced norm; sampled members of the
+        # family must not exceed it
+        excess = cstar.sigma_r_cross_check(f, trials=min(args.trials, 5), seed=args.seed)
+        if not excess <= args.tol.norm:  # a NaN fails too
+            raise VerificationFailure(
+                f"a sampled restricted representation exceeded the norm by {excess:.3e}",
+                witness=excess,
+            )
         payload = report.as_dict()
         payload["unrestricted_reduced"] = cstar.unrestricted_reduced_norm(f)
         payload["blocks"] = [int(L.size) for L in cstar.representative_blocks(f.base)]
@@ -218,18 +234,17 @@ def cmd_norm(args):
 
 def cmd_quotient_check(args):
     members = _members_for(args, include_restricted=False)
-    worst = None
+    failed = False
     for label, S in members:
         report = cstar.quotient_match_report(S, trials=args.trials, seed=args.seed)
-        status = "PASS" if report.ok else "FAIL"
+        ok = report.max_deviation < args.tol.cstar and report.minimized_deviation < args.tol.cstar
         print(
-            f"[{status}] {label}: max |quotient - reduced| = "
+            f"[{'PASS' if ok else 'FAIL'}] {label}: max |quotient - reduced| = "
             f"{report.max_deviation:.3e}, scalar-minimization deviation = "
             f"{report.minimized_deviation:.3e}"
         )
-        if not report.ok and worst is None:
-            worst = report
-    return EXIT_PASS if worst is None else EXIT_VERIFICATION
+        failed = failed or not ok
+    return EXIT_VERIFICATION if failed else EXIT_PASS
 
 
 def cmd_witness_search(args):
@@ -275,7 +290,7 @@ def build_parser():
     p.add_argument("--with-identity", action="store_true", help="adjoin an identity")
     p.add_argument("--restricted", action="store_true", help="emit the zero-adjoined semigroup")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_max_order(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -291,7 +306,9 @@ def build_parser():
         default="all",
         choices=["axioms", "algebra", "reps", "cstar", "all"],
     )
-    _add_common(p)
+    _add_sampling(p)
+    _add_max_order(p)
+    _add_format(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("rep", help="print representation matrices / run membership checks")
@@ -307,20 +324,24 @@ def build_parser():
     )
     p.add_argument("--element", type=int, default=0)
     p.add_argument("--check", action="store_true", help="run the membership suite")
-    _add_common(p)
+    _add_max_order(p)
+    _add_format(p)
     p.set_defaults(fn=cmd_rep)
 
     p = sub.add_parser("norm", help="norms of a coefficient function")
     p.add_argument("function", help="function JSON file")
     p.add_argument("--p", default="1", choices=["1", "2", "inf"])
     p.add_argument("--cstar", action="store_true", help="emit the full norm report")
-    _add_common(p)
+    _add_sampling(p)
+    _add_max_order(p)
+    _add_format(p)
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("quotient-check", help="quotient-norm comparison")
     p.add_argument("semigroup", nargs="?", default=None)
     p.add_argument("--corpus", default="default")
-    _add_common(p)
+    _add_sampling(p)
+    _add_max_order(p)
     p.set_defaults(fn=cmd_quotient_check)
 
     p = sub.add_parser("witness-search", help="associativity scan for the order-relaxed product")
@@ -328,7 +349,7 @@ def build_parser():
     p.add_argument("--corpus", default="default")
     p.add_argument("--no-restricted", action="store_true")
     p.add_argument("--first", action="store_true", help="stop at the first witness")
-    _add_common(p)
+    _add_max_order(p)
     p.set_defaults(fn=cmd_witness_search)
 
     return parser
@@ -338,7 +359,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_common(args)
+        _check_args(args)
         code = args.fn(args)
         sys.stdout.flush()
         return code

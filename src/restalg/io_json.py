@@ -60,8 +60,8 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
     """Build a semigroup from its JSON object.
 
     The full axiom check runs (NotAssociative / NotInverse / StarMismatch
-    propagate); schema problems, non-integer entries among them, raise
-    ParseError.
+    propagate); schema problems, non-integer entries and integers too
+    large for an index among them, raise ParseError.
     """
     if not isinstance(obj, dict):
         raise ParseError("semigroup object must be a JSON object")
@@ -92,7 +92,8 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
         raise ParseError('"labels" must list one string per element')
     try:
         S = build_from_table(mul, star, labels=labels, max_order=max_order)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
+        # OverflowError: an integer too large for an index array
         raise ParseError(str(exc)) from exc
     for key in ("identity", "zero"):
         if key in obj and obj[key] != getattr(S, key):

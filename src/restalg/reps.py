@@ -28,15 +28,10 @@ from .errors import (
     NotRestrictedMultiplicative,
 )
 from .linalg import column_rank
-from .semigroups import kept_on
+from .semigroups import kept_on, read_only
 
 KIND_FULL = "full"
 KIND_RESTRICTED = "restricted"
-
-
-def _read_only(arr):
-    arr.setflags(write=False)
-    return arr
 
 
 class Representation:
@@ -64,7 +59,7 @@ class Representation:
         self.base = base
         self.kind = kind
         self.name = name
-        self.table = _read_only(np.array(table, dtype=np.intp))
+        self.table = read_only(np.array(table, dtype=np.intp))
         self._rep_data = {}
 
     @property
@@ -77,7 +72,7 @@ class Representation:
 
         def build():
             xs, ys = np.nonzero(self.table >= 0)
-            return tuple(_read_only(a) for a in (xs, ys, self.table[xs, ys]))
+            return tuple(read_only(a) for a in (xs, ys, self.table[xs, ys]))
 
         return kept_on(self, "entries", build)
 
@@ -187,17 +182,14 @@ class Violation:
 
 @dataclass
 class MembershipReport:
-    """Total report: every violated law is listed with a witness."""
+    """Total report: every violated law is listed with a witness, so the
+    laws hold iff ``violations`` is empty."""
 
     kind: str
     violations: list = field(default_factory=list)
     adjoint_deviation: float = 0.0
     worst_norm: float = 0.0
     multiplicative_deviation: float = 0.0
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def representation_report(rep):
@@ -304,18 +296,6 @@ def restricted_multiplicativity_witness(rep):
 # inner-product identities
 
 
-@dataclass
-class IdentityReport:
-    name: str
-    max_deviation: float
-    tolerance: float
-    witness: str = ""
-
-    @property
-    def ok(self):
-        return self.max_deviation < self.tolerance
-
-
 def _pairings(rep, at, Xi, Eta):
     """Row t: <pi(x) Xi[t], Eta[t]> per entry of rep, summed into
     coordinate at[entry], in blocks of rows."""
@@ -332,68 +312,55 @@ def _pairings(rep, at, Xi, Eta):
     return map_rows(block, ys.size, Xi, Eta)
 
 
-def _identity_report(name, lhs, rhs, tol):
-    """Worst row of |lhs - rhs|, with its first trial and coordinate."""
+def _worst_entry(lhs, rhs):
+    """(max |lhs - rhs|, witness naming its first trial and coordinate)."""
     dev = np.abs(lhs - rhs)
     worst, t = first_max(dev.max(axis=1, initial=0.0))
-    witness = f"trial {t}, x={int(np.argmax(dev[t]))}" if worst > 0 else ""
-    return IdentityReport(name, worst, tol, witness)
+    return worst, f"trial {t}, x={int(np.argmax(dev[t]))}" if worst > 0 else ""
 
 
-def lambda_inner_identity_report(S, *, trials=100, seed=0, tol=1e-10):
+def lambda_inner_identity_report(S, *, trials=100, seed=0):
     """<lambda_r(x*) xi, eta> = (xi . eta~)(x) for every x and random
-    vectors."""
+    vectors; returns (max deviation, witness)."""
     rep = restricted_left_regular(S)
     xs = rep.entries()[0]
     Xi, Eta = random_rows(S, np.random.default_rng(seed), trials, 2)
     # entry (ys, cols) of lambda_r(xs) is one of lambda_r(x*) for x = xs*
     lhs = _pairings(rep, S.star[xs], Xi, Eta)
-    return _identity_report(
-        "lambda_r inner identity", lhs, dot_many(S, Xi, tilde_rows(S, Eta)), tol
-    )
+    return _worst_entry(lhs, dot_many(S, Xi, tilde_rows(S, Eta)))
 
 
-def rho_inner_identity_report(S, *, trials=100, seed=0, tol=1e-10):
-    """<rho_r(x) xi, eta> = (eta~ . xi)(x) for every x and random vectors."""
+def rho_inner_identity_report(S, *, trials=100, seed=0):
+    """<rho_r(x) xi, eta> = (eta~ . xi)(x) for every x and random vectors;
+    returns (max deviation, witness)."""
     rep = restricted_right_regular(S)
     Xi, Eta = random_rows(S, np.random.default_rng(seed), trials, 2)
     lhs = _pairings(rep, rep.entries()[0], Xi, Eta)
-    return _identity_report(
-        "rho_r inner identity", lhs, dot_many(S, tilde_rows(S, Eta), Xi), tol
-    )
+    return _worst_entry(lhs, dot_many(S, tilde_rows(S, Eta), Xi))
 
 
 @dataclass
 class LiftedRhoReport:
-    """Three readings of the lifted right-regular pairing.
+    """Three deviations of the lifted right-regular pairing.
 
-    ``summed`` is <rho_r~(phi) xi, eta> against the evaluation of
-    phi . (xi-check . eta-bar) summed over all idempotents; it holds for
-    every inverse semigroup and reduces to evaluation at the identity
-    when that is the only idempotent (the group case, where
-    ``at_identity`` measures the same thing).  On semigroups with more
+    ``summed`` is that of <rho_r~(phi) xi, eta> from the evaluation of
+    phi . (xi-check . eta-bar) summed over all idempotents; the identity
+    holds for every inverse semigroup and reduces to evaluation at the
+    identity when that is the only idempotent (the group case, where
+    ``at_identity`` is the same number).  On semigroups with more
     idempotents the at-identity evaluation keeps only the terms with
-    unit range: ``localized`` checks that it equals exactly that partial
-    sum, and ``at_identity`` then just records how much of the pairing
-    the single evaluation misses.
+    unit range: ``localized`` measures how far it is from exactly that
+    partial sum, and ``at_identity`` then just records how much of the
+    pairing the single evaluation misses.
     """
 
     summed: float
     at_identity: float
     localized: float
-    tolerance: float
-    group_like: bool
     witness: str = ""
 
-    @property
-    def ok(self):
-        strict = self.summed < self.tolerance and self.localized < self.tolerance
-        if self.group_like:
-            strict = strict and self.at_identity < self.tolerance
-        return strict
 
-
-def rho_lift_identity_report(S, *, trials=100, seed=0, tol=1e-10):
+def rho_lift_identity_report(S, *, trials=100, seed=0):
     """Pair rho_r~(phi) against evaluations of phi . (xi-check . eta-bar);
     needs the identity element."""
     if S.identity is None:
@@ -419,8 +386,6 @@ def rho_lift_identity_report(S, *, trials=100, seed=0, tol=1e-10):
         summed=d_sum,
         at_identity=float(np.abs(lhs - rhs_ident).max(initial=0.0)),
         localized=float(np.abs(rhs_ident - rhs_local).max(initial=0.0)),
-        tolerance=tol,
-        group_like=len(E) == 1,
         witness=f"trial {t}" if d_sum > 0 else "",
     )
 

@@ -31,6 +31,12 @@ def kept_on(owner, key, build):
     return value
 
 
+def read_only(arr):
+    """arr, marked read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
 class FiniteInvSemigroup:
     """An inverse semigroup on indices 0..n-1 with a dense product table.
 
@@ -61,11 +67,9 @@ class FiniteInvSemigroup:
         self.ran = self.mul[idx, self.star]
         for arr in (self.mul, self.star, self.dom, self.ran):
             arr.setflags(write=False)
-        self._composable = None
-        self._leq = None
-        self._idem = None
-        # key -> product triples, regular representations, L-class blocks,
-        # the zero-adjoined semigroup
+        # key -> idempotents, order and composability tables, product
+        # triples, regular representations, L-class blocks, the
+        # zero-adjoined semigroup
         self._rep_data = {}
 
     # -- basic queries ------------------------------------------------
@@ -102,12 +106,10 @@ class FiniteInvSemigroup:
 
     def idempotents(self):
         """Indices of all idempotents, ascending."""
-        if self._idem is None:
-            idx = np.arange(self.n)
-            idem = idx[self.mul[idx, idx] == idx]
-            idem.setflags(write=False)
-            self._idem = idem
-        return self._idem
+        def build():
+            return read_only(np.flatnonzero(np.diagonal(self.mul) == np.arange(self.n)))
+
+        return kept_on(self, "idempotents", build)
 
     def is_idempotent(self, x):
         return self.mul[x, x] == x
@@ -127,11 +129,7 @@ class FiniteInvSemigroup:
         Coincides with the natural order when both arguments are
         idempotents; rows/columns at non-idempotents are incidental.
         """
-        if self._leq is None:
-            leq = self.mul == np.arange(self.n)[:, None]
-            leq.setflags(write=False)
-            self._leq = leq
-        return self._leq
+        return kept_on(self, "order", lambda: read_only(self.mul == np.arange(self.n)[:, None]))
 
     # -- composability -------------------------------------------------
 
@@ -140,12 +138,8 @@ class FiniteInvSemigroup:
         return bool(self.dom[x] == self.ran[y])
 
     def composable_matrix(self):
-        """Boolean (n, n) matrix of the x*x = yy* predicate, cached."""
-        if self._composable is None:
-            comp = self.dom[:, None] == self.ran[None, :]
-            comp.setflags(write=False)
-            self._composable = comp
-        return self._composable
+        """Boolean (n, n) matrix of the x*x = yy* predicate, kept on S."""
+        return kept_on(self, "composable", lambda: read_only(self.dom[:, None] == self.ran[None, :]))
 
 
 # ---------------------------------------------------------------------

@@ -5,6 +5,8 @@ Nothing here is used by the library.
   restalg.reps: the builders evaluate each regular representation's
   defining rule element by element, and the membership report is the
   float-matmul check the table laws replaced.
+- The D-classes of the idempotents by union-find over the pairs
+  (xx*, x*x), for the classes restalg.cstar reads off the table.
 - Column rank by modified Gram-Schmidt, for the SVD rank of
   restalg.linalg, and the spectral norm as one LAPACK SVD of the whole
   matrix, for the block-by-block SVD norm of restalg.linalg and as the
@@ -44,7 +46,6 @@ from restalg.algebra import (
 from restalg.linalg import op_norm
 from restalg.reps import (
     KIND_RESTRICTED,
-    IdentityReport,
     LiftedRhoReport,
     MembershipReport,
     Violation,
@@ -213,6 +214,28 @@ def dense_sigma_r_samples(S, M, trials, seed, rng):
         yield np.array(summands), U @ out @ U.conj().T
 
 
+def union_find_idempotent_classes(S):
+    """The partition of the idempotents generated by xx* ~ x*x over all x,
+    by union-find, sorted by smallest member."""
+    idem = [int(e) for e in S.idempotents()]
+    parent = {e: e for e in idem}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x in range(S.n):
+        a, b = find(int(S.ran[x])), find(int(S.dom[x]))
+        if a != b:
+            parent[a] = b
+    classes = {}
+    for e in idem:
+        classes.setdefault(find(e), []).append(e)
+    return [sorted(c) for c in sorted(classes.values())]
+
+
 def dense_svd_norm(M):
     """Largest singular value from one LAPACK SVD of the whole matrix."""
     return float(np.linalg.norm(M, 2))
@@ -294,7 +317,7 @@ def order_dot_assoc_witness_dense(S):
 # the random-trial checks, one trial at a time
 
 
-def lambda_inner_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
+def lambda_inner_identity_loop(S, *, trials=100, seed=0):
     xs, ys, cols = restricted_left_regular(S).entries()
     at = S.star[xs]
     rng = np.random.default_rng(seed)
@@ -309,10 +332,10 @@ def lambda_inner_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
         if dev > worst:
             worst = dev
             witness = f"trial {t}, x={int(np.argmax(np.abs(lhs - rhs)))}"
-    return IdentityReport("lambda_r inner identity", worst, tol, witness)
+    return worst, witness
 
 
-def rho_inner_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
+def rho_inner_identity_loop(S, *, trials=100, seed=0):
     xs, ys, cols = restricted_right_regular(S).entries()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -326,10 +349,10 @@ def rho_inner_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
         if dev > worst:
             worst = dev
             witness = f"trial {t}, x={int(np.argmax(np.abs(lhs - rhs)))}"
-    return IdentityReport("rho_r inner identity", worst, tol, witness)
+    return worst, witness
 
 
-def rho_lift_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
+def rho_lift_identity_loop(S, *, trials=100, seed=0):
     rho = restricted_right_regular(S)
     rng = np.random.default_rng(seed)
     E = S.idempotents()
@@ -351,14 +374,7 @@ def rho_lift_identity_loop(S, *, trials=100, seed=0, tol=1e-10):
             witness = f"trial {t}"
         d_ident = max(d_ident, abs(lhs - rhs_ident))
         d_local = max(d_local, abs(rhs_ident - rhs_local))
-    return LiftedRhoReport(
-        summed=d_sum,
-        at_identity=d_ident,
-        localized=d_local,
-        tolerance=tol,
-        group_like=len(E) == 1,
-        witness=witness,
-    )
+    return LiftedRhoReport(summed=d_sum, at_identity=d_ident, localized=d_local, witness=witness)
 
 
 def approx_identity_loop(S, rng):
@@ -497,8 +513,8 @@ def delta_absorption_pairs(S):
 
 def tau_homomorphism_pairs(rs, rng, trials=50):
     """The restriction homomorphism on every delta pair of the zero-adjoined
-    semigroup and on random pairs (above 1e-12), and the kernel; (max
-    deviation, witness)."""
+    semigroup and the kernel, and on random pairs; (deviation on the
+    deltas and the kernel, deviation on random pairs, witness)."""
     sr, S = rs.sr, rs.base
     n = S.n
     worst, wit = 0.0, ""
@@ -509,14 +525,13 @@ def tau_homomorphism_pairs(rs, rng, trials=50):
         if dev > worst:
             worst, wit = dev, f"delta pair ({int(As[i])}, {int(Bs[i])})"
     F, G = random_rows(sr, rng, trials, 2)
-    devs = _row_devs(conv_many(sr, F, G)[:, :n], dot_many(S, F[:, :n], G[:, :n]))
-    dev, t = first_max(np.where(devs > 1e-12, devs, 0.0))
-    if dev > worst:
-        worst, wit = dev, f"random pair {t}"
+    rand, t = first_max(_row_devs(conv_many(sr, F, G)[:, :n], dot_many(S, F[:, :n], G[:, :n])))
+    if rand > worst:
+        wit = f"random pair {t}"
     kernel = restrict_to_base(AlgebraElement.delta(sr, rs.zero_index), rs)
     if kernel.norm(1) != 0.0:
         worst, wit = max(worst, kernel.norm(1)), "restriction of d_0"
-    return worst, wit
+    return worst, rand, wit
 
 
 def unit_laws_blocks(S, rng):

@@ -229,8 +229,10 @@ def test_criterion_12_quotient_isomorphism(corpus):
     worst = 0.0
     worst_min = 0.0
     for label, S in corpus:
-        report = cstar.quotient_match_report(S, trials=100, seed=SEED + 8, tol=TOL_CSTAR)
-        assert report.ok, (label, report.max_deviation, report.minimized_deviation)
+        report = cstar.quotient_match_report(S, trials=100, seed=SEED + 8)
+        assert max(report.max_deviation, report.minimized_deviation) < TOL_CSTAR, (
+            label, report.max_deviation, report.minimized_deviation
+        )
         worst = max(worst, report.max_deviation)
         worst_min = max(worst_min, report.minimized_deviation)
     assert _line(

@@ -26,7 +26,7 @@ from restalg.algebra import (
     order_dot_assoc_witness,
     order_dot_scan,
     restrict_to_base,
-    support_idempotents,
+    unit_rows,
 )
 from restalg.corpus import default_corpus
 from restalg.errors import BaseMismatch
@@ -257,8 +257,8 @@ def test_positive_domination_property(a, b):
 
 def test_support_idempotents_singleton():
     e = int(I2.idempotents()[1])
-    assert support_idempotents(I2, [e]) == [e]
     eF = approx_identity(I2, [e])
+    assert eF.support() == [e]
     assert np.array_equal(eF.coeffs, AlgebraElement.delta(I2, e).coeffs)
 
 
@@ -266,11 +266,29 @@ def test_support_idempotents_single_point_shift():
     s = _i2_element(((0, 1),))
     r0 = _i2_element(((0, 0),))
     r1 = _i2_element(((1, 1),))
-    assert support_idempotents(I2, [s]) == sorted([r0, r1])
     eF = approx_identity(I2, [s])
+    assert eF.support() == sorted([r0, r1])
     want = np.zeros(7, complex)
     want[r0] = want[r1] = 1
     assert np.array_equal(eF.coeffs, want)
+
+
+def test_unit_rows_are_approx_identities():
+    # approx_identity is the one-row case, and padding a row with its own
+    # members leaves its unit as it is
+    rng = np.random.default_rng(6)
+    S = gen_symmetric_inverse_monoid(3)
+    members = rng.integers(0, S.n, (12, 4))
+    rows = unit_rows(S, members)
+    for F, row in zip(members, rows):
+        assert np.array_equal(row, approx_identity(S, F.tolist()).coeffs)
+        assert np.array_equal(row, unit_rows(S, np.append(F, F[:2])[None, :])[0])
+    assert np.array_equal(approx_identity(S, []).coeffs, np.zeros(S.n))
+    for bad in ([S.n], [0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            approx_identity(S, bad)
+    with pytest.raises(TypeError, match="integers"):
+        approx_identity(S, [1.5])
 
 
 def test_unit_nesting():

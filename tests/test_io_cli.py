@@ -67,6 +67,21 @@ def test_semigroup_values_must_be_json_integers(bad, tmp_path, capsys):
     assert semigroup_from_dict({**chain, "star": [0, 1], "order": 2, "identity": 1, "zero": 0})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"mul": [[100000000000000000000000000]]},
+        {"mul": [[0, 1], [1, 0]], "star": [0, 100000000000000000000000000]},
+    ],
+)
+def test_cli_rejects_indices_beyond_a_c_long(obj, tmp_path, capsys):
+    # numpy cannot hold them in an index array; an input error, not a traceback
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path), "--suite", "axioms"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_parse_error_carries_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"order": 1,\n  "mul": [[0]],,}\n')
@@ -300,6 +315,53 @@ def test_cli_quotient_check_single(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_quotient_check_reads_the_cstar_tolerance(tmp_path, capsys):
+    path = tmp_path / "z2.json"
+    path.write_text(canonical_dumps(semigroup_to_dict(Z2)))
+    # the minimized route is off by rounding, which 1e-30 does not allow
+    assert main(["quotient-check", str(path), "--tol", "cstar=1e-30"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
+    assert main(["quotient-check", str(path), "--tol", "banana=1"]) == 2
+    assert "unknown tolerance 'banana'" in capsys.readouterr().err
+
+
+def test_cli_norm_cstar_reads_the_norm_tolerance(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f.json"
+    path.write_text(canonical_dumps(function_to_dict(AlgebraElement(Z2, [1, 1]))))
+    assert main(["norm", str(path), "--cstar", "--tol", "banana=1"]) == 2
+    # a sampled representation 5e-10 above the norm: within the default
+    # norm tolerance 1e-9, beyond 1e-10
+    monkeypatch.setattr(restalg.cstar, "sigma_r_cross_check", lambda f, *, trials, seed: 5e-10)
+    assert main(["norm", str(path), "--cstar"]) == 0
+    capsys.readouterr()
+    assert main(["norm", str(path), "--cstar", "--tol", "norm=1e-10"]) == 1
+    assert "exceeded the norm by 5.000e-10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "trivial", "--seed", "3"],
+        ["gen", "--family", "trivial", "--trials", "3"],
+        ["gen", "--family", "trivial", "--tol", "norm=1"],
+        ["gen", "--family", "trivial", "--json"],
+        ["rep", "--seed", "3"],
+        ["rep", "--trials", "3"],
+        ["rep", "--tol", "norm=1"],
+        ["witness-search", "--seed", "3"],
+        ["witness-search", "--trials", "3"],
+        ["witness-search", "--tol", "norm=1"],
+        ["witness-search", "--json"],
+        ["quotient-check", "--text"],
+    ],
+)
+def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_gen_size_limit_exit_code(capsys):
     assert main(["gen", "--family", "symmetric-inverse", "--n", "9"]) == 2
     # 13! permutations are never listed
@@ -339,6 +401,8 @@ def test_cli_tolerance_override(tmp_path, capsys):
         ["verify", "--suite", "algebra", "--tol", "entrywise=nan"],
         ["verify", "--suite", "cstar", "--tol", "norm=-1"],
         ["verify", "--suite", "cstar", "--tol", "cstar=0"],
+        ["quotient-check", "--tol", "entrywise=abc"],
+        ["norm", "unread.json", "--tol", "entrywise=abc"],
     ],
 )
 def test_cli_rejects_unusable_common_values(argv, capsys):

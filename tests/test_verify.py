@@ -144,19 +144,22 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
 
 def test_batched_checks_match_the_scalar_loops(full_corpus):
     # the random-trial checks, batched, against the loops they replaced:
-    # same verdicts and witnesses, deviations within 1e-14
+    # same verdicts at the default tolerance and same witnesses,
+    # deviations within 1e-14
+    tol = Tolerances().identity
     for label, S in full_corpus:
         for batched, loop in (
             (lambda_inner_identity_report, lambda_inner_identity_loop),
             (rho_inner_identity_report, rho_inner_identity_loop),
         ):
-            got, want = batched(S, trials=100, seed=5), loop(S, trials=100, seed=5)
-            assert (got.ok, got.witness) == (want.ok, want.witness), (label, got.name)
-            assert abs(got.max_deviation - want.max_deviation) <= 1e-14, (label, got.name)
+            (got, got_wit), (want, want_wit) = batched(S, trials=100, seed=5), loop(S, trials=100, seed=5)
+            assert (got < tol, got_wit) == (want < tol, want_wit), (label, batched.__name__)
+            assert abs(got - want) <= 1e-14, (label, batched.__name__)
         if S.identity is not None:
             got = rho_lift_identity_report(S, trials=100, seed=6)
             want = rho_lift_identity_loop(S, trials=100, seed=6)
-            assert (got.ok, got.witness) == (want.ok, want.witness), label
+            assert got.witness == want.witness, label
+            assert (max(got.summed, got.localized) < tol) == (max(want.summed, want.localized) < tol), label
             for field in ("summed", "at_identity", "localized"):
                 assert abs(getattr(got, field) - getattr(want, field)) <= 1e-14, (label, field)
         got = approx_identity_property(S, np.random.default_rng(7))
@@ -196,6 +199,30 @@ def test_coded_rows_match_the_pair_loops(full_corpus):
     for label, S in full_corpus:
         coded, pairs = _delta_law_deviations(S, seed=4)
         assert coded == [0.0] * 5 and pairs == [0.0] * 5, (label, coded, pairs)
+
+
+def test_restriction_random_pairs_match_the_pair_loop(full_corpus):
+    # the random-pair part, which has no floor: same draws, same deviation
+    # and witness
+    for label, S in full_corpus:
+        rs = build_restricted_semigroup(S)
+        got = tau_homomorphism_deviation(rs, np.random.default_rng(4))
+        want = tau_homomorphism_pairs(rs, np.random.default_rng(4))
+        assert got[1:] == want[1:], label
+
+
+def test_restriction_homomorphism_verdict(monkeypatch):
+    # exact on the deltas and the kernel, within tol.entrywise on random pairs
+    def check(parts, tol):
+        with monkeypatch.context() as m:
+            m.setattr(restalg.verify, "tau_homomorphism_deviation", lambda rs, rng, trials: parts)
+            checks = {c.id: c for c in suite_algebra(Z2, seed=1, trials=5, tol=tol)}
+        return checks["algebra.restriction-homomorphism"]
+
+    c = check((0.0, 5e-13, "random pair 3"), Tolerances())
+    assert c.passed and c.deviation == 5e-13 and c.witness == "random pair 3"
+    assert not check((0.0, 5e-13, "random pair 3"), Tolerances(entrywise=1e-13)).passed
+    assert not check((1e-300, 0.0, "delta row 0"), Tolerances()).passed
 
 
 def test_coded_devs_flag_a_pair_counted_twice():
