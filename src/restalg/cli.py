@@ -12,6 +12,7 @@ goes away early, as in ``restalg verify | head -1``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -54,18 +55,15 @@ EXIT_INPUT = 2
 EXIT_BROKEN_PIPE = 141
 
 
-def _add_sampling(p):
-    """--seed, --trials and --tol, for the commands that draw random
-    elements and judge deviations."""
-    p.add_argument("--seed", type=int, default=7, help="random seed (default 7)")
-    p.add_argument("--trials", type=int, default=100, help="random trials (default 100)")
-    p.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a tolerance (entrywise, norm, identity, cstar, pivot)",
-    )
+def _add_sampling(p, reads):
+    """--seed, --trials and --tol (of the names in ``reads``), for the commands
+    that draw random elements and judge deviations; _check_args fills in the
+    defaults, so that it can tell a flag that was given."""
+    p.add_argument("--seed", type=int, default=None, help="random seed (default 7)")
+    p.add_argument("--trials", type=int, default=None, help="random trials (default 100)")
+    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
+                   help=f"override a tolerance ({', '.join(reads)})")
+    p.set_defaults(tol_reads=reads)
 
 
 def _add_max_order(p):
@@ -79,7 +77,7 @@ def _add_format(p):
     p.set_defaults(as_json=False)
 
 
-def _tolerances(items):
+def _tolerances(items, command, reads):
     pairs = {}
     for item in items:
         if "=" not in item:
@@ -87,14 +85,24 @@ def _tolerances(items):
         key, value = item.split("=", 1)
         pairs[key.strip()] = value
     try:
-        return Tolerances().override(pairs)
+        tol = Tolerances().override(pairs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    for key in pairs:
+        if key not in reads:
+            raise ParseError(f"{command} reads only --tol {', '.join(reads)}, not {key!r}")
+    return tol
 
 
 def _check_args(args):
     """Reject option values that argparse accepts but no command can use,
-    and read --tol into one Tolerances."""
+    fill in the sampling defaults, and read --tol into one Tolerances."""
+    given = [f for f in ("seed", "trials", "tol") if getattr(args, f, None) not in (None, [])]
+    if args.command == "norm" and not args.cstar and given:
+        raise ParseError(f"norm reads --{given[0]} only with --cstar")
+    if hasattr(args, "seed"):
+        args.seed = 7 if args.seed is None else args.seed
+        args.trials = 100 if args.trials is None else args.trials
     if getattr(args, "trials", 1) < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     if getattr(args, "seed", 0) < 0:
@@ -102,7 +110,7 @@ def _check_args(args):
     if getattr(args, "corpus", "default") != "default":
         raise ParseError(f"unknown corpus {args.corpus!r}; the only one is 'default'")
     if hasattr(args, "tol"):
-        args.tol = _tolerances(args.tol)
+        args.tol = _tolerances(args.tol, args.command, args.tol_reads)
 
 
 def _gen_family(args):
@@ -176,16 +184,19 @@ def cmd_rep(args):
         "Lambda": lambda: left_regular(build_restricted_semigroup(S).sr),
     }
     if args.check:
-        bad = 0
+        entries = []
         for name, build in builders.items():
             rep = build()
-            report = representation_report(rep)
-            status = "FAIL" if report.violations else "PASS"
-            print(f"[{status}] {name} membership ({rep.kind} law)")
-            for v in report.violations:
-                print(f"    {v.code}: {v.witness}")
-                bad += 1
-        return EXIT_PASS if bad == 0 else EXIT_VERIFICATION
+            bad = [{"code": v.code, "witness": v.witness} for v in representation_report(rep).violations]
+            entries.append({"name": name, "kind": rep.kind, "passed": not bad, "violations": bad})
+        if args.as_json:
+            print(json.dumps(entries, indent=2, sort_keys=True))
+        else:
+            for e in entries:
+                print(f"[{'PASS' if e['passed'] else 'FAIL'}] {e['name']} membership ({e['kind']} law)")
+                for v in e["violations"]:
+                    print(f"    {v['code']}: {v['witness']}")
+        return EXIT_PASS if all(e["passed"] for e in entries) else EXIT_VERIFICATION
     rep = builders[args.which]()
     x = args.element
     if not 0 <= x < rep.base.n:
@@ -306,7 +317,7 @@ def build_parser():
         default="all",
         choices=["axioms", "algebra", "reps", "cstar", "all"],
     )
-    _add_sampling(p)
+    _add_sampling(p, [f.name for f in dataclasses.fields(Tolerances)])
     _add_max_order(p)
     _add_format(p)
     p.set_defaults(fn=cmd_verify)
@@ -332,7 +343,7 @@ def build_parser():
     p.add_argument("function", help="function JSON file")
     p.add_argument("--p", default="1", choices=["1", "2", "inf"])
     p.add_argument("--cstar", action="store_true", help="emit the full norm report")
-    _add_sampling(p)
+    _add_sampling(p, ["norm"])
     _add_max_order(p)
     _add_format(p)
     p.set_defaults(fn=cmd_norm)
@@ -340,7 +351,7 @@ def build_parser():
     p = sub.add_parser("quotient-check", help="quotient-norm comparison")
     p.add_argument("semigroup", nargs="?", default=None)
     p.add_argument("--corpus", default="default")
-    _add_sampling(p)
+    _add_sampling(p, ["cstar"])
     _add_max_order(p)
     p.set_defaults(fn=cmd_quotient_check)
 

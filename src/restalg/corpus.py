@@ -18,21 +18,6 @@ from .families import (
 )
 from .restricted import build_restricted_semigroup
 
-CORPUS_LABELS = (
-    "trivial",
-    "Z2",
-    "Z4",
-    "S3",
-    "chain2",
-    "chain3",
-    "chain4",
-    "I1",
-    "I2",
-    "I3",
-    "B2_1",
-)
-
-
 @lru_cache(maxsize=1)
 def _base_members():
     return (

@@ -234,6 +234,26 @@ def test_cli_rep_check(capsys):
     assert out.count("PASS") == 4
 
 
+def test_cli_rep_check_json(capsys, monkeypatch):
+    assert main(["rep", "--family", "symmetric-inverse", "--n", "2", "--check", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)
+    assert [(e["name"], e["kind"], e["passed"], e["violations"]) for e in entries] == [
+        ("lambda_r", "restricted", True, []),
+        ("rho_r", "restricted", True, []),
+        ("lambda", "full", True, []),
+        ("Lambda", "full", True, []),
+    ]
+    # a violated law is listed with its code and witness, and exits 1
+    from restalg.reps import MembershipReport, Violation
+
+    broken = MembershipReport("full", [Violation("adjoint", "x=1", 1.0)])
+    monkeypatch.setattr(restalg.cli, "representation_report", lambda rep: broken)
+    assert main(["rep", "--family", "cyclic", "--n", "2", "--check", "--json"]) == 1
+    entries = json.loads(capsys.readouterr().out)
+    assert all(not e["passed"] for e in entries)
+    assert entries[0]["violations"] == [{"code": "adjoint", "witness": "x=1"}]
+
+
 def test_cli_norm(tmp_path, capsys):
     f = AlgebraElement(Z2, [1, 1])
     path = tmp_path / "f.json"
@@ -362,6 +382,27 @@ def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["quotient-check", "{z2}", "--tol", "entrywise=1e-300", "--tol", "identity=1e-300"],
+         "quotient-check reads only --tol cstar, not 'entrywise'"),
+        (["norm", "{f}", "--cstar", "--tol", "pivot=1e-300"], "norm reads only --tol norm, not 'pivot'"),
+        (["norm", "{f}", "--seed", "3", "--tol", "pivot=1e-300"], "norm reads --seed only with --cstar"),
+        (["norm", "{f}", "--trials", "3"], "norm reads --trials only with --cstar"),
+        (["norm", "{f}", "--tol", "norm=1e-3"], "norm reads --tol only with --cstar"),
+    ],
+)
+def test_cli_rejects_tolerances_and_flags_a_command_does_not_read(argv, message, tmp_path, capsys):
+    # each used to run and exit 0, the flag silently unread
+    z2 = tmp_path / "z2.json"
+    z2.write_text(canonical_dumps(semigroup_to_dict(Z2)))
+    f = tmp_path / "f.json"
+    f.write_text(canonical_dumps(function_to_dict(AlgebraElement(Z2, [1, 1]))))
+    assert main([a.format(z2=z2, f=f) for a in argv]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_cli_gen_size_limit_exit_code(capsys):
     assert main(["gen", "--family", "symmetric-inverse", "--n", "9"]) == 2
     # 13! permutations are never listed
@@ -402,7 +443,7 @@ def test_cli_tolerance_override(tmp_path, capsys):
         ["verify", "--suite", "cstar", "--tol", "norm=-1"],
         ["verify", "--suite", "cstar", "--tol", "cstar=0"],
         ["quotient-check", "--tol", "entrywise=abc"],
-        ["norm", "unread.json", "--tol", "entrywise=abc"],
+        ["norm", "unread.json", "--cstar", "--tol", "entrywise=abc"],
     ],
 )
 def test_cli_rejects_unusable_common_values(argv, capsys):
