@@ -45,10 +45,6 @@ class AlgebraElement:
         return cls(base, c, copy=False)
 
     @classmethod
-    def zeros(cls, base):
-        return cls(base, np.zeros(base.n, dtype=np.complex128), copy=False)
-
-    @classmethod
     def random(cls, base, rng):
         """Real and imaginary parts uniform on [-1, 1]: the one-row case of
         random_rows."""

@@ -46,7 +46,7 @@ from .reps import (
     restricted_right_regular,
 )
 from .restricted import build_restricted_semigroup
-from .semigroups import MAX_ORDER
+from .semigroups import check_order
 from .verify import Tolerances, run_suites
 
 EXIT_PASS = 0
@@ -66,8 +66,19 @@ def _add_sampling(p, reads):
     p.set_defaults(tol_reads=reads)
 
 
-def _add_max_order(p):
-    p.add_argument("--max-order", type=int, default=MAX_ORDER)
+def _add_family(p, family=None, n=1):
+    """--family and the flags that size it, for the commands that generate a
+    semigroup; _check_args fills in the defaults, so that it can tell a flag
+    that was given."""
+    p.add_argument(
+        "--family",
+        required=family is None,
+        choices=["trivial", "cyclic", "symmetric", "chain", "symmetric-inverse", "brandt"],
+    )
+    p.add_argument("--n", type=int, default=None, help=f"size parameter (default {n})")
+    p.add_argument("--group-n", type=int, default=None, help="group order for brandt (default 1)")
+    p.add_argument("--with-identity", action="store_true", default=None, help="adjoin an identity")
+    p.set_defaults(family_defaults={"family": family, "n": n, "group_n": 1, "with_identity": False})
 
 
 def _add_format(p):
@@ -94,12 +105,26 @@ def _tolerances(items, command, reads):
     return tol
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def _check_args(args):
-    """Reject option values that argparse accepts but no command can use,
-    fill in the sampling defaults, and read --tol into one Tolerances."""
+    """Reject option values that argparse accepts but no command can use and
+    flags that the other options leave unread, fill in the defaults, and read
+    --tol into one Tolerances."""
     given = [f for f in ("seed", "trials", "tol") if getattr(args, f, None) not in (None, [])]
     if args.command == "norm" and not args.cstar and given:
         raise ParseError(f"norm reads --{given[0]} only with --cstar")
+    defaults = getattr(args, "family_defaults", {})
+    given = [f for f in ("corpus", "no_restricted", *defaults) if getattr(args, f, None) is not None]
+    if getattr(args, "semigroup", None) and given:
+        raise ParseError(f"{args.command} reads {_flag(given[0])} only without a FILE")
+    for name, value in defaults.items():  # --family first
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+        elif name in {"trivial": ("n", "group_n"), "brandt": ()}.get(args.family, ("group_n",)):
+            raise ParseError(f"{args.command} --family {args.family} reads no {_flag(name)}")
     if hasattr(args, "seed"):
         args.seed = 7 if args.seed is None else args.seed
         args.trials = 100 if args.trials is None else args.trials
@@ -107,7 +132,7 @@ def _check_args(args):
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     if getattr(args, "seed", 0) < 0:
         raise ParseError(f"--seed must be non-negative, got {args.seed}")
-    if getattr(args, "corpus", "default") != "default":
+    if getattr(args, "corpus", None) not in (None, "default"):
         raise ParseError(f"unknown corpus {args.corpus!r}; the only one is 'default'")
     if hasattr(args, "tol"):
         args.tol = _tolerances(args.tol, args.command, args.tol_reads)
@@ -118,20 +143,17 @@ def _gen_family(args):
     if fam == "trivial":
         S = gen_group("cyclic", 1)
     elif fam == "cyclic":
-        S = gen_group("cyclic", args.n, max_order=args.max_order)
+        S = gen_group("cyclic", args.n)
     elif fam == "symmetric":
-        S = gen_group("symmetric", args.n, max_order=args.max_order)
+        S = gen_group("symmetric", args.n)
     elif fam == "chain":
-        S = gen_chain_semilattice(args.n, max_order=args.max_order)
+        S = gen_chain_semilattice(args.n)
     elif fam == "symmetric-inverse":
         S = gen_symmetric_inverse_monoid(args.n)
-    elif fam == "brandt":
-        group = gen_group("cyclic", args.group_n, max_order=args.max_order)
-        S = gen_brandt(group.mul, args.n, max_order=args.max_order)
     else:
-        raise ParseError(f"unknown family {fam!r}")
+        S = gen_brandt(gen_group("cyclic", args.group_n).mul, args.n)
     if args.with_identity:
-        S = adjoin_identity(S, max_order=args.max_order)
+        S = adjoin_identity(S)
     return S
 
 
@@ -139,6 +161,7 @@ def cmd_gen(args):
     S = _gen_family(args)
     if args.restricted:
         S = build_restricted_semigroup(S).sr
+        check_order(S.n)  # so that every table gen writes can be read back
     payload = canonical_dumps(semigroup_to_dict(S))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -150,8 +173,7 @@ def cmd_gen(args):
 
 def _members_for(args, include_restricted):
     if args.semigroup:
-        S = load_semigroup(args.semigroup, max_order=args.max_order)
-        return [(args.semigroup, S)]
+        return [(args.semigroup, load_semigroup(args.semigroup))]
     return default_corpus(include_restricted=include_restricted)
 
 
@@ -172,11 +194,7 @@ def cmd_verify(args):
 
 
 def cmd_rep(args):
-    S = (
-        load_semigroup(args.semigroup, max_order=args.max_order)
-        if args.semigroup
-        else _gen_family(args)
-    )
+    S = load_semigroup(args.semigroup) if args.semigroup else _gen_family(args)
     builders = {
         "lambda_r": lambda: restricted_left_regular(S),
         "rho_r": lambda: restricted_right_regular(S),
@@ -217,7 +235,7 @@ def cmd_rep(args):
 
 
 def cmd_norm(args):
-    f = load_function(args.function, max_order=args.max_order)
+    f = load_function(args.function)
     if args.cstar:
         zero = f.base.zero if f.base.zero is not None and f.base.n >= 2 else None
         report = cstar.norm_report(f, zero_index=zero)
@@ -291,25 +309,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a semigroup as JSON")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["trivial", "cyclic", "symmetric", "chain", "symmetric-inverse", "brandt"],
-    )
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--group-n", type=int, default=1, help="group order for brandt")
-    p.add_argument("--with-identity", action="store_true", help="adjoin an identity")
+    _add_family(p)
     p.add_argument("--restricted", action="store_true", help="emit the zero-adjoined semigroup")
     p.add_argument("--out", default=None)
-    _add_max_order(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("semigroup", nargs="?", default=None, help="semigroup JSON file")
-    p.add_argument("--corpus", default="default", help="use the default corpus")
+    p.add_argument("--corpus", default=None, help="use the default corpus")
     p.add_argument(
         "--no-restricted",
         action="store_true",
+        default=None,
         help="skip the zero-adjoined variants of the corpus members",
     )
     p.add_argument(
@@ -318,16 +329,12 @@ def build_parser():
         choices=["axioms", "algebra", "reps", "cstar", "all"],
     )
     _add_sampling(p, [f.name for f in dataclasses.fields(Tolerances)])
-    _add_max_order(p)
     _add_format(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("rep", help="print representation matrices / run membership checks")
     p.add_argument("semigroup", nargs="?", default=None)
-    p.add_argument("--family", default="symmetric-inverse")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--group-n", type=int, default=1)
-    p.add_argument("--with-identity", action="store_true")
+    _add_family(p, "symmetric-inverse", 2)
     p.add_argument(
         "--which",
         default="lambda_r",
@@ -335,7 +342,6 @@ def build_parser():
     )
     p.add_argument("--element", type=int, default=0)
     p.add_argument("--check", action="store_true", help="run the membership suite")
-    _add_max_order(p)
     _add_format(p)
     p.set_defaults(fn=cmd_rep)
 
@@ -344,23 +350,20 @@ def build_parser():
     p.add_argument("--p", default="1", choices=["1", "2", "inf"])
     p.add_argument("--cstar", action="store_true", help="emit the full norm report")
     _add_sampling(p, ["norm"])
-    _add_max_order(p)
     _add_format(p)
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("quotient-check", help="quotient-norm comparison")
     p.add_argument("semigroup", nargs="?", default=None)
-    p.add_argument("--corpus", default="default")
+    p.add_argument("--corpus", default=None)
     _add_sampling(p, ["cstar"])
-    _add_max_order(p)
     p.set_defaults(fn=cmd_quotient_check)
 
     p = sub.add_parser("witness-search", help="associativity scan for the order-relaxed product")
     p.add_argument("semigroup", nargs="?", default=None)
-    p.add_argument("--corpus", default="default")
-    p.add_argument("--no-restricted", action="store_true")
+    p.add_argument("--corpus", default=None)
+    p.add_argument("--no-restricted", action="store_true", default=None)
     p.add_argument("--first", action="store_true", help="stop at the first witness")
-    _add_max_order(p)
     p.set_defaults(fn=cmd_witness_search)
 
     return parser

@@ -18,7 +18,7 @@ class WitnessedError(RestalgError):
 
 
 class SizeLimit(RestalgError):
-    """A requested structure exceeds the configured maximum order."""
+    """A structure above MAX_ORDER elements, or a size parameter below 1."""
 
 
 class InvalidGroupTable(WitnessedError):

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import InvalidGroupTable, SizeLimit
 from .semigroups import (
-    MAX_ORDER,
     _as_table,
     _detect_identity,
     associativity_witness,
     build_from_table,
+    check_order,
 )
 
 
@@ -148,47 +148,44 @@ def gen_symmetric_inverse_monoid(n):
     elems = all_partial_injections(n)
     mul, star = maps_table([[dict(e.pairs).get(p, -1) for p in range(n)] for e in elems])
     labels = [e.label() for e in elems]
-    return build_from_table(mul, star, labels=labels, max_order=max(MAX_ORDER, len(elems)))
+    return build_from_table(mul, star, labels=labels)
 
 
-def gen_group(kind, n, *, max_order=MAX_ORDER):
+def gen_group(kind, n):
     """A cyclic group Z_n or a full symmetric group on n letters."""
     if n < 1:
         raise SizeLimit("group order parameter must be positive")
     if kind == "cyclic":
-        if n > max_order:
-            raise SizeLimit(f"cyclic group of order {n} exceeds max_order")
+        check_order(n)
         idx = np.arange(n)
         mul = (idx[:, None] + idx[None, :]) % n
         labels = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-        return build_from_table(mul, labels=labels, max_order=max_order)
+        return build_from_table(mul, labels=labels)
     if kind == "symmetric":
-        # n! without listing the permutations, stopping once past max_order
+        # n! without listing the permutations, stopping once past MAX_ORDER
         m = 1
         for k in range(2, n + 1):
             m *= k
-            if m > max_order:
-                raise SizeLimit(f"symmetric group on {n} letters has order {n}! > {max_order}")
+            check_order(m, f"{n}!")
         perms = list(itertools.permutations(range(n)))
         mul, star = maps_table(np.array(perms).reshape(m, n))
         labels = ["".join(map(str, p)) for p in perms]
-        return build_from_table(mul, star, labels=labels, max_order=max_order)
+        return build_from_table(mul, star, labels=labels)
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def gen_chain_semilattice(n, *, max_order=MAX_ORDER):
+def gen_chain_semilattice(n):
     """A descending chain of n idempotents; index 0 is the top (identity)."""
     if n < 1:
         raise SizeLimit("chain length must be positive")
-    if n > max_order:
-        raise SizeLimit(f"chain of length {n} exceeds max_order")
+    check_order(n)
     idx = np.arange(n)
     mul = np.maximum(idx[:, None], idx[None, :])
     labels = ["1"] + [f"e{i}" for i in range(1, n)]
-    return build_from_table(mul, idx, labels=labels, max_order=max_order)
+    return build_from_table(mul, idx, labels=labels)
 
 
-def gen_semilattice(meet_table, *, max_order=MAX_ORDER):
+def gen_semilattice(meet_table):
     """A semilattice from an explicit meet table (idempotent, commutative,
     associative)."""
     t, n = _as_table(meet_table)
@@ -197,7 +194,7 @@ def gen_semilattice(meet_table, *, max_order=MAX_ORDER):
         raise ValueError("meet table must be idempotent")
     if not np.array_equal(t, t.T):
         raise ValueError("meet table must be commutative")
-    return build_from_table(t, idx, max_order=max_order)
+    return build_from_table(t, idx)
 
 
 def _as_group(table):
@@ -217,7 +214,7 @@ def _as_group(table):
     return t, n
 
 
-def gen_brandt(group_table, n, *, max_order=MAX_ORDER):
+def gen_brandt(group_table, n):
     """The Brandt semigroup over a group G with n rows/columns.
 
     Elements are triples (i, a, j) with a in G plus a zero;
@@ -228,8 +225,7 @@ def gen_brandt(group_table, n, *, max_order=MAX_ORDER):
         raise SizeLimit("brandt parameter must be positive")
     g, m = _as_group(group_table)
     order = n * n * m + 1
-    if order > max_order:
-        raise SizeLimit(f"brandt semigroup of order {order} exceeds max_order")
+    check_order(order)
     # (i, a, j), index (i*m + a)*n + j, is the map (j, h) -> (i, ah) on the
     # n*m points (row, group element); the zero, last, is the empty map
     i, a, j = np.indices((n, m, n)).reshape(3, -1)
@@ -237,14 +233,12 @@ def gen_brandt(group_table, n, *, max_order=MAX_ORDER):
     images[np.arange(order - 1), j] = (i * m)[:, None] + g[a]
     mul, star = maps_table(images.reshape(order, n * m))
     labels = [f"({r}|{b}|{c})" for r, b, c in zip(i.tolist(), a.tolist(), j.tolist())]
-    return build_from_table(mul, star, labels=labels + ["0"], max_order=max_order)
+    return build_from_table(mul, star, labels=labels + ["0"])
 
 
-def adjoin_identity(S, *, max_order=MAX_ORDER):
+def adjoin_identity(S):
     """S with a fresh identity appended as the last index."""
     n = S.n
-    if n + 1 > max_order:
-        raise SizeLimit(f"order {n + 1} exceeds max_order")
     mul = np.empty((n + 1, n + 1), dtype=np.intp)
     mul[:n, :n] = S.mul
     mul[n, :n] = np.arange(n)
@@ -254,4 +248,4 @@ def adjoin_identity(S, *, max_order=MAX_ORDER):
     labels = None
     if S.labels is not None:
         labels = S.labels + ["1"]
-    return build_from_table(mul, star, labels=labels, max_order=max_order)
+    return build_from_table(mul, star, labels=labels)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import ParseError
-from .semigroups import MAX_ORDER, build_from_table
+from .semigroups import build_from_table
 
 
 def canonical_dumps(obj):
@@ -56,12 +56,12 @@ def semigroup_to_dict(S):
     return out
 
 
-def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
+def semigroup_from_dict(obj):
     """Build a semigroup from its JSON object.
 
     The full axiom check runs (NotAssociative / NotInverse / StarMismatch
-    propagate); schema problems, non-integer entries and integers too
-    large for an index among them, raise ParseError.
+    and SizeLimit propagate); schema problems, a malformed star, non-integer
+    entries and integers too large for an index among them, raise ParseError.
     """
     if not isinstance(obj, dict):
         raise ParseError("semigroup object must be a JSON object")
@@ -91,7 +91,7 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
     ):
         raise ParseError('"labels" must list one string per element')
     try:
-        S = build_from_table(mul, star, labels=labels, max_order=max_order)
+        S = build_from_table(mul, star, labels=labels)
     except (ValueError, TypeError, OverflowError) as exc:
         # OverflowError: an integer too large for an index array
         raise ParseError(str(exc)) from exc
@@ -104,8 +104,8 @@ def semigroup_from_dict(obj, *, max_order=MAX_ORDER):
     return S
 
 
-def load_semigroup(path, *, max_order=MAX_ORDER):
-    return semigroup_from_dict(_load_json(path), max_order=max_order)
+def load_semigroup(path):
+    return semigroup_from_dict(_load_json(path))
 
 
 def coeffs_to_pairs(coeffs):
@@ -132,7 +132,7 @@ def function_to_dict(f, *, semigroup_path=None):
     return {"semigroup": sem, "coeffs": coeffs_to_pairs(f.coeffs)}
 
 
-def load_function(path, *, max_order=MAX_ORDER):
+def load_function(path):
     """Load a coefficient function; the semigroup may be inline or a path
     relative to the function file."""
     obj = _load_json(path)
@@ -143,9 +143,9 @@ def load_function(path, *, max_order=MAX_ORDER):
         sem_path = sem
         if not os.path.isabs(sem_path):
             sem_path = os.path.join(os.path.dirname(os.path.abspath(path)), sem_path)
-        S = load_semigroup(sem_path, max_order=max_order)
+        S = load_semigroup(sem_path)
     elif isinstance(sem, dict):
-        S = semigroup_from_dict(sem, max_order=max_order)
+        S = semigroup_from_dict(sem)
     else:
         raise ParseError('"semigroup" must be a path or an inline object')
     coeffs = pairs_to_coeffs(obj["coeffs"])

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import dot_triples
 from .errors import NotAssociative, NotInverse, StarMismatch, VerificationFailure
-from .semigroups import MAX_ORDER, build_from_table, kept_on
+from .semigroups import kept_on, validate_table
 
 
 def restricted_product(S, x, y):
@@ -115,7 +115,7 @@ def build_restricted_semigroup(S):
         if S.labels is not None:
             labels = S.labels + ["0"]
         try:
-            sr = build_from_table(table, star, labels=labels, max_order=max(MAX_ORDER, n + 1))
+            sr = validate_table(table, star, labels=labels)
         except (NotAssociative, NotInverse, StarMismatch) as exc:
             raise VerificationFailure(
                 f"the zero-adjoined composability table is not an inverse "

@@ -188,21 +188,40 @@ def _detect_zero(t):
     return None
 
 
-def build_from_table(mul, star=None, *, labels=None, max_order=MAX_ORDER):
-    """Validate a multiplication table as a finite inverse semigroup.
+def check_order(order, shown=None):
+    """SizeLimit above MAX_ORDER elements; ``shown`` writes the order."""
+    if order > MAX_ORDER:
+        raise SizeLimit(f"order {shown or order} exceeds MAX_ORDER = {MAX_ORDER}")
+
+
+def build_from_table(mul, star=None, *, labels=None):
+    """:func:`validate_table` for at most MAX_ORDER elements; a larger
+    table raises SizeLimit before any entry is read."""
+    t = np.asarray(mul, dtype=np.intp)
+    if t.ndim == 2:
+        check_order(t.shape[0])
+    return validate_table(t, star, labels=labels)
+
+
+def validate_table(mul, star=None, *, labels=None):
+    """Validate a multiplication table of any order as a finite inverse
+    semigroup.
 
     The involution is derived by locating, for each x, the unique y with
     xyx = x and yxy = y; a supplied ``star`` is additionally checked
     against its axioms and against the derived map.  Identity and zero
-    elements are detected by scan.
+    elements are detected by scan.  No bound on the order: the
+    zero-adjoined semigroup of an order-MAX_ORDER table comes through here.
 
-    Raises NotAssociative, NotInverse or StarMismatch with a witness,
-    and SizeLimit when the order exceeds ``max_order``.
+    Raises ValueError for a table or star of the wrong shape or range,
+    and NotAssociative, NotInverse or StarMismatch with a witness.
     """
     t, n = _as_table(mul)
-    if n > max_order:
-        raise SizeLimit(f"order {n} exceeds the configured maximum {max_order}")
     idx = np.arange(n)
+    if star is not None:
+        s = np.asarray(star, dtype=np.intp)
+        if s.shape != (n,) or s.min() < 0 or s.max() >= n:
+            raise ValueError("involution map must list one index in 0..n-1 per element")
 
     bad = associativity_witness(t)
     if bad is not None:
@@ -243,9 +262,6 @@ def build_from_table(mul, star=None, *, labels=None, max_order=MAX_ORDER):
         derived[x] = cand[0]
 
     if star is not None:
-        s = np.asarray(star, dtype=np.intp)
-        if s.shape != (n,) or s.min() < 0 or s.max() >= n:
-            raise StarMismatch("involution map must list one index per element")
         if not np.array_equal(s[s], idx):
             x = int(np.flatnonzero(s[s] != idx)[0])
             raise StarMismatch(f"star(star({x})) = {s[s[x]]} != {x}", witness=(x,))

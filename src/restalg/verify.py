@@ -52,7 +52,7 @@ from .reps import (
     trace_form_rank,
 )
 from .restricted import build_restricted_semigroup, groupoid_law_violations
-from .semigroups import associativity_witness, build_from_table
+from .semigroups import associativity_witness, validate_table
 
 PLUMBING = "plumbing"
 
@@ -139,7 +139,7 @@ def suite_axioms(S, *, seed=0, trials=100, tol=None):
     idx = np.arange(S.n)
 
     try:
-        build_from_table(S.mul, S.star, max_order=max(S.n, 256))
+        validate_table(S.mul, S.star)
         checks.append(
             Check(
                 "axioms.table",

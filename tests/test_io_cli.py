@@ -10,7 +10,7 @@ import restalg
 
 from restalg.algebra import AlgebraElement
 from restalg.cli import main
-from restalg.errors import ParseError
+from restalg.errors import ParseError, StarMismatch
 from restalg.families import gen_group, gen_symmetric_inverse_monoid
 from restalg.io_json import (
     canonical_dumps,
@@ -80,6 +80,28 @@ def test_cli_rejects_indices_beyond_a_c_long(obj, tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path), "--suite", "axioms"]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "obj, err",
+    [
+        ({"mul": [[0]], "star": [0, 1]}, "input error: involution map must list one index"),
+        ({"mul": [[0]], "star": [-1]}, "input error: involution map must list one index"),
+        ({"mul": [[0]], "star": []}, "input error: involution map must list one index"),
+        # the right shape, but star(g) = g is not the inverse of g in Z3
+        ({"mul": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "star": [0, 1, 2]}, "verification failure:"),
+    ],
+)
+def test_cli_malformed_star_is_an_input_error(obj, err, tmp_path, capsys):
+    # a star of the wrong shape or range is a schema problem; one of the right
+    # shape that breaks an axiom is a verification failure
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(obj))
+    code = 2 if err.startswith("input error") else 1
+    with pytest.raises(ParseError if code == 2 else StarMismatch):
+        semigroup_from_dict(obj)
+    assert main(["verify", str(path), "--suite", "axioms"]) == code
+    assert capsys.readouterr().err.startswith(err)
 
 
 def test_parse_error_carries_location(tmp_path):
@@ -373,6 +395,12 @@ def test_cli_norm_cstar_reads_the_norm_tolerance(tmp_path, capsys, monkeypatch):
         ["witness-search", "--tol", "norm=1"],
         ["witness-search", "--json"],
         ["quotient-check", "--text"],
+        ["gen", "--family", "trivial", "--max-order", "300"],
+        ["verify", "--max-order", "300"],
+        ["rep", "--max-order", "300"],
+        ["norm", "unread.json", "--max-order", "300"],
+        ["quotient-check", "--max-order", "300"],
+        ["witness-search", "--max-order", "300"],
     ],
 )
 def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
@@ -391,6 +419,19 @@ def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
         (["norm", "{f}", "--seed", "3", "--tol", "pivot=1e-300"], "norm reads --seed only with --cstar"),
         (["norm", "{f}", "--trials", "3"], "norm reads --trials only with --cstar"),
         (["norm", "{f}", "--tol", "norm=1e-3"], "norm reads --tol only with --cstar"),
+        (["verify", "{z2}", "--no-restricted"], "verify reads --no-restricted only without a FILE"),
+        (["witness-search", "{z2}", "--no-restricted"],
+         "witness-search reads --no-restricted only without a FILE"),
+        (["verify", "{z2}", "--corpus", "default"], "verify reads --corpus only without a FILE"),
+        (["quotient-check", "{z2}", "--corpus", "default"],
+         "quotient-check reads --corpus only without a FILE"),
+        (["witness-search", "{z2}", "--corpus", "default"],
+         "witness-search reads --corpus only without a FILE"),
+        (["rep", "{z2}", "--family", "brandt", "--n", "4"], "rep reads --family only without a FILE"),
+        (["rep", "{z2}", "--with-identity"], "rep reads --with-identity only without a FILE"),
+        (["gen", "--family", "cyclic", "--n", "3", "--group-n", "5"], "gen --family cyclic reads no --group-n"),
+        (["gen", "--family", "trivial", "--n", "7"], "gen --family trivial reads no --n"),
+        (["rep", "--group-n", "3"], "rep --family symmetric-inverse reads no --group-n"),
     ],
 )
 def test_cli_rejects_tolerances_and_flags_a_command_does_not_read(argv, message, tmp_path, capsys):
@@ -403,11 +444,19 @@ def test_cli_rejects_tolerances_and_flags_a_command_does_not_read(argv, message,
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
-def test_cli_gen_size_limit_exit_code(capsys):
+def test_cli_gen_size_limit_exit_code(tmp_path, capsys):
     assert main(["gen", "--family", "symmetric-inverse", "--n", "9"]) == 2
     # 13! permutations are never listed
     assert main(["gen", "--family", "symmetric", "--n", "13"]) == 2
     assert "13!" in capsys.readouterr().err
+    # gen writes only tables verify reads: the zero-adjoined chain of 256
+    # idempotents has 257 elements
+    assert main(["gen", "--family", "chain", "--n", "256", "--restricted"]) == 2
+    assert capsys.readouterr().err == "error: order 257 exceeds MAX_ORDER = 256\n"
+    path = tmp_path / "chain.json"
+    assert main(["gen", "--family", "chain", "--n", "255", "--restricted", "--out", str(path)]) == 0
+    assert load_semigroup(str(path)).n == 256
+    assert main(["verify", str(path), "--suite", "axioms"]) == 0
 
 
 def test_cli_tolerance_override(tmp_path, capsys):

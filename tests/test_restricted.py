@@ -16,6 +16,7 @@ from restalg.restricted import (
     groupoid_law_violations,
     restricted_product,
 )
+from restalg.semigroups import MAX_ORDER
 from restalg.verify import suite_axioms
 
 
@@ -146,6 +147,14 @@ def test_restricted_of_restricted_is_still_inverse():
     assert rs2.sr.n == 4
 
 
+def test_restricted_of_a_semigroup_at_the_bound():
+    # one element past MAX_ORDER: a table built from a validated one
+    S = gen_chain_semilattice(MAX_ORDER)
+    rs = build_restricted_semigroup(S)
+    assert rs.sr.n == MAX_ORDER + 1 and rs.sr.zero == MAX_ORDER
+    assert all(c.passed for c in suite_axioms(S))
+
+
 def test_build_restricted_semigroup_is_kept_on_s(monkeypatch):
     S = gen_chain_semilattice(3)
 
@@ -155,7 +164,7 @@ def test_build_restricted_semigroup_is_kept_on_s(monkeypatch):
     # a build that raises is not kept, so every call and the axioms suite
     # report it
     with monkeypatch.context() as m:
-        m.setattr(restalg.restricted, "build_from_table", broken)
+        m.setattr(restalg.restricted, "validate_table", broken)
         for _ in range(2):
             with pytest.raises(VerificationFailure, match="broken on purpose"):
                 build_restricted_semigroup(S)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import restalg.semigroups
 from restalg.errors import (
     InvalidGroupTable,
     NotAssociative,
@@ -23,7 +24,7 @@ from restalg.families import (
     gen_symmetric_inverse_monoid,
     symmetric_inverse_monoid_order,
 )
-from restalg.semigroups import build_from_table
+from restalg.semigroups import MAX_ORDER, build_from_table
 
 RIGHT_ZERO = [[0, 1], [0, 1]]  # xy = y; idempotents do not commute
 
@@ -78,15 +79,34 @@ def test_supplied_star_checked():
         build_from_table([[0, 1], [1, 0]], star=[1, 0])
 
 
+@pytest.mark.parametrize("star", [[0, 1], [-1], []])
+def test_malformed_star_is_a_value_error(star):
+    # an input error, as a malformed table is; not an axiom violation
+    with pytest.raises(ValueError, match="one index in 0..n-1 per element"):
+        build_from_table([[0]], star=star)
+
+
 def test_supplied_star_accepted():
     S = build_from_table([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
                          star=[0, 3, 2, 1])
     assert S.star.tolist() == [0, 3, 2, 1]
 
 
-def test_size_limit():
-    with pytest.raises(SizeLimit):
-        build_from_table([[0]], max_order=0)
+def test_size_limit(monkeypatch):
+    # checked before any scan: no row of the table is read, so nothing near
+    # its 0.5 MB is allocated
+    table = np.zeros((MAX_ORDER + 1, MAX_ORDER + 1), dtype=np.intp)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match=f"order {MAX_ORDER + 1} exceeds MAX_ORDER"):
+            build_from_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    monkeypatch.setattr(restalg.semigroups, "MAX_ORDER", 0)
+    with pytest.raises(SizeLimit, match="order 1 exceeds MAX_ORDER = 0"):
+        build_from_table([[0]])
 
 
 def test_bad_entries_rejected():
@@ -208,7 +228,7 @@ def test_symmetric_group():
     assert not S3.is_group or len(S3.idempotents()) == 1
 
 
-def test_symmetric_group_size_guard_lists_no_permutations():
+def test_symmetric_group_size_guard_lists_no_permutations(monkeypatch):
     # 9! = 362880 > MAX_ORDER: refused from the order alone
     tracemalloc.start()
     try:
@@ -219,8 +239,9 @@ def test_symmetric_group_size_guard_lists_no_permutations():
         tracemalloc.stop()
     assert peak < 1e6
     assert gen_group("symmetric", 5).n == 120
-    with pytest.raises(SizeLimit):
-        gen_group("symmetric", 5, max_order=119)
+    monkeypatch.setattr(restalg.semigroups, "MAX_ORDER", 119)
+    with pytest.raises(SizeLimit, match="5!"):
+        gen_group("symmetric", 5)
 
 
 def test_gen_group_unknown_kind():
@@ -277,7 +298,7 @@ def test_corpus_axioms_exhaustive(full_corpus):
     idx_of = {}
     for label, S in full_corpus:
         # revalidates associativity over all n^3 triples and regenerates star
-        T = build_from_table(S.mul, S.star, max_order=max(256, S.n))
+        T = build_from_table(S.mul, S.star)
         assert np.array_equal(T.star, S.star), label
         idx = np.arange(S.n)
         assert np.array_equal(S.star[S.star], idx), label
