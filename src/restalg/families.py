@@ -11,6 +11,7 @@ the outputs are validated structures.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import InvalidGroupTable, SizeLimit
 from .semigroups import (
     _as_table,
-    _detect_identity,
+    _identity_and_zero,
     associativity_witness,
     build_from_table,
     check_order,
@@ -119,8 +120,6 @@ def maps_table(images):
 
 def symmetric_inverse_monoid_order(n):
     """sum_k C(n,k)^2 k!, the number of partial injections on n points."""
-    import math
-
     return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
 
 
@@ -135,16 +134,17 @@ def all_partial_injections(n):
 
 
 def gen_symmetric_inverse_monoid(n):
-    """The monoid of all partial injections on n points, 1 <= n <= 4.
+    """The monoid of all partial injections on n points.
 
     The product of tables f, g is the composite "g first, then f";
     the involution is the relational inverse.
     """
-    if not 1 <= n <= 4:
-        raise SizeLimit(
-            "symmetric inverse monoid is generated only for 1 <= n <= 4 "
-            f"(order grows as sum C(n,k)^2 k!; n={n} requested)"
-        )
+    if n < 1:
+        raise SizeLimit("symmetric inverse monoid parameter must be positive")
+    # the orders grow with n: stop at the first past MAX_ORDER, listing no map
+    for m in range(1, n + 1):
+        order = symmetric_inverse_monoid_order(m)
+        check_order(order, None if m == n else f"sum C({n},k)^2 k!")
     elems = all_partial_injections(n)
     mul, star = maps_table([[dict(e.pairs).get(p, -1) for p in range(n)] for e in elems])
     labels = [e.label() for e in elems]
@@ -200,16 +200,20 @@ def gen_semilattice(meet_table):
 def _as_group(table):
     """Validate a table as a finite group; raise InvalidGroupTable."""
     t, n = _as_table(table)
-    for x in range(n):
-        if len(set(t[x].tolist())) != n or len(set(t[:, x].tolist())) != n:
-            raise InvalidGroupTable(
-                f"row/column {x} is not a permutation (not a Latin square)",
-                witness=(x,),
-            )
+    idx = np.arange(n)
+    # entries lie in 0..n-1: a row or column is a permutation when it sorts to idx
+    rows = np.all(np.sort(t, axis=1) == idx, axis=1)
+    latin = rows & np.all(np.sort(t, axis=0) == idx[:, None], axis=0)
+    if not latin.all():
+        x = int(np.argmin(latin))
+        raise InvalidGroupTable(
+            f"row/column {x} is not a permutation (not a Latin square)",
+            witness=(x,),
+        )
     bad = associativity_witness(t)
     if bad is not None:
         raise InvalidGroupTable("group table is not associative", witness=bad)
-    if _detect_identity(t) is None:
+    if _identity_and_zero(t)[0] is None:
         raise InvalidGroupTable("group table has no identity element")
     return t, n
 

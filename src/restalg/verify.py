@@ -159,11 +159,7 @@ def suite_axioms(S, *, seed=0, trials=100, tol=None):
             bool(np.array_equal(S.star[S.star], idx)),
         )
     )
-    ok = True
-    for x in range(S.n):
-        if not np.array_equal(S.star[S.mul[x]], S.mul[S.star, S.star[x]]):
-            ok = False
-            break
+    ok = np.array_equal(S.star[S.mul], S.mul[np.ix_(S.star, S.star)].T)
     checks.append(Check("axioms.star-antihom", "(xy)* = y* x* for all pairs", ok))
     checks.append(
         Check(

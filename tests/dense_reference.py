@@ -24,6 +24,9 @@ Nothing here is used by the library.
 - The delta-level algebra laws one product per delta pair, and the unit
   laws set by set with one random partner and function each, for the
   coded-row checks of restalg.verify.
+- The generalized inverses element by element, and the Latin-square test
+  of a group table row and column by row and column, for the array
+  identities of restalg.semigroups and restalg.families.
 """
 
 import itertools
@@ -43,6 +46,7 @@ from restalg.algebra import (
     scatter,
     tilde_rows,
 )
+from restalg.errors import InvalidGroupTable, NotInverse
 from restalg.linalg import op_norm
 from restalg.reps import (
     KIND_RESTRICTED,
@@ -651,3 +655,38 @@ def _unit_law_witness(S, block, partners, key):
         f"supported unit (right) on F={F}",
         f"supported unit (left) on F={F}",
     )[k]
+
+
+def derive_star_loop(t):
+    """For each x the unique y with xyx = x and yxy = y, one element at a
+    time; NotInverse at the first x with none or more than one."""
+    t = np.asarray(t)
+    n = t.shape[0]
+    idx = np.arange(n)
+    derived = np.empty(n, dtype=np.intp)
+    for x in range(n):
+        xyx = t[t[x], x]
+        yxy = t[t[:, x], idx]
+        cand = np.flatnonzero((xyx == x) & (yxy == idx))
+        if cand.size == 0:
+            raise NotInverse(f"element {x} has no generalized inverse", witness=(x, ()))
+        if cand.size > 1:
+            raise NotInverse(
+                f"element {x} has {cand.size} generalized inverses {cand.tolist()}",
+                witness=(x, tuple(int(c) for c in cand)),
+            )
+        derived[x] = cand[0]
+    return derived
+
+
+def latin_square_loop(t):
+    """InvalidGroupTable at the first x whose row or column is not a
+    permutation."""
+    t = np.asarray(t)
+    n = t.shape[0]
+    for x in range(n):
+        if len(set(t[x].tolist())) != n or len(set(t[:, x].tolist())) != n:
+            raise InvalidGroupTable(
+                f"row/column {x} is not a permutation (not a Latin square)",
+                witness=(x,),
+            )

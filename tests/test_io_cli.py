@@ -1,16 +1,20 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import restalg
 
 from restalg.algebra import AlgebraElement
 from restalg.cli import main
-from restalg.errors import ParseError, StarMismatch
+from restalg.errors import NotAssociative, NotInverse, ParseError, RestalgError, StarMismatch
 from restalg.families import gen_group, gen_symmetric_inverse_monoid
 from restalg.io_json import (
     canonical_dumps,
@@ -102,6 +106,43 @@ def test_cli_malformed_star_is_an_input_error(obj, err, tmp_path, capsys):
         semigroup_from_dict(obj)
     assert main(["verify", str(path), "--suite", "axioms"]) == code
     assert capsys.readouterr().err.startswith(err)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_changed_entry_is_built_or_reported(full_corpus, tmp_path_factory, data):
+    # a corpus member's JSON with one entry of "mul" or "star" set to a value
+    # in -1..n: semigroup_from_dict builds it or raises a coded error, and
+    # verify reports that error as one stderr line, never a traceback
+    _label, S = data.draw(st.sampled_from(full_corpus))
+    obj = semigroup_to_dict(S)
+    value = data.draw(st.integers(-1, S.n))
+    x = data.draw(st.integers(0, S.n - 1))
+    if data.draw(st.booleans()):
+        obj["mul"][x][data.draw(st.integers(0, S.n - 1))] = value
+    else:
+        obj["star"][x] = value
+    try:
+        semigroup_from_dict(obj)
+        expected = None
+    except RestalgError as exc:
+        expected = exc
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(obj))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["verify", str(path), "--suite", "axioms"])
+    if expected is None:
+        assert code in (0, 1) and err.getvalue() == ""
+        return
+    if isinstance(expected, ParseError):
+        prefix, want = "input error:", 2
+    elif isinstance(expected, (NotAssociative, NotInverse, StarMismatch)):
+        prefix, want = "verification failure:", 1
+    else:
+        prefix, want = "error:", 2
+    assert code == want
+    assert err.getvalue() == f"{prefix} {expected}\n"
 
 
 def test_parse_error_carries_location(tmp_path):
@@ -445,6 +486,8 @@ def test_cli_rejects_tolerances_and_flags_a_command_does_not_read(argv, message,
 
 
 def test_cli_gen_size_limit_exit_code(tmp_path, capsys):
+    assert main(["gen", "--family", "symmetric-inverse", "--n", "5"]) == 2
+    assert capsys.readouterr().err == "error: order 1546 exceeds MAX_ORDER = 256\n"
     assert main(["gen", "--family", "symmetric-inverse", "--n", "9"]) == 2
     # 13! permutations are never listed
     assert main(["gen", "--family", "symmetric", "--n", "13"]) == 2

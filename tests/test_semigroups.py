@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 import restalg.semigroups
+from dense_reference import derive_star_loop, latin_square_loop
+from restalg.corpus import corpus_member
 from restalg.errors import (
     InvalidGroupTable,
     NotAssociative,
@@ -24,9 +27,15 @@ from restalg.families import (
     gen_symmetric_inverse_monoid,
     symmetric_inverse_monoid_order,
 )
-from restalg.semigroups import MAX_ORDER, build_from_table
+from restalg.restricted import build_restricted_semigroup
+from restalg.semigroups import MAX_ORDER, _derive_star, build_from_table
 
 RIGHT_ZERO = [[0, 1], [0, 1]]  # xy = y; idempotents do not commute
+LEFT_ZERO = [[0, 0], [1, 1]]
+NULL = [[0, 0], [0, 0]]
+# the left-zero band {0, 1} with an identity 2: both 0 and 1 are
+# generalized inverses of 0
+TWO_INVERSES = [[0, 0, 0], [1, 1, 1], [0, 1, 2]]
 
 
 def test_trivial_table():
@@ -64,19 +73,83 @@ def test_not_associative_witness():
 
 def test_left_zero_rejected():
     with pytest.raises(NotInverse):
-        build_from_table([[0, 0], [1, 1]])
+        build_from_table(LEFT_ZERO)
 
 
 def test_null_semigroup_not_regular():
     # xy = 0 always; the non-zero element has no generalized inverse
     with pytest.raises(NotInverse) as info:
-        build_from_table([[0, 0], [0, 0]])
-    assert info.value.witness[0] == 1
+        build_from_table(NULL)
+    assert info.value.witness == (1, ())
+    assert str(info.value) == "element 1 has no generalized inverse"
+
+
+def _derived(derive, t):
+    """The derived star as a list, or the NotInverse message and witness."""
+    try:
+        return derive(np.asarray(t)).tolist()
+    except NotInverse as exc:
+        return str(exc), exc.witness
+
+
+def test_derived_star_matches_the_element_loop(full_corpus):
+    I4 = gen_symmetric_inverse_monoid(4)
+    for S in [S for _, S in full_corpus] + [I4, build_restricted_semigroup(I4).sr]:
+        assert _derived(_derive_star, S.mul) == _derived(derive_star_loop, S.mul) == S.star.tolist()
+    # rejected: the null semigroup has no inverse of 1; the others fail the
+    # commuting idempotents first, so their derivation is called directly
+    for t in (NULL, LEFT_ZERO, RIGHT_ZERO, TWO_INVERSES):
+        assert isinstance(_derived(derive_star_loop, t), tuple)
+        assert _derived(_derive_star, t) == _derived(derive_star_loop, t)
+    assert _derived(_derive_star, TWO_INVERSES)[1] == (0, (0, 1))
 
 
 def test_supplied_star_checked():
     with pytest.raises(StarMismatch):
         build_from_table([[0, 1], [1, 0]], star=[1, 0])
+
+
+@pytest.mark.parametrize("label", ["S3", "I2", "I3", "B2_1", "S3_r", "I2_r", "I3_r", "B2_1_r"])
+def test_every_swapped_star_is_rejected(label):
+    S = corpus_member(label)
+    for i, j in itertools.combinations(range(S.n), 2):
+        star = S.star.copy()
+        star[[i, j]] = star[[j, i]]
+        with pytest.raises(StarMismatch):
+            build_from_table(S.mul, star)
+
+
+@pytest.mark.parametrize(
+    "label, star, x",
+    [
+        ("chain2", [0, 0], 1),  # regular and antimultiplicative, not an involution
+        ("Z4", [0, 1, 2, 3], 1),  # an antimultiplicative involution, 1 + 1 + 1 != 1
+        # regular, neither an involution nor antimultiplicative: a regular
+        # involution is the derived star, so nothing breaks the
+        # antihomomorphism alone (see the exhaustive test below)
+        ("chain3", [0, 1, 0], 2),
+    ],
+)
+def test_stars_breaking_one_property_are_rejected(label, star, x):
+    with pytest.raises(StarMismatch) as info:
+        build_from_table(corpus_member(label).mul, star)
+    assert info.value.witness == (x,)
+
+
+@pytest.mark.parametrize("label", ["Z4", "chain3", "S3", "B2_1"])
+def test_the_derived_star_is_the_only_regular_involution(label):
+    # over every map on S: the involution, regularity and antihomomorphism
+    # checks accept exactly the derived star, and the antihomomorphism
+    # check decides nothing the other two leave open
+    S = corpus_member(label)
+    t, idx = S.mul, np.arange(S.n)
+    stars = np.array(list(itertools.product(range(S.n), repeat=S.n)))
+    involution = np.all(np.take_along_axis(stars, stars, axis=1) == idx, axis=1)
+    regular = np.all(t[t[idx, stars], idx] == idx, axis=1)
+    antihom = np.all(stars[:, t] == t[stars[:, None, :], stars[:, :, None]], axis=(1, 2))
+    derived = np.all(stars == S.star, axis=1)
+    assert np.array_equal(involution & regular & antihom, derived)
+    assert np.array_equal(involution & regular, derived)
 
 
 @pytest.mark.parametrize("star", [[0, 1], [-1], []])
@@ -214,11 +287,18 @@ def test_symmetric_inverse_monoid_order(n, order):
         assert S.zero is not None  # the empty map absorbs
 
 
-def test_symmetric_inverse_monoid_size_guard():
-    with pytest.raises(SizeLimit):
+def test_symmetric_inverse_monoid_size_guard(monkeypatch):
+    with pytest.raises(SizeLimit, match="order 1546 exceeds MAX_ORDER = 256"):
         gen_symmetric_inverse_monoid(5)
-    with pytest.raises(SizeLimit):
+    # refused at I5 without summing over a million points
+    with pytest.raises(SizeLimit, match=r"order sum C\(1000000,k\)\^2 k! exceeds"):
+        gen_symmetric_inverse_monoid(10**6)
+    with pytest.raises(SizeLimit, match="must be positive"):
         gen_symmetric_inverse_monoid(0)
+    monkeypatch.setattr(restalg.semigroups, "MAX_ORDER", 33)
+    with pytest.raises(SizeLimit, match="order 34 exceeds MAX_ORDER = 33"):
+        gen_symmetric_inverse_monoid(3)
+    assert gen_symmetric_inverse_monoid(2).n == 7
 
 
 def test_symmetric_group():
@@ -275,6 +355,21 @@ def test_brandt_with_identity_is_b2_plus_one():
     assert S.n == 6
     assert S.identity == 5
     assert S.zero == 4  # the old zero still absorbs
+
+
+@pytest.mark.parametrize("row, col", [(1, 3), (3, 1)])
+def test_group_table_witness_matches_the_row_column_loop(row, col):
+    # Z4 with its entry 0 at (row, col) made 3: the first x whose row or
+    # column repeats an entry is 1, found in row 1 for (1, 3) (column 1
+    # is still a permutation) and in column 1 for (3, 1)
+    t = gen_group("cyclic", 4).mul.copy()
+    t[row, col] = 3
+    with pytest.raises(InvalidGroupTable) as ref:
+        latin_square_loop(t)
+    with pytest.raises(InvalidGroupTable) as info:
+        gen_brandt(t, 1)
+    assert info.value.witness == ref.value.witness == (1,)
+    assert str(info.value) == str(ref.value)
 
 
 def test_brandt_rejects_non_group():

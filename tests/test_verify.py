@@ -29,6 +29,7 @@ from restalg.reps import (
     rho_lift_identity_report,
 )
 from restalg.restricted import build_restricted_semigroup
+from restalg.semigroups import FiniteInvSemigroup
 from restalg.verify import (
     PLUMBING,
     Tolerances,
@@ -41,6 +42,7 @@ from restalg.verify import (
     run_suite,
     run_suites,
     suite_algebra,
+    suite_axioms,
     suite_reps,
     tau_homomorphism_deviation,
     tilde_delta_deviation,
@@ -140,6 +142,21 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
     assert checks["reps.partial-isometry"].deviation == 1.0
     assert not checks["reps.left-regular-restricted"].passed
     assert "> 1" in checks["reps.left-regular-restricted"].witness  # the contraction law
+
+
+@pytest.mark.parametrize(
+    "label, star, antihom",
+    [("S3", None, True), ("S3", range(6), False), ("Z4", range(4), True), ("I2", None, True)],
+)
+def test_star_antihom_check_fails_on_its_own(monkeypatch, label, star, antihom):
+    # the suite's own route, with the validator's star equality patched out:
+    # the identity map is antimultiplicative on Z4 only, and regular on neither
+    S = corpus_member(label)
+    star = S.star if star is None else np.array(star)
+    monkeypatch.setattr(restalg.verify, "validate_table", lambda mul, star: None)
+    checks = {c.id: c.passed for c in suite_axioms(FiniteInvSemigroup(S.mul, star))}
+    assert checks["axioms.star-antihom"] is antihom
+    assert checks["axioms.regularity"] is (star is S.star)
 
 
 def test_batched_checks_match_the_scalar_loops(full_corpus):
