@@ -8,8 +8,9 @@ x*x = yy* and is the product that matches the restricted regular
 representations.  ``order_dot`` sums the triples (xy, y*, x) over the
 pairs with yy* <= x*x, the composability equality relaxed to the natural
 order; it is not associative and serves the associativity witness search
-only.  ``dot_direct`` evaluates ``dot`` per coordinate from the
-translation sum, the independent route the test suite compares with.
+only.  ``dot_direct_many`` evaluates ``dot`` from the translation sum
+over a padded index table, the independent route that ``verify``
+compares with.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BaseMismatch
-from .semigroups import kept_on
+from .semigroups import kept_on, read_only
 
 
 class AlgebraElement:
@@ -231,17 +232,22 @@ def _dot_block(F, G, triples, n):
     return scatter(w, bins, rows * n).reshape(rows, n)
 
 
+def _row_pair(S, F, G):
+    """F and G as complex (B, n) arrays of one shape."""
+    F = np.asarray(F, dtype=np.complex128)
+    G = np.asarray(G, dtype=np.complex128)
+    if F.ndim != 2 or F.shape[1] != S.n or G.shape != F.shape:
+        raise ValueError(
+            f"expected two (B, {S.n}) arrays of one shape, got {F.shape} and {G.shape}"
+        )
+    return F, G
+
+
 def _product_many(S, F, G, triples):
     """Row-wise product of two (B, n) coefficient arrays over a triple
     set, in blocks of rows sized from its triple count."""
-    F = np.asarray(F, dtype=np.complex128)
-    G = np.asarray(G, dtype=np.complex128)
-    n = S.n
-    if F.ndim != 2 or F.shape[1] != n or G.shape != F.shape:
-        raise ValueError(
-            f"expected two (B, {n}) arrays of one shape, got {F.shape} and {G.shape}"
-        )
-    return map_rows(lambda f, g: _dot_block(f, g, triples, n), len(triples), F, G)
+    F, G = _row_pair(S, F, G)
+    return map_rows(lambda f, g: _dot_block(f, g, triples, S.n), len(triples), F, G)
 
 
 def dot_many(S, F, G):
@@ -278,17 +284,51 @@ def dot(f, g):
     return _one_row(dot_many, f, g)
 
 
+def _runs(values, n):
+    """(order, start, counts) grouping the indices of an int array with
+    values in 0..n-1 by value: the j-th i with values[i] == v, in index
+    order, is order[start[v] + j], for j < counts[v]."""
+    counts = np.bincount(values, minlength=n)
+    return np.argsort(values, kind="stable"), np.cumsum(counts) - counts, counts
+
+
+def _translation_pairs(S):
+    """(xy, y*) over the y with yy* = x*x, as two (n, r) index arrays padded
+    with n: row x lists its y in index order, r is the largest R-class."""
+
+    def build():
+        # the R-classes side by side
+        order, start, counts = _runs(S.ran, S.n)
+        slot = np.arange(counts.max())
+        hit = slot < counts[S.dom, None]
+        ys = order[np.where(hit, start[S.dom, None] + slot, 0)]
+        xy = np.where(hit, S.mul[np.arange(S.n)[:, None], ys], S.n)
+        return read_only(xy), read_only(np.where(hit, S.star[ys], S.n))
+
+    return kept_on(S, "translation pairs", build)
+
+
+def dot_direct_many(S, F, G):
+    """Row-wise dot product from the translation sum (f.g)(x) = sum over y
+    with yy* = x*x of f(xy) g(y*): one gather, multiply and sum over
+    _translation_pairs per block of rows.  It reads no triple set, so it
+    is a route to dot_many independent of the kernel."""
+    F, G = _row_pair(S, F, G)
+    XY, YS = _translation_pairs(S)
+    # a zero column at index n absorbs the padding; np.take gathers
+    # row-major, so a row sums in one order whatever its batch
+    pad = np.zeros((F.shape[0], 1), dtype=np.complex128)
+    return map_rows(
+        lambda f, g: (np.take(f, XY, axis=1) * np.take(g, YS, axis=1)).sum(axis=2),
+        XY.size,
+        np.hstack([F, pad]),
+        np.hstack([G, pad]),
+    )
+
+
 def dot_direct(f, g):
-    """The same product evaluated per coordinate from the translation sum
-    (f.g)(x) = sum over y with x*x = yy* of f(xy) g(y*)."""
-    _same_base(f, g)
-    S = f.base
-    gs = g.coeffs[S.star]
-    out = np.zeros(S.n, dtype=np.complex128)
-    for x in range(S.n):
-        ys = np.flatnonzero(S.ran == S.dom[x])
-        out[x] = f.coeffs[S.mul[x, ys]] @ gs[ys]
-    return AlgebraElement(S, out, copy=False)
+    """The one-row case of dot_direct_many."""
+    return _one_row(dot_direct_many, f, g)
 
 
 def order_dot(f, g):
@@ -355,37 +395,70 @@ def extend_from_base(f, rs, zero_coeff=0.0):
 
 
 # ---------------------------------------------------------------------
-# associativity witness search for the order-relaxed product
+# associativity witness searches over delta triples
+
+
+def _partners(a, runs):
+    """Every index pair (i, j) with a[i] == b[j], i-major and j in index
+    order, for runs = _runs(b, n)."""
+    order, start, counts = runs
+    reach = counts[a]
+    i = np.repeat(np.arange(a.size), reach)
+    # the k-th partner of i: its offset k within the run of i's partners
+    k = np.arange(i.size) - np.repeat(np.cumsum(reach) - reach, reach)
+    return i, order[start[a[i]] + k]
+
+
+def _assoc_witness(S, triples):
+    """First delta triple (x, y, z), x-major, on which the product of a
+    triple set fails to associate, or None.  Both associations come from
+    the triples joined with themselves: (d_x d_y) d_z gets d_w once for
+    each pair of triples (x, y, c), (c, z, w), and d_x (d_y d_z) once for
+    each pair (y, z, v), (x, v, w); the law holds when each (x, y, z, w)
+    comes from both sides equally often.  The joins run over blocks of x
+    sized from their pair counts, near _BLOCK_BYTES each, or one x's
+    pairs (at most n^2 for dot and order triples) when that is more."""
+    n, T = S.n, np.asarray(triples)
+    by_first, by_third = _runs(T[:, 0], n), _runs(T[:, 2], n)
+    # the (z, w) digits of a key from a triple (c, z, w), its (y, z) from (y, z, v)
+    zw, yz = T[:, 1] * n + T[:, 2], (T[:, 0] * n + T[:, 1]) * n
+    # each triple (x, b, c) joins the triples (c, ., .) and (., ., b)
+    pairs = np.bincount(T[:, 0], by_first[2][T[:, 2]] + by_third[2][T[:, 1]], n)
+    step = _rows_per_block(pairs.max())
+    for lo in range(0, n, step):
+        B = T[(T[:, 0] >= lo) & (T[:, 0] < lo + step)]
+        k, p = _partners(B[:, 2], by_first)
+        left = (B[:, 0] * n + B[:, 1])[k] * n * n + zw[p]
+        k, p = _partners(B[:, 1], by_third)
+        right = (B[:, 0] * n**3 + B[:, 2])[k] + yz[p]
+        # the key (x, y, z, w) above the side bit, sorted: a run of one key
+        # is balanced when it has as many left as right entries
+        s = np.sort(np.concatenate([left * 2, right * 2 + 1]))
+        key = np.append(s >> 1, -1)
+        end = key[1:] != key[:-1]
+        bad = np.flatnonzero(np.cumsum(1 - 2 * (s & 1))[end])
+        if bad.size:
+            return tuple(int(v) for v in np.unravel_index(key[:-1][end][bad[0]] // n, (n, n, n)))
+    return None
+
+
+def delta_assoc_witness(S):
+    """The associativity witness of the dot product over dot_triples(S):
+    it reads the triple set, not the zero-adjoined table that
+    build_restricted_semigroup validates."""
+    return _assoc_witness(S, dot_triples(S))
 
 
 def order_dot_assoc_witness(S):
     """First delta triple (x, y, z), x-major, on which order_dot fails to
     associate, as (x, y, z, lhs, rhs) with both associations, or None
-    when the exhaustive scan passes.  The kernel runs on delta rows, one
-    (n, n) block of (y, z) pairs per x and z; d_x .' g gets only the
-    triples (x, b, c) and f .' d_z only the triples (a, z, c), as the
-    others add exact zeros.
-    """
-    n = S.n
-    triples = order_triples(S)
-    left = [triples[triples[:, 0] == v] for v in range(n)]
-    right = [triples[triples[:, 1] == v] for v in range(n)]
-    deltas = np.eye(n, dtype=np.complex128)
-    for x in range(n):
-        Dx = deltas[np.full(n, x)]
-        xy = _product_many(S, Dx, deltas, left[x])  # row y: d_x .' d_y
-        hit = None
-        for z in range(n):
-            Dz = deltas[np.full(n, z)]
-            lhs = _product_many(S, xy, Dz, right[z])
-            rhs = _product_many(S, Dx, _product_many(S, deltas, Dz, right[z]), left[x])
-            bad = np.flatnonzero(np.any(lhs != rhs, axis=1))
-            if bad.size and (hit is None or bad[0] < hit[1]):
-                y = int(bad[0])
-                hit = (x, y, z, lhs[y], rhs[y])
-        if hit is not None:
-            return hit
-    return None
+    when the exhaustive scan passes."""
+    hit = _assoc_witness(S, order_triples(S))
+    if hit is None:
+        return None
+    dx, dy, dz = np.eye(S.n, dtype=np.complex128)[list(hit), None]
+    lhs = order_dot_many(S, order_dot_many(S, dx, dy), dz)
+    return (*hit, lhs[0], order_dot_many(S, dx, order_dot_many(S, dy, dz))[0])
 
 
 def order_dot_scan(members):

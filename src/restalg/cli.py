@@ -12,14 +12,13 @@ goes away early, as in ``restalg verify | head -1``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import cstar
+from . import cstar, verify
 from .algebra import order_dot_scan
 from .corpus import default_corpus
 from .errors import (
@@ -47,23 +46,25 @@ from .reps import (
 )
 from .restricted import build_restricted_semigroup
 from .semigroups import check_order
-from .verify import Tolerances, run_suites
 
 EXIT_PASS = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_BROKEN_PIPE = 141
 
+# --trials draws (trials, count, 2, n) random values at once, so it is
+# bounded; 10 times the default
+MAX_TRIALS = 1000
 
-def _add_sampling(p, reads):
-    """--seed, --trials and --tol (of the names in ``reads``), for the commands
-    that draw random elements and judge deviations; _check_args fills in the
-    defaults, so that it can tell a flag that was given."""
+
+def _add_sampling(p):
+    """--seed and --trials, for the commands that draw random elements;
+    _check_args fills in the defaults, so that it can tell a flag that was
+    given."""
     p.add_argument("--seed", type=int, default=None, help="random seed (default 7)")
-    p.add_argument("--trials", type=int, default=None, help="random trials (default 100)")
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                   help=f"override a tolerance ({', '.join(reads)})")
-    p.set_defaults(tol_reads=reads)
+    p.add_argument(
+        "--trials", type=int, default=None, help=f"random trials (default 100, at most {MAX_TRIALS})"
+    )
 
 
 def _add_family(p, family=None, n=1):
@@ -88,32 +89,14 @@ def _add_format(p):
     p.set_defaults(as_json=False)
 
 
-def _tolerances(items, command, reads):
-    pairs = {}
-    for item in items:
-        if "=" not in item:
-            raise ParseError(f"--tol expects NAME=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        pairs[key.strip()] = value
-    try:
-        tol = Tolerances().override(pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    for key in pairs:
-        if key not in reads:
-            raise ParseError(f"{command} reads only --tol {', '.join(reads)}, not {key!r}")
-    return tol
-
-
 def _flag(name):
     return "--" + name.replace("_", "-")
 
 
 def _check_args(args):
     """Reject option values that argparse accepts but no command can use and
-    flags that the other options leave unread, fill in the defaults, and read
-    --tol into one Tolerances."""
-    given = [f for f in ("seed", "trials", "tol") if getattr(args, f, None) not in (None, [])]
+    flags that the other options leave unread, and fill in the defaults."""
+    given = [f for f in ("seed", "trials") if getattr(args, f, None) is not None]
     if args.command == "norm" and not args.cstar and given:
         raise ParseError(f"norm reads --{given[0]} only with --cstar")
     defaults = getattr(args, "family_defaults", {})
@@ -130,12 +113,12 @@ def _check_args(args):
         args.trials = 100 if args.trials is None else args.trials
     if getattr(args, "trials", 1) < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
+    if getattr(args, "trials", 1) > MAX_TRIALS:
+        raise ParseError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     if getattr(args, "seed", 0) < 0:
         raise ParseError(f"--seed must be non-negative, got {args.seed}")
     if getattr(args, "corpus", None) not in (None, "default"):
         raise ParseError(f"unknown corpus {args.corpus!r}; the only one is 'default'")
-    if hasattr(args, "tol"):
-        args.tol = _tolerances(args.tol, args.command, args.tol_reads)
 
 
 def _gen_family(args):
@@ -180,7 +163,7 @@ def _members_for(args, include_restricted):
 def cmd_verify(args):
     suites = ["axioms", "algebra", "reps", "cstar"] if args.suite == "all" else [args.suite]
     members = _members_for(args, not args.no_restricted)
-    reports = run_suites(members, suites, seed=args.seed, trials=args.trials, tol=args.tol)
+    reports = verify.run_suites(members, suites, seed=args.seed, trials=args.trials)
     ok = all(r.passed for r in reports)
     if args.as_json:
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
@@ -242,7 +225,7 @@ def cmd_norm(args):
         # the supremum norm is the reduced norm; sampled members of the
         # family must not exceed it
         excess = cstar.sigma_r_cross_check(f, trials=min(args.trials, 5), seed=args.seed)
-        if not excess <= args.tol.norm:  # a NaN fails too
+        if not excess <= verify.TOL.norm:  # a NaN fails too
             raise VerificationFailure(
                 f"a sampled restricted representation exceeded the norm by {excess:.3e}",
                 witness=excess,
@@ -266,7 +249,7 @@ def cmd_quotient_check(args):
     failed = False
     for label, S in members:
         report = cstar.quotient_match_report(S, trials=args.trials, seed=args.seed)
-        ok = report.max_deviation < args.tol.cstar and report.minimized_deviation < args.tol.cstar
+        ok = report.max_deviation < verify.TOL.cstar and report.minimized_deviation < verify.TOL.cstar
         print(
             f"[{'PASS' if ok else 'FAIL'}] {label}: max |quotient - reduced| = "
             f"{report.max_deviation:.3e}, scalar-minimization deviation = "
@@ -328,7 +311,7 @@ def build_parser():
         default="all",
         choices=["axioms", "algebra", "reps", "cstar", "all"],
     )
-    _add_sampling(p, [f.name for f in dataclasses.fields(Tolerances)])
+    _add_sampling(p)
     _add_format(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -349,14 +332,14 @@ def build_parser():
     p.add_argument("function", help="function JSON file")
     p.add_argument("--p", default="1", choices=["1", "2", "inf"])
     p.add_argument("--cstar", action="store_true", help="emit the full norm report")
-    _add_sampling(p, ["norm"])
+    _add_sampling(p)
     _add_format(p)
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("quotient-check", help="quotient-norm comparison")
     p.add_argument("semigroup", nargs="?", default=None)
     p.add_argument("--corpus", default=None)
-    _add_sampling(p, ["cstar"])
+    _add_sampling(p)
     p.set_defaults(fn=cmd_quotient_check)
 
     p = sub.add_parser("witness-search", help="associativity scan for the order-relaxed product")

@@ -104,9 +104,13 @@ def pattern_blocks(M):
     (q, a, b) stacks, one per component shape: entry [i] of a stack is
     M restricted to the a rows and b columns of one component, in their
     order in M.  Rows and columns with no nonzero entry are left out;
-    together the blocks hold every nonzero entry of M once."""
+    together the blocks hold every nonzero entry of M once.  A matrix
+    with no zero entry is one component, taken without the search."""
     m = M.shape[0]
     nonzero = M != 0
+    if nonzero.all():
+        yield M[None]
+        return
     labels = _pattern_labels(nonzero)
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))

@@ -10,7 +10,6 @@ the violated statement.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +20,8 @@ from .algebra import (
     AlgebraElement,
     approx_identity,
     conv_many,
-    dot_direct,
+    delta_assoc_witness,
+    dot_direct_many,
     dot_many,
     first_max,
     map_rows,
@@ -52,31 +52,25 @@ from .reps import (
     trace_form_rank,
 )
 from .restricted import build_restricted_semigroup, groupoid_law_violations
-from .semigroups import associativity_witness, validate_table
+from .semigroups import validate_table
 
 PLUMBING = "plumbing"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
+    """Bounds on deviations: entrywise, norm slack, inner-product
+    identities, C*-norms and the relative pivot of ranks."""
+
     entrywise: float = 1e-12
     norm: float = 1e-9
     identity: float = 1e-10
     cstar: float = 1e-8
     pivot: float = 1e-9
 
-    def override(self, pairs):
-        """Set tolerances by name; each must be finite and positive, since
-        an infinite, NaN, zero or negative bound makes its checks vacuous
-        or impossible."""
-        for key, value in pairs.items():
-            if not hasattr(self, key):
-                raise ValueError(f"unknown tolerance {key!r}")
-            v = float(value)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"tolerance {key} must be finite and positive, got {value!r}")
-            setattr(self, key, v)
-        return self
+
+# the one set of bounds that every verdict reads
+TOL = Tolerances()
 
 
 @dataclass
@@ -133,8 +127,7 @@ class SuiteReport:
 # axioms
 
 
-def suite_axioms(S, *, seed=0, trials=100, tol=None):
-    tol = tol or Tolerances()
+def suite_axioms(S, *, seed=0, trials=100):
     checks = []
     idx = np.arange(S.n)
 
@@ -268,13 +261,6 @@ def suite_axioms(S, *, seed=0, trials=100, tol=None):
 # algebra
 
 
-def _delta_rows(n, xs):
-    """Row i is the delta at xs[i]."""
-    rows = np.zeros((len(xs), n), dtype=np.complex128)
-    rows[np.arange(len(xs)), xs] = 1.0
-    return rows
-
-
 def _coded_rows(count, n):
     """``count`` copies of the coded row g[b] = 1 + (b + 1)i.
 
@@ -358,14 +344,7 @@ def delta_absorption_deviation(S):
     return dev, f"{('d_e . g', 'g . d_e')[side]} at e={S.label(int(E[e]))}" if dev > 0 else ""
 
 
-def delta_assoc_witness(S):
-    """Associativity scan of the partial product over all delta triples, on
-    the zero-adjoined table kept on S; None when it holds everywhere."""
-    return associativity_witness(build_restricted_semigroup(S).sr.mul)
-
-
-def suite_algebra(S, *, seed=0, trials=100, tol=None):
-    tol = tol or Tolerances()
+def suite_algebra(S, *, seed=0, trials=100):
     rng = np.random.default_rng(seed)
     checks = []
     n = S.n
@@ -399,7 +378,7 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
         Check(
             "algebra.dot-assoc-random",
             "(f.g).h = f.(g.h) on random dense triples",
-            worst < tol.entrywise,
+            worst < TOL.entrywise,
             deviation=worst,
         )
     )
@@ -411,15 +390,14 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
             [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(100)]
         ).T
     F, G = random_rows(S, rng, min(trials, 25), 2)
-    F = np.concatenate([_delta_rows(n, xs), F])
-    G = np.concatenate([_delta_rows(n, ys), G])
-    direct = [dot_direct(AlgebraElement(S, f), AlgebraElement(S, g)).coeffs for f, g in zip(F, G)]
-    worst = _max_dev(dot_many(S, F, G), np.array(direct).reshape(F.shape))
+    D = np.eye(n, dtype=np.complex128)
+    F, G = np.concatenate([D[xs], F]), np.concatenate([D[ys], G])
+    worst = _max_dev(dot_many(S, F, G), dot_direct_many(S, F, G))
     checks.append(
         Check(
             "algebra.dot-forms-agree",
             "factorization sum and translation sum for the dot product agree",
-            worst < tol.entrywise,
+            worst < TOL.entrywise,
             deviation=worst,
         )
     )
@@ -434,7 +412,7 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
         Check(
             "algebra.tilde-antimult",
             "(f.g)~ = g~ . f~ (exact on deltas, tolerance on random pairs)",
-            worst == 0.0 and rworst < tol.entrywise,
+            worst == 0.0 and rworst < TOL.entrywise,
             deviation=max(worst, rworst),
         )
     )
@@ -445,7 +423,7 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
             "algebra.tilde-involution",
             "f~~ = f and ||f~||_1 = ||f||_1",
             max_abs_diff(f.tilde().tilde(), f) == 0.0
-            and abs(f.tilde().norm(1) - f.norm(1)) < tol.norm,
+            and abs(f.tilde().norm(1) - f.norm(1)) < TOL.norm,
         )
     )
 
@@ -460,7 +438,7 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
         Check(
             "algebra.submultiplicative",
             "||f.g||_1 <= ||f||_1 ||g||_1",
-            worst_margin <= tol.norm,
+            worst_margin <= TOL.norm,
             deviation=max(worst_margin, 0.0),
         )
     )
@@ -468,7 +446,7 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
         Check(
             "algebra.positive-domination",
             "0 <= f, g implies ||f.g||_1 <= ||f*g||_1",
-            pos_margin <= tol.norm,
+            pos_margin <= TOL.norm,
             deviation=max(pos_margin, 0.0),
         )
     )
@@ -514,7 +492,7 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
             "algebra.restriction-homomorphism",
             "dropping the zero coordinate carries the convolution of the "
             "zero-adjoined semigroup to the dot product; kernel C d_0",
-            worst == 0.0 and rworst < tol.entrywise,
+            worst == 0.0 and rworst < TOL.entrywise,
             wit,
             max(worst, rworst),
         )
@@ -526,7 +504,7 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
             "algebra.restriction-isometry",
             "min over c of ||f + c d_0||_1 equals ||f restricted||_1, "
             "attained at c = -f(0)",
-            dev < tol.entrywise,
+            dev < TOL.entrywise,
             deviation=dev,
         )
     )
@@ -540,7 +518,7 @@ def suite_algebra(S, *, seed=0, trials=100, tol=None):
                 "algebra.group-coincidence",
                 "in a group the dot product and the order-relaxed variant "
                 "coincide with convolution",
-                worst < tol.entrywise,
+                worst < TOL.entrywise,
                 deviation=worst,
             )
         )
@@ -659,8 +637,7 @@ def tau_homomorphism_deviation(rs, rng, trials=50):
 # representations
 
 
-def suite_reps(S, *, seed=0, trials=100, tol=None):
-    tol = tol or Tolerances()
+def suite_reps(S, *, seed=0, trials=100):
     rng = np.random.default_rng(seed)
     checks = []
     rs = build_restricted_semigroup(S)
@@ -761,7 +738,7 @@ def suite_reps(S, *, seed=0, trials=100, tol=None):
             "reps.lift-homomorphism",
             "the lift sends the dot product to operator products and the "
             "tilde involution to adjoints",
-            worst < tol.identity,
+            worst < TOL.identity,
             deviation=worst,
         )
     )
@@ -801,7 +778,7 @@ def suite_reps(S, *, seed=0, trials=100, tol=None):
         Check(
             "reps.inner-identity-left",
             "<lambda_r(x*) xi, eta> = (xi . eta~)(x)",
-            dev < tol.identity,
+            dev < TOL.identity,
             wit,
             dev,
         )
@@ -811,7 +788,7 @@ def suite_reps(S, *, seed=0, trials=100, tol=None):
         Check(
             "reps.inner-identity-right",
             "<rho_r(x) xi, eta> = (eta~ . xi)(x)",
-            dev < tol.identity,
+            dev < TOL.identity,
             wit,
             dev,
         )
@@ -825,7 +802,7 @@ def suite_reps(S, *, seed=0, trials=100, tol=None):
                 "<rho_r~(phi) xi, eta> = phi . (xi-check . eta-bar) summed "
                 "over the idempotents (evaluation at 1 alone when 1 is the "
                 "only idempotent)",
-                lifted.summed < tol.identity and lifted.localized < tol.identity,
+                lifted.summed < TOL.identity and lifted.localized < TOL.identity,
                 lifted.witness,
                 max(lifted.summed, lifted.localized),
             )
@@ -835,14 +812,14 @@ def suite_reps(S, *, seed=0, trials=100, tol=None):
         Check(
             "reps.faithful-restricted",
             "f -> lambda_r~(f) has full rank, so the lift is faithful",
-            lift_rank(lam_r, tol.pivot) == S.n,
+            lift_rank(lam_r, TOL.pivot) == S.n,
         )
     )
     checks.append(
         Check(
             "reps.faithful-full",
             "f -> lambda~(f) has full rank on the convolution algebra",
-            lift_rank(lam, tol.pivot) == S.n,
+            lift_rank(lam, TOL.pivot) == S.n,
         )
     )
     checks.append(
@@ -850,7 +827,7 @@ def suite_reps(S, *, seed=0, trials=100, tol=None):
             "reps.semisimple",
             "the trace form on the lifted algebra is nondegenerate "
             "(zero radical)",
-            trace_form_rank(lam_r, tol.pivot) == S.n,
+            trace_form_rank(lam_r, TOL.pivot) == S.n,
         )
     )
     return checks
@@ -860,8 +837,7 @@ def suite_reps(S, *, seed=0, trials=100, tol=None):
 # C*-norms
 
 
-def suite_cstar(S, *, seed=0, trials=100, tol=None):
-    tol = tol or Tolerances()
+def suite_cstar(S, *, seed=0, trials=100):
     rng = np.random.default_rng(seed)
     checks = []
     rs = build_restricted_semigroup(S)
@@ -875,7 +851,7 @@ def suite_cstar(S, *, seed=0, trials=100, tol=None):
         Check(
             "cstar.lift-contractive",
             "||lambda_r~(f)|| <= ||f||_1",
-            margin <= tol.norm,
+            margin <= TOL.norm,
             deviation=max(margin, 0.0),
         )
     )
@@ -886,7 +862,7 @@ def suite_cstar(S, *, seed=0, trials=100, tol=None):
         Check(
             "cstar.identity",
             "||f~ . f|| = ||f||^2 in the reduced norm",
-            worst < tol.cstar,
+            worst < TOL.cstar,
             deviation=worst,
         )
     )
@@ -895,7 +871,7 @@ def suite_cstar(S, *, seed=0, trials=100, tol=None):
     # reduced norm at finite scale (cstar.full_cstar_norm), so the order
     # to check is reduced = supremum <= 1-norm
     head = slice(0, S.n + 10)
-    order_ok = bool(np.all(reduced[head] <= l1[head] + tol.norm))
+    order_ok = bool(np.all(reduced[head] <= l1[head] + TOL.norm))
     checks.append(
         Check(
             "cstar.norm-order",
@@ -913,7 +889,7 @@ def suite_cstar(S, *, seed=0, trials=100, tol=None):
             "cstar.sigma-cross-check",
             "randomized contractive restricted representations never "
             "exceed the supremum norm",
-            excess <= tol.norm,
+            excess <= TOL.norm,
             deviation=max(excess, 0.0),
         )
     )
@@ -924,7 +900,7 @@ def suite_cstar(S, *, seed=0, trials=100, tol=None):
             "cstar.quotient-match",
             "the quotient norm mod the zero line equals the reduced norm "
             "of the restriction",
-            q.max_deviation < tol.cstar,
+            q.max_deviation < TOL.cstar,
             q.witness,
             q.max_deviation,
         )
@@ -934,7 +910,7 @@ def suite_cstar(S, *, seed=0, trials=100, tol=None):
             "cstar.quotient-minimized",
             "scalar minimization over c of ||f + c d_0|| agrees with the "
             "projected quotient norm",
-            q.minimized_deviation < tol.cstar,
+            q.minimized_deviation < TOL.cstar,
             deviation=q.minimized_deviation,
         )
     )
@@ -945,7 +921,7 @@ def suite_cstar(S, *, seed=0, trials=100, tol=None):
         Check(
             "cstar.l1-quotient",
             "min over c of ||f + c d_0||_1 equals the restricted 1-norm",
-            dev < tol.entrywise,
+            dev < TOL.entrywise,
             deviation=dev,
         )
     )
@@ -965,7 +941,7 @@ def suite_cstar(S, *, seed=0, trials=100, tol=None):
         Check(
             "cstar.opnorm-backend",
             PLUMBING,
-            worst <= tol.norm,
+            worst <= TOL.norm,
             deviation=worst,
         )
     )
@@ -991,15 +967,14 @@ def run_suite(S, label, suite, **kwargs):
     )
 
 
-def run_suites(members, suites, *, seed=0, trials=100, tol=None):
+def run_suites(members, suites, *, seed=0, trials=100):
     """Run the named suites over labelled semigroups; deterministic for a
     fixed seed.  Check lists are sorted by id, so assembly order does not
     matter."""
-    tol = tol or Tolerances()
     reports = []
     for label, S in members:
         for suite in suites:
             reports.append(
-                run_suite(S, label, suite, seed=seed, trials=trials, tol=tol)
+                run_suite(S, label, suite, seed=seed, trials=trials)
             )
     return reports

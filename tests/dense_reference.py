@@ -11,6 +11,8 @@ Nothing here is used by the library.
   restalg.linalg, and the spectral norm as one LAPACK SVD of the whole
   matrix, for the block-by-block SVD norm of restalg.linalg and as the
   dense-lift reference of the block norms.
+- The dot product coordinate by coordinate from the translation sum,
+  for the padded-table route restalg.algebra.dot_direct_many.
 - The order-relaxed product coordinate by coordinate, and its
   associativity scan over an (n, n, n) table of delta products, for the
   triple-set kernel of restalg.algebra.
@@ -266,6 +268,17 @@ def gram_schmidt_rank(cols, rel_tol=1e-9):
         A -= np.outer(q, q.conj() @ A)
         rank += 1
     return rank
+
+
+def dot_direct_loop(S, f, g):
+    """(f.g)(x) = sum over y with yy* = x*x of f(xy) g(y*), one coordinate
+    at a time."""
+    gs = g[S.star]
+    out = np.zeros(S.n, dtype=np.complex128)
+    for x in range(S.n):
+        ys = np.flatnonzero(S.ran == S.dom[x])
+        out[x] = f[S.mul[x, ys]] @ gs[ys]
+    return out
 
 
 def order_dot_loop(S, f, g):

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest -v tests/test_acceptance.py`` (or ``-s`` to see the
-lines on passing runs).  Tolerances are fixed here, not configurable.
-Criteria 2-10 read the ``algebra`` and ``reps`` suites of ``restalg
-verify``, run once at these tolerances; the others run their own loops.
+lines on passing runs).  The tolerances are pinned here: the suites
+judge against ``restalg.verify.TOL``, which must equal them.  Criteria
+2-10 read the ``algebra`` and ``reps`` suites of ``restalg verify``, run
+once; the others run their own loops.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from restalg.algebra import AlgebraElement, order_dot, order_dot_scan, restrict_
 from restalg.errors import NotInverse
 from restalg.restricted import build_restricted_semigroup
 from restalg.semigroups import build_from_table
-from restalg.verify import Tolerances, run_suites
+from restalg.verify import TOL, run_suites
 
 SEED = 20260808
 
@@ -28,8 +29,8 @@ TOL_NORM_SLACK = 1e-9
 TOL_PIVOT = 1e-9
 TOL_L1_ISOMETRY = 1e-13
 
-# every field is set here, so no change to the Tolerances defaults can
-# loosen the acceptance bounds
+# every field is pinned here, so a change to any bound the suites read
+# fails the acceptance suite
 PINNED = {
     "entrywise": TOL_ENTRYWISE,
     "norm": TOL_NORM_SLACK,
@@ -37,7 +38,6 @@ PINNED = {
     "cstar": TOL_CSTAR,
     "pivot": TOL_PIVOT,
 }
-ACCEPTANCE = Tolerances(**PINNED)
 
 
 def _line(num, name, ok, detail=""):
@@ -50,10 +50,8 @@ def _line(num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def suites(full_corpus):
     """The algebra and reps suite checks over the full corpus, by id."""
-    assert set(PINNED) == {f.name for f in dataclasses.fields(Tolerances)}
-    reports = run_suites(
-        full_corpus, ["algebra", "reps"], seed=SEED, trials=100, tol=ACCEPTANCE
-    )
+    assert dataclasses.asdict(TOL) == PINNED
+    reports = run_suites(full_corpus, ["algebra", "reps"], seed=SEED, trials=100)
     checks = {}
     for report in reports:
         for c in report.checks:

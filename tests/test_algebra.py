@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import order_dot_assoc_witness_dense, order_dot_loop
+from dense_reference import dot_direct_loop, order_dot_assoc_witness_dense, order_dot_loop
 from restalg.algebra import (
     AlgebraElement,
     approx_identity,
@@ -15,6 +15,7 @@ from restalg.algebra import (
     conv_triples,
     dot,
     dot_direct,
+    dot_direct_many,
     dot_many,
     dot_triples,
     extend_from_base,
@@ -149,6 +150,27 @@ def test_dot_two_formulas_agree():
             f = AlgebraElement.random(S, rngl)
             g = AlgebraElement.random(S, rngl)
             assert max_abs_diff(dot(f, g), dot_direct(f, g)) < 1e-12
+
+
+def test_dot_direct_many_matches_the_coordinate_loop(full_corpus):
+    # the padded translation table against the per-coordinate sum: exact on
+    # delta pairs, within 1e-14 on random rows, over more than one block
+    rngl = np.random.default_rng(8)
+    for label, S in full_corpus + [("I4", gen_symmetric_inverse_monoid(4))]:
+        # every delta pair up to order 35, 2000 of them on I4
+        xs, ys = np.divmod(np.arange(S.n * S.n)[:: max(1, S.n * S.n // 2000)], S.n)
+        D = np.eye(S.n, dtype=np.complex128)
+        assert np.array_equal(dot_direct_many(S, D[xs], D[ys]), dot_many(S, D[xs], D[ys])), label
+        B = _rows_per_block(S.n) + 3
+        F = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
+        G = rngl.uniform(-1, 1, (B, S.n)) + 1j * rngl.uniform(-1, 1, (B, S.n))
+        P = dot_direct_many(S, F, G)
+        for i in (0, B - 1):
+            assert np.abs(P[i] - dot_direct_loop(S, F[i], G[i])).max() < 1e-14, (label, i)
+            f, g = AlgebraElement(S, F[i]), AlgebraElement(S, G[i])
+            assert np.array_equal(P[i], dot_direct(f, g).coeffs), (label, i)
+        assert np.abs(P - dot_many(S, F, G)).max() < 1e-12, label
+        assert dot_direct_many(S, F[:0], G[:0]).shape == (0, S.n), label
 
 
 def test_dot_many_rows_equal_dot(full_corpus):
@@ -409,7 +431,7 @@ def test_order_dot_scan_matches_the_dense_scan(full_corpus):
 
 
 def test_order_dot_scan_memory_on_cold_i4():
-    # no (n, n, n) table of delta products: the kernel streams (y, z) blocks
+    # no (n, n, n) table of delta products: the joins run one block of x at a time
     S = gen_symmetric_inverse_monoid(4)
     tracemalloc.start()
     try:

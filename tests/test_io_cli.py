@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import restalg
 
 from restalg.algebra import AlgebraElement
-from restalg.cli import main
+from restalg.cli import MAX_TRIALS, main
 from restalg.errors import NotAssociative, NotInverse, ParseError, RestalgError, StarMismatch
 from restalg.families import gen_group, gen_symmetric_inverse_monoid
 from restalg.io_json import (
@@ -398,26 +399,27 @@ def test_cli_quotient_check_single(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_cli_quotient_check_reads_the_cstar_tolerance(tmp_path, capsys):
+def test_cli_quotient_check_reads_the_cstar_tolerance(tmp_path, capsys, monkeypatch):
     path = tmp_path / "z2.json"
     path.write_text(canonical_dumps(semigroup_to_dict(Z2)))
+    assert main(["quotient-check", str(path)]) == 0
+    capsys.readouterr()
     # the minimized route is off by rounding, which 1e-30 does not allow
-    assert main(["quotient-check", str(path), "--tol", "cstar=1e-30"]) == 1
+    monkeypatch.setattr(restalg.verify, "TOL", dataclasses.replace(restalg.verify.TOL, cstar=1e-30))
+    assert main(["quotient-check", str(path)]) == 1
     assert "[FAIL]" in capsys.readouterr().out
-    assert main(["quotient-check", str(path), "--tol", "banana=1"]) == 2
-    assert "unknown tolerance 'banana'" in capsys.readouterr().err
 
 
 def test_cli_norm_cstar_reads_the_norm_tolerance(tmp_path, capsys, monkeypatch):
     path = tmp_path / "f.json"
     path.write_text(canonical_dumps(function_to_dict(AlgebraElement(Z2, [1, 1]))))
-    assert main(["norm", str(path), "--cstar", "--tol", "banana=1"]) == 2
-    # a sampled representation 5e-10 above the norm: within the default
-    # norm tolerance 1e-9, beyond 1e-10
+    # a sampled representation 5e-10 above the norm: within the norm
+    # tolerance 1e-9, beyond 1e-10
     monkeypatch.setattr(restalg.cstar, "sigma_r_cross_check", lambda f, *, trials, seed: 5e-10)
     assert main(["norm", str(path), "--cstar"]) == 0
     capsys.readouterr()
-    assert main(["norm", str(path), "--cstar", "--tol", "norm=1e-10"]) == 1
+    monkeypatch.setattr(restalg.verify, "TOL", dataclasses.replace(restalg.verify.TOL, norm=1e-10))
+    assert main(["norm", str(path), "--cstar"]) == 1
     assert "exceeded the norm by 5.000e-10" in capsys.readouterr().err
 
 
@@ -442,6 +444,10 @@ def test_cli_norm_cstar_reads_the_norm_tolerance(tmp_path, capsys, monkeypatch):
         ["norm", "unread.json", "--max-order", "300"],
         ["quotient-check", "--max-order", "300"],
         ["witness-search", "--max-order", "300"],
+        # the tolerances are fixed (restalg.verify.TOL)
+        ["verify", "--tol", "entrywise=1e-6"],
+        ["norm", "unread.json", "--cstar", "--tol", "norm=1"],
+        ["quotient-check", "--tol", "cstar=1"],
     ],
 )
 def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
@@ -454,12 +460,14 @@ def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["quotient-check", "{z2}", "--tol", "entrywise=1e-300", "--tol", "identity=1e-300"],
-         "quotient-check reads only --tol cstar, not 'entrywise'"),
-        (["norm", "{f}", "--cstar", "--tol", "pivot=1e-300"], "norm reads only --tol norm, not 'pivot'"),
-        (["norm", "{f}", "--seed", "3", "--tol", "pivot=1e-300"], "norm reads --seed only with --cstar"),
+        # a FILE with an unknown corpus name: the unread flag is named first
+        (["quotient-check", "{z2}", "--corpus", "bogus"],
+         "quotient-check reads --corpus only without a FILE"),
+        (["rep", "{z2}", "--n", "3"], "rep reads --n only without a FILE"),
+        (["norm", "{f}", "--seed", "3"], "norm reads --seed only with --cstar"),
         (["norm", "{f}", "--trials", "3"], "norm reads --trials only with --cstar"),
-        (["norm", "{f}", "--tol", "norm=1e-3"], "norm reads --tol only with --cstar"),
+        # a given 0 is a given flag
+        (["norm", "{f}", "--p", "2", "--seed", "0"], "norm reads --seed only with --cstar"),
         (["verify", "{z2}", "--no-restricted"], "verify reads --no-restricted only without a FILE"),
         (["witness-search", "{z2}", "--no-restricted"],
          "witness-search reads --no-restricted only without a FILE"),
@@ -502,25 +510,6 @@ def test_cli_gen_size_limit_exit_code(tmp_path, capsys):
     assert main(["verify", str(path), "--suite", "axioms"]) == 0
 
 
-def test_cli_tolerance_override(tmp_path, capsys):
-    path = tmp_path / "z2.json"
-    path.write_text(canonical_dumps(semigroup_to_dict(Z2)))
-    code = main(
-        ["verify", str(path), "--suite", "algebra", "--trials", "5",
-         "--tol", "entrywise=1e-6", "--tol", "norm=1e-6"]
-    )
-    assert code == 0
-    assert main(["verify", str(path), "--tol", "banana=1"]) == 2
-    assert main(["verify", str(path), "--tol", "nonsense"]) == 2
-    capsys.readouterr()
-    # the membership laws are exact on the tables, so there is no slack to set
-    assert main(["verify", str(path), "--suite", "reps", "--tol", "contraction=1e-9"]) == 2
-    assert "unknown tolerance 'contraction'" in capsys.readouterr().err
-    # the minimized route is exact, so it is held to the cstar tolerance
-    assert main(["verify", str(path), "--suite", "cstar", "--tol", "minimized=1e-6"]) == 2
-    assert "unknown tolerance 'minimized'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -530,19 +519,29 @@ def test_cli_tolerance_override(tmp_path, capsys):
         ["verify", "--suite", "cstar", "--trials", "0"],
         ["verify", "--suite", "axioms", "--trials", "-3"],
         ["verify", "--suite", "cstar", "--seed", "-1"],
-        ["verify", "--suite", "algebra", "--no-restricted", "--tol", "entrywise=inf"],
-        ["verify", "--suite", "algebra", "--tol", "entrywise=nan"],
-        ["verify", "--suite", "cstar", "--tol", "norm=-1"],
-        ["verify", "--suite", "cstar", "--tol", "cstar=0"],
-        ["quotient-check", "--tol", "entrywise=abc"],
-        ["norm", "unread.json", "--cstar", "--tol", "entrywise=abc"],
+        ["verify", "--suite", "algebra", "--no-restricted", "--trials", "1001"],
+        ["verify", "--suite", "algebra", "--no-restricted", "--trials", str(10**15)],
+        ["quotient-check", "--trials", "1001"],
+        ["quotient-check", "--trials", str(10**15)],
+        ["norm", "unread.json", "--cstar", "--trials", "1001"],
+        ["norm", "unread.json", "--cstar", "--trials", str(10**15)],
     ],
 )
 def test_cli_rejects_unusable_common_values(argv, capsys):
     # each used to run anyway: the default corpus, vacuous random checks,
-    # or a numpy traceback read as a verification failure
+    # or a numpy traceback (of an allocation of trials x n values) read as
+    # a verification failure
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_cli_trials_bound(tmp_path, capsys):
+    path = tmp_path / "i2.json"
+    path.write_text(canonical_dumps(semigroup_to_dict(I2)))
+    assert main(["verify", str(path), "--suite", "axioms", "--trials", str(MAX_TRIALS)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--suite", "algebra", "--trials", str(10**15)]) == 2
+    assert capsys.readouterr().err == f"input error: --trials must be at most 1000, got {10**15}\n"
 
 
 def test_cli_closed_stdout_exits_quietly():

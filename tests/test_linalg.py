@@ -232,6 +232,21 @@ def test_pattern_blocks_of_i4_lifts():
         assert np.array_equal(np.sort_complex(entries), np.sort_complex(A[A != 0]))
 
 
+def test_svd_op_norm_takes_a_matrix_with_no_zero_entry_whole(monkeypatch):
+    # one dense component: no component search, and the value is one SVD
+    def no_search(nonzero):
+        raise AssertionError("component search on a matrix with no zero entry")
+
+    monkeypatch.setattr(linalg, "_pattern_labels", no_search)
+    rng = np.random.default_rng(44)
+    for shape in ((SPLIT_MIN_DIM, SPLIT_MIN_DIM), (209, 209), (70, 90)):
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert svd_op_norm(M) == float(np.linalg.svd(M, compute_uv=False)[0]), shape
+    M[3, 5] = 0.0
+    with pytest.raises(AssertionError, match="component search"):
+        svd_op_norm(M)
+
+
 def test_svd_op_norm_is_svd_alone(monkeypatch):
     # the cross-check backend takes no eigensolve and nothing but numpy
     def no_eigensolve(*args, **kwargs):

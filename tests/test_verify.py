@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from dense_reference import (
     tilde_delta_pairs,
     unit_laws_blocks,
 )
-from restalg.algebra import AlgebraElement, conv, conv_triples, dot_triples
+from restalg.algebra import AlgebraElement, conv, conv_triples, delta_assoc_witness, dot_triples
 from restalg.corpus import corpus_member
 from restalg.cstar import quotient_match_report
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
@@ -32,11 +35,10 @@ from restalg.restricted import build_restricted_semigroup
 from restalg.semigroups import FiniteInvSemigroup
 from restalg.verify import (
     PLUMBING,
-    Tolerances,
+    TOL,
     _coded_devs,
     approx_identity_property,
     delta_absorption_deviation,
-    delta_assoc_witness,
     delta_dot_deviation,
     finite_unit_laws_deviation,
     run_suite,
@@ -52,19 +54,9 @@ Z2 = gen_group("cyclic", 2)
 I2 = gen_symmetric_inverse_monoid(2)
 
 
-def test_tolerance_overrides():
-    tol = Tolerances().override({"cstar": "1e-6"})
-    assert tol.cstar == 1e-6
-    with pytest.raises(ValueError):
-        Tolerances().override({"bogus": 1})
-    for value in ("inf", "nan", "-1", "0"):
-        with pytest.raises(ValueError):
-            Tolerances().override({"entrywise": value})
-
-
 def test_each_suite_passes_on_i2():
     for suite in ("axioms", "algebra", "reps", "cstar"):
-        report = run_suite(I2, "I2", suite, seed=3, trials=10, tol=Tolerances())
+        report = run_suite(I2, "I2", suite, seed=3, trials=10)
         assert report.passed, [c.id for c in report.checks if not c.passed]
         assert report.seconds >= 0
 
@@ -78,7 +70,7 @@ def test_every_check_has_claim_or_plumbing_tag():
 
 
 def test_report_checks_sorted_in_output():
-    report = run_suite(Z2, "Z2", "algebra", seed=1, trials=5, tol=Tolerances())
+    report = run_suite(Z2, "Z2", "algebra", seed=1, trials=5)
     ids = [c["id"] for c in report.as_dict()["checks"]]
     assert ids == sorted(ids)
     text = report.format_text()
@@ -90,12 +82,41 @@ def test_delta_assoc_witness_none_on_valid():
     assert delta_assoc_witness(gen_chain_semilattice(3)) is None
 
 
+def test_delta_assoc_witness_memory_on_a_large_group():
+    # a group has n^2 dot triples and n^3 pairs in each join; the joins
+    # run one block of x at a time, so no n^3 index array is built
+    S = gen_group("cyclic", 256)
+    dot_triples(S)
+    tracemalloc.start()
+    try:
+        hit = delta_assoc_witness(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit is None
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("label", ["I3", "S3"])
+def test_dot_assoc_deltas_fails_on_a_dropped_triple(monkeypatch, label):
+    # the check joins dot_triples with itself, so a triple missing from the
+    # set shows although the table, and its zero-adjoined form, are valid
+    S = corpus_member(label)
+    assert delta_assoc_witness(S) is None
+    T = np.array(dot_triples(S))
+    dropped = np.delete(T, len(T) // 3, axis=0)
+    monkeypatch.setattr(restalg.algebra, "dot_triples", lambda _S: dropped)
+    x, y, z = delta_assoc_witness(S)
+    checks = {c.id: c for c in suite_algebra(S, seed=1, trials=5)}
+    c = checks["algebra.dot-assoc-deltas"]
+    assert not c.passed and c.witness == f"triple {(x, y, z)}"
+
+
 @pytest.mark.parametrize("label, seed", [("chain4", 2), ("Z4", 11)])
 def test_cstar_suite_on_near_degenerate_lifts(label, seed):
     # these draws lift to 5x5 diagonal matrices whose top two singular
     # values differ by ~1e-5 (relative); the CLI seeds 2 and 11 hit them
-    report = run_suite(corpus_member(label), label, "cstar", seed=seed,
-                       trials=100, tol=Tolerances())
+    report = run_suite(corpus_member(label), label, "cstar", seed=seed, trials=100)
     assert report.passed, [c.id for c in report.checks if not c.passed]
 
 
@@ -163,7 +184,7 @@ def test_batched_checks_match_the_scalar_loops(full_corpus):
     # the random-trial checks, batched, against the loops they replaced:
     # same verdicts at the default tolerance and same witnesses,
     # deviations within 1e-14
-    tol = Tolerances().identity
+    tol = TOL.identity
     for label, S in full_corpus:
         for batched, loop in (
             (lambda_inner_identity_report, lambda_inner_identity_loop),
@@ -228,18 +249,25 @@ def test_restriction_random_pairs_match_the_pair_loop(full_corpus):
         assert got[1:] == want[1:], label
 
 
+def test_tolerances_are_fixed():
+    # one frozen set of bounds; a test that needs another patches TOL
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TOL.entrywise = 1.0
+
+
 def test_restriction_homomorphism_verdict(monkeypatch):
-    # exact on the deltas and the kernel, within tol.entrywise on random pairs
-    def check(parts, tol):
+    # exact on the deltas and the kernel, within TOL.entrywise on random pairs
+    def check(parts, tol=TOL):
         with monkeypatch.context() as m:
             m.setattr(restalg.verify, "tau_homomorphism_deviation", lambda rs, rng, trials: parts)
-            checks = {c.id: c for c in suite_algebra(Z2, seed=1, trials=5, tol=tol)}
+            m.setattr(restalg.verify, "TOL", tol)
+            checks = {c.id: c for c in suite_algebra(Z2, seed=1, trials=5)}
         return checks["algebra.restriction-homomorphism"]
 
-    c = check((0.0, 5e-13, "random pair 3"), Tolerances())
+    c = check((0.0, 5e-13, "random pair 3"))
     assert c.passed and c.deviation == 5e-13 and c.witness == "random pair 3"
-    assert not check((0.0, 5e-13, "random pair 3"), Tolerances(entrywise=1e-13)).passed
-    assert not check((1e-300, 0.0, "delta row 0"), Tolerances()).passed
+    assert not check((0.0, 5e-13, "random pair 3"), dataclasses.replace(TOL, entrywise=1e-13)).passed
+    assert not check((1e-300, 0.0, "delta row 0")).passed
 
 
 def test_coded_devs_flag_a_pair_counted_twice():
