@@ -163,7 +163,8 @@ def order_triples(S):
 
 
 # bytes of kernel temporaries per term and row: the complex weights,
-# their real and imaginary copies, the bin indices and the gathers
+# the bin indices and the gathers come to about 40; the budget is 64,
+# with headroom, and it fixes where the row blocks fall
 _BYTES_PER_TERM = 64
 _BLOCK_BYTES = 1 << 20
 
@@ -214,11 +215,11 @@ def first_max(values):
 
 
 def scatter(values, index, size):
-    """Complex bincount: out[i] sums values[j] over index[j] == i, each bin
-    from +0.0 in the order of index, real and imaginary parts apart."""
-    out = np.empty(size, dtype=np.complex128)
-    out.real = np.bincount(index, weights=values.real, minlength=size)
-    out.imag = np.bincount(index, weights=values.imag, minlength=size)
+    """Complex scatter-add: out[i] sums values[j] over index[j] == i, each
+    bin from +0.0 in the order of index (np.add.at; a complex add is
+    componentwise, so real and imaginary parts are summed apart)."""
+    out = np.zeros(size, dtype=np.complex128)
+    np.add.at(out, index, values)
     return out
 
 

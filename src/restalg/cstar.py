@@ -83,15 +83,17 @@ def representative_blocks(S):
 
 
 def _block_index(rep):
-    """Per representative block L: (L, x, flat) such that the (L, L) block
-    of lift(rep, f) is the scatter of f[x] into flat (row-major); kept on
-    rep."""
+    """One entry (Ls, xs, flat, elements) per block size d among the
+    representative blocks, kept on rep: Ls is the (q, d) array of the q
+    L-classes of that size, and the (q, d, d) stack of their blocks of
+    lift(rep, f) is the scatter of f[xs] into flat (row-major), whose
+    terms are read from the columns ``elements`` of f alone."""
 
     def build():
         S = rep.base
         xs, ys, cols = rep.entries()
         local = np.full(S.n, -1, dtype=np.intp)
-        out = []
+        by_size = {}
         for L in representative_blocks(S):
             local[L] = np.arange(L.size)
             keep = S.dom[ys] == S.dom[L[0]]
@@ -99,7 +101,17 @@ def _block_index(rep):
                 raise VerificationFailure(
                     f"{rep.name} moves a row out of its L-class", witness=rep.name
                 )
-            out.append((L, xs[keep], local[ys[keep]] * L.size + local[cols[keep]]))
+            by_size.setdefault(L.size, []).append((L, xs[keep], local[ys[keep]] * L.size + local[cols[keep]]))
+        out = []
+        for d, blocks in sorted(by_size.items()):
+            # block j of the stack starts at j d^2; each bin still sums in
+            # the order of its own L-class's terms
+            xs_d = np.concatenate([x for _, x, _ in blocks])
+            flat = np.concatenate([j * d * d + f for j, (_, _, f) in enumerate(blocks)])
+            # the elements read, sorted; np.unique would import numpy.ma
+            # (about 1 MB) on its first call
+            elements = np.flatnonzero(np.bincount(xs_d, minlength=S.n))
+            out.append((np.stack([L for L, _, _ in blocks]), xs_d, flat, elements))
         return out
 
     return kept_on(rep, "blocks", build)
@@ -107,27 +119,33 @@ def _block_index(rep):
 
 def block_norms(rep, F, cleared=None):
     """||lift(rep, f)|| for every row f of a (B, n) coefficient array, with
-    the column of element ``cleared`` zeroed first: per representative
-    block, one scatter of the (B, d, d) block stack and one stacked
-    eigensolve, in blocks of rows.  A row's value does not depend on the
-    batch it comes in."""
+    the column of element ``cleared`` zeroed first: per block size d, the
+    rows with a nonzero coefficient on that size's elements (the live
+    rows) take one scatter of their (B, q, d, d) block stack and one
+    stacked eigensolve, in blocks of rows; the other rows' blocks are
+    zero, of norm 0.  A row's value does not depend on the batch it comes
+    in."""
     F = np.asarray(F, dtype=np.complex128)
     n = rep.base.n
     if F.ndim != 2 or F.shape[1] != n:
         raise ValueError(f"expected a (B, {n}) array, got {F.shape}")
     best = np.zeros(F.shape[0])
-    for L, xs, flat in _block_index(rep):
-        d = L.size
+    for Ls, xs, flat, elements in _block_index(rep):
+        q, d = Ls.shape
+        # a NaN is nonzero, so it stays live and op_norms rejects it
+        live = np.flatnonzero((F[:, elements] != 0).any(axis=1))
+        if not live.size:
+            continue
+        q_hit, col_hit = np.nonzero(Ls == cleared)
 
         def norms(rows):
-            bins = (np.arange(rows.shape[0])[:, None] * (d * d) + flat).ravel()
-            stack = scatter(np.take(rows, xs, axis=1).ravel(), bins, rows.shape[0] * d * d)
-            stack = stack.reshape(-1, d, d)
-            if cleared is not None:
-                stack[:, :, L == cleared] = 0.0
-            return op_norms(stack)
+            bins = (np.arange(rows.shape[0])[:, None] * (q * d * d) + flat).ravel()
+            stack = scatter(np.take(rows, xs, axis=1).ravel(), bins, rows.shape[0] * q * d * d)
+            stack = stack.reshape(-1, q, d, d)
+            stack[:, q_hit, :, col_hit] = 0.0
+            return op_norms(stack.reshape(-1, d, d)).reshape(-1, q).max(axis=1)
 
-        best = np.maximum(best, map_rows(norms, d * d + xs.size, F))
+        best[live] = np.maximum(best[live], map_rows(norms, q * d * d + xs.size, F[live]))
     return best
 
 

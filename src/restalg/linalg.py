@@ -37,11 +37,13 @@ def op_norms(stack):
 
 # Matrices with fewer rows or columns than this take one dense SVD: the
 # component search does not pay for itself below it.  Measured with one
-# BLAS thread (timeit, best of 7) on random complex block-diagonal
-# matrices with permuted rows and columns, split against dense: 395 us
-# against 249 us at n = 48, 455 against 438 at n = 64, 860 against 931
-# at n = 82, 2.0 ms against 6.5 ms at n = 209; on I3's lambda_r (n = 34)
-# 287 us against 58 us, on I4's (n = 209) 1.0 ms against 4.9 ms.
+# BLAS thread (timeit, best of 7, 2 shared vCPUs, numpy 2.4.6) on random
+# complex block-diagonal matrices (blocks of 1 to 24) with permuted rows
+# and columns, split against dense: 241 us against 209 us at n = 48, 281
+# against 386 at n = 64, 355 against 667 at n = 82, 0.9 ms against
+# 6.0 ms at n = 209; on I3's lambda_r (n = 34) 157 us against 48 us, on
+# I4's (n = 209) 0.7 ms against 4.6 ms: the crossover lies between 48
+# and 64.
 SPLIT_MIN_DIM = 64
 
 
@@ -58,12 +60,13 @@ def svd_op_norm(mat):
     singular values, not eigenvalues of a Gram matrix, so this route
     shares nothing with the block norms of restalg.cstar.
     """
-    M = np.asarray(mat, dtype=np.complex128)
+    # contiguous, so that the finite-entries check reads the float64 view
+    M = np.ascontiguousarray(mat, dtype=np.complex128)
     if M.ndim != 2:
         raise ValueError("expected a matrix")
     if M.size == 0:
         return 0.0
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M.view(np.float64)).all():
         raise ValueError("matrix entries must be finite")
     if min(M.shape) < SPLIT_MIN_DIM:
         return float(np.linalg.svd(M, compute_uv=False)[0])
@@ -101,29 +104,41 @@ def _pattern_labels(nonzero):
 
 def pattern_blocks(M):
     """The connected components of M's nonzero pattern (_pattern_labels) as
-    (q, a, b) stacks, one per component shape: entry [i] of a stack is
-    M restricted to the a rows and b columns of one component, in their
-    order in M.  Rows and columns with no nonzero entry are left out;
-    together the blocks hold every nonzero entry of M once.  A matrix
-    with no zero entry is one component, taken without the search."""
-    m = M.shape[0]
-    nonzero = M != 0
+    (q, a, b) stacks, one per component shape in the order of (a, b):
+    entry [i] of a stack is M restricted to the a rows and b columns of
+    one component, in their order in M, and the components of one shape
+    come in the order of their labels.  Rows and columns with no nonzero
+    entry are left out; together the blocks hold every nonzero entry of M
+    once.  A matrix with no zero entry is one component, taken without
+    the search."""
+    M = np.ascontiguousarray(M, dtype=np.complex128)
+    m, k = M.shape
+    # an entry is nonzero when either part is: the float64 view's test,
+    # paired up through a 2-byte view, is several times faster than M != 0
+    nonzero = (M.view(np.float64) != 0).view(np.uint16) != 0
     if nonzero.all():
         yield M[None]
         return
     labels = _pattern_labels(nonzero)
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    cols = np.flatnonzero(nonzero.any(axis=0))
+    # rows and columns per label; a label with both is a component, and
+    # an empty row or column is a label of its own with no partner
+    row_count = np.bincount(labels[:m], minlength=m + k)
+    col_count = np.bincount(labels[m:], minlength=m + k)
+    comps = np.flatnonzero((row_count > 0) & (col_count > 0))
+    if not comps.size:
+        return
     # stable sorts keep each component's rows and columns in their order
-    rows = rows[np.argsort(labels[rows], kind="stable")]
-    cols = cols[np.argsort(labels[cols + m], kind="stable")]
-    _, row_count = np.unique(labels[rows], return_counts=True)
-    _, col_count = np.unique(labels[cols + m], return_counts=True)
-    row_start = np.cumsum(row_count) - row_count
-    col_start = np.cumsum(col_count) - col_count
-    shapes = np.stack([row_count, col_count], axis=1)
-    for a, b in np.unique(shapes, axis=0):
-        hit = np.flatnonzero((row_count == a) & (col_count == b))
+    rows = np.argsort(labels[:m], kind="stable")
+    cols = np.argsort(labels[m:], kind="stable")
+    row_start = (np.cumsum(row_count) - row_count)[comps]
+    col_start = (np.cumsum(col_count) - col_count)[comps]
+    a_of, b_of = row_count[comps], col_count[comps]
+    # b <= k, so a (k + 1) + b sorts like the pair (a, b)
+    key = a_of * (k + 1) + b_of
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[order])) + 1
+    for hit in np.split(order, bounds):
+        a, b = int(a_of[hit[0]]), int(b_of[hit[0]])
         R = rows[row_start[hit, None] + np.arange(a)]
         C = cols[col_start[hit, None] + np.arange(b)]
         yield M[R[:, :, None], C[:, None, :]]

@@ -10,7 +10,11 @@ Nothing here is used by the library.
 - Column rank by modified Gram-Schmidt, for the SVD rank of
   restalg.linalg, and the spectral norm as one LAPACK SVD of the whole
   matrix, for the block-by-block SVD norm of restalg.linalg and as the
-  dense-lift reference of the block norms.
+  dense-lift reference of the block norms (dense_lift_norm keeps each
+  lift's value, so tests that need the same lift share one SVD).
+- The pattern split of restalg.linalg with one np.unique per count and
+  per shape, for its one-pass grouping, and the complex scatter-add as
+  two real bincounts, for restalg.algebra.scatter.
 - The dot product coordinate by coordinate from the translation sum,
   for the padded-table route restalg.algebra.dot_direct_many.
 - The order-relaxed product coordinate by coordinate, and its
@@ -31,7 +35,9 @@ Nothing here is used by the library.
   identities of restalg.semigroups and restalg.families.
 """
 
+import hashlib
 import itertools
+import weakref
 
 import numpy as np
 
@@ -45,11 +51,10 @@ from restalg.algebra import (
     first_max,
     random_rows,
     restrict_to_base,
-    scatter,
     tilde_rows,
 )
 from restalg.errors import InvalidGroupTable, NotInverse
-from restalg.linalg import op_norm
+from restalg.linalg import _pattern_labels, op_norm
 from restalg.reps import (
     KIND_RESTRICTED,
     LiftedRhoReport,
@@ -247,6 +252,67 @@ def dense_svd_norm(M):
     return float(np.linalg.norm(M, 2))
 
 
+# dense_lift_norm's values by (table digest, representation name, row
+# digest, cleared element); the digests of a table by its semigroup
+_LIFT_NORMS = {}
+_TABLE_DIGESTS = weakref.WeakKeyDictionary()
+
+
+def _digest(a):
+    return hashlib.blake2b(np.ascontiguousarray(a)).digest()
+
+
+def dense_lift_norm(rep, row, cleared=None):
+    """dense_svd_norm of lift(rep, row) with the column of element
+    ``cleared`` zeroed, computed once per semigroup table, representation,
+    row and cleared element."""
+    S = rep.base
+    if S not in _TABLE_DIGESTS:
+        _TABLE_DIGESTS[S] = _digest(S.mul)
+    row = np.asarray(row, dtype=np.complex128)
+    key = (_TABLE_DIGESTS[S], rep.name, _digest(row), cleared)
+    if key not in _LIFT_NORMS:
+        A = lift(rep, AlgebraElement(S, row))
+        if cleared is not None:
+            A[:, cleared] = 0.0
+        _LIFT_NORMS[key] = dense_svd_norm(A)
+    return _LIFT_NORMS[key]
+
+
+def pattern_blocks_reference(M):
+    """linalg.pattern_blocks with the counts, shapes and component groups
+    taken by np.unique and np.any passes over the pattern."""
+    m = M.shape[0]
+    nonzero = M != 0
+    if nonzero.all():
+        yield M[None]
+        return
+    labels = _pattern_labels(nonzero)
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    rows = rows[np.argsort(labels[rows], kind="stable")]
+    cols = cols[np.argsort(labels[cols + m], kind="stable")]
+    _, row_count = np.unique(labels[rows], return_counts=True)
+    _, col_count = np.unique(labels[cols + m], return_counts=True)
+    row_start = np.cumsum(row_count) - row_count
+    col_start = np.cumsum(col_count) - col_count
+    shapes = np.stack([row_count, col_count], axis=1)
+    for a, b in np.unique(shapes, axis=0):
+        hit = np.flatnonzero((row_count == a) & (col_count == b))
+        R = rows[row_start[hit, None] + np.arange(a)]
+        C = cols[col_start[hit, None] + np.arange(b)]
+        yield M[R[:, :, None], C[:, None, :]]
+
+
+def scatter_reference(values, index, size):
+    """Complex scatter-add as two real bincounts: each bin summed from
+    +0.0 in the order of index, real and imaginary parts apart."""
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(index, weights=values.real, minlength=size)
+    out.imag = np.bincount(index, weights=values.imag, minlength=size)
+    return out
+
+
 def gram_schmidt_rank(cols, rel_tol=1e-9):
     """Numerical column rank by modified Gram-Schmidt with greedy
     pivoting; pivots below rel_tol times the largest initial column norm
@@ -343,7 +409,7 @@ def lambda_inner_identity_loop(S, *, trials=100, seed=0):
     for t in range(trials):
         xi = AlgebraElement.random(S, rng)
         eta = AlgebraElement.random(S, rng)
-        lhs = scatter(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), at, S.n)
+        lhs = scatter_reference(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), at, S.n)
         rhs = dot(xi, eta.tilde()).coeffs
         dev = float(np.abs(lhs - rhs).max())
         if dev > worst:
@@ -360,7 +426,7 @@ def rho_inner_identity_loop(S, *, trials=100, seed=0):
     for t in range(trials):
         xi = AlgebraElement.random(S, rng)
         eta = AlgebraElement.random(S, rng)
-        lhs = scatter(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), xs, S.n)
+        lhs = scatter_reference(xi.coeffs[cols] * np.conj(eta.coeffs[ys]), xs, S.n)
         rhs = dot(eta.tilde(), xi).coeffs
         dev = float(np.abs(lhs - rhs).max())
         if dev > worst:

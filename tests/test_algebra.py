@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dot_direct_loop, order_dot_assoc_witness_dense, order_dot_loop
+from dense_reference import dot_direct_loop, order_dot_assoc_witness_dense, order_dot_loop, scatter_reference
+from restalg import cstar
 from restalg.algebra import (
     AlgebraElement,
     approx_identity,
@@ -27,6 +28,7 @@ from restalg.algebra import (
     order_dot_assoc_witness,
     order_dot_scan,
     restrict_to_base,
+    scatter,
     unit_rows,
 )
 from restalg.corpus import default_corpus
@@ -37,6 +39,7 @@ from restalg.families import (
     gen_group,
     gen_symmetric_inverse_monoid,
 )
+from restalg.reps import left_regular, restricted_left_regular
 from restalg.restricted import build_restricted_semigroup
 
 Z2 = gen_group("cyclic", 2)
@@ -453,3 +456,47 @@ def test_witness_search_deterministic_over_corpus():
     assert hit is not None
     assert hit["label"] == "chain2"
     assert hit["witness"] == (0, 1, 1)
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_scatter_is_the_bincount_reference():
+    # np.add.at sums every bin from +0.0 in the order of the index, as two
+    # real bincounts do: bitwise equal, signed zeros, infinities and NaNs
+    # included
+    rng = np.random.default_rng(45)
+
+    def draw(count):
+        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+
+    cases = [
+        (np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.intp), 0),
+        (np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.intp), 7),
+        # duplicate bins, summed in index order, with cancellations
+        (np.array([1e16, 1.0, -1e16, 1.0 + 2j, 3j]), np.array([2, 2, 2, 0, 2]), 4),
+        # signed zeros alone and mixed
+        (np.array([complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]), np.array([0, 1, 1]), 3),
+        (np.array([complex(-0.0, -0.0), complex(-0.0, -0.0)]), np.array([1, 1]), 2),
+    ]
+    values = draw(1000)
+    values[::7] = complex(-0.0, -0.0)
+    values[3], values[5], values[9] = np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)
+    index = rng.integers(0, 24 * 24, 1000)
+    index[9] = index[3]  # inf + (1 - inf j) in one bin
+    cases.append((values, index, 24 * 24))
+    # a 4-row dot block, a lambda_r lift row and an L-class block stack of I4
+    I4 = gen_symmetric_inverse_monoid(4)
+    a, b, c = dot_triples(I4).T
+    F, G = random_rows(I4, rng, 4, count=2)
+    cases.append(((F[:, a] * G[:, b]).ravel(), (np.arange(4)[:, None] * I4.n + c).ravel(), 4 * I4.n))
+    xs, ys, cols = restricted_left_regular(I4).entries()
+    cases.append((draw(xs.size), ys * I4.n + cols, I4.n * I4.n))
+    for Ls, xs, flat, _ in cstar._block_index(left_regular(I4)):
+        q, d = Ls.shape
+        cases.append((draw(3 * xs.size), (np.arange(3)[:, None] * (q * d * d) + flat).ravel(), 3 * q * d * d))
+    for values, index, size in cases:
+        want = scatter_reference(values, index, size)
+        assert _bitwise(scatter(values, index, size), want), size
+

@@ -5,6 +5,7 @@ import pytest
 
 from dense_reference import (
     dense_lambda_r,
+    dense_lift_norm,
     dense_representation_report,
     dense_sigma_r_samples,
     dense_svd_norm,
@@ -234,9 +235,13 @@ def _block_cases():
 
 
 def _elements(S, rng, k=20):
-    return [AlgebraElement.delta(S, x) for x in range(S.n)] + [
+    """Every delta and k random elements, with zero elements among them:
+    each block size sees rows that are live on it and rows that are not."""
+    zero = AlgebraElement(S, np.zeros(S.n))
+    deltas = [AlgebraElement.delta(S, x) for x in range(S.n)]
+    return [zero, *deltas[: S.n // 2], zero, *deltas[S.n // 2 :]] + [
         AlgebraElement.random(S, rng) for _ in range(k)
-    ]
+    ] + [zero]
 
 
 def _rel(a, b):
@@ -260,9 +265,9 @@ def _batch_cases(S, rs):
 
 @pytest.mark.parametrize("S, rs", _block_cases())
 def test_block_norms_match_dense_svd(S, rs):
-    # one batch of deltas and random rows per block norm, each row against
-    # LAPACK's SVD of the dense lift (cleared column zeroed) and bitwise
-    # against the one-row norm
+    # one batch of zero rows, deltas and random rows per block norm, each
+    # row against LAPACK's SVD of the dense lift (cleared column zeroed)
+    # and bitwise against the one-row norm; a zero row's norm is exactly 0
     rng = np.random.default_rng(32)
     worst = 0.0
     for rep, cleared, one_row in _batch_cases(S, rs):
@@ -270,11 +275,9 @@ def test_block_norms_match_dense_svd(S, rs):
         norms = cstar.block_norms(rep, np.array([f.coeffs for f in elements]), cleared)
         assert norms.shape == (len(elements),)
         for f, value in zip(elements, norms):
-            A = lift(rep, f)
-            if cleared is not None:
-                A[:, cleared] = 0.0
-            worst = max(worst, _rel(value, dense_svd_norm(A)))
+            worst = max(worst, _rel(value, dense_lift_norm(rep, f.coeffs, cleared)))
             assert one_row(f) == value
+            assert f.coeffs.any() or value == 0.0
     assert worst <= 1e-12
 
 
@@ -288,7 +291,7 @@ def test_block_norms_rows_do_not_depend_on_the_batch(label):
     rng = np.random.default_rng(36)
     for rep, cleared, _ in _batch_cases(S, rs):
         n = rep.base.n
-        step = min(_rows_per_block(L.size * L.size + xs.size) for L, xs, _ in cstar._block_index(rep))
+        step = min(_rows_per_block(Ls.size * Ls.shape[1] + xs.size) for Ls, xs, _, _ in cstar._block_index(rep))
         for B in (0, 1, 2 * step + 3):
             F = rng.uniform(-1, 1, (B, n)) + 1j * rng.uniform(-1, 1, (B, n))
             norms = cstar.block_norms(rep, F, cleared)
@@ -304,10 +307,46 @@ def test_block_norms_reject_bad_input():
     for F in (np.zeros(I2.n), np.zeros((2, I2.n + 1))):
         with pytest.raises(ValueError):
             cstar.block_norms(lam_r, F)
-    F = np.zeros((3, I2.n), dtype=np.complex128)
-    F[1, 0] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        cstar.block_norms(lam_r, F)
+    # a non-finite coefficient, the only nonzero of its row, keeps the row
+    # live: a NaN is not zero
+    for bad in (np.inf, np.nan, complex(0.0, np.nan)):
+        F = np.zeros((3, I2.n), dtype=np.complex128)
+        F[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cstar.block_norms(lam_r, F)
+
+
+def test_block_norms_eigensolve_live_blocks_only(monkeypatch):
+    # one stack per block size, over the rows live on it: a delta of I4
+    # or of its zero-adjoined semigroup lives in one D-class, so its
+    # lambda_r norm is one eigensolve; the order-256 chain's 256 1 x 1
+    # blocks are one stack, one eigensolve per block of live rows
+    calls = []
+    real = cstar.op_norms
+    monkeypatch.setattr(cstar, "op_norms", lambda stack: calls.append(stack.shape) or real(stack))
+    I4 = gen_symmetric_inverse_monoid(4)
+    for S in (I4, build_restricted_semigroup(I4).sr):
+        for x in range(S.n):
+            calls.clear()
+            assert cstar.reduced_cstar_norm(AlgebraElement.delta(S, x)) == 1.0
+            assert len(calls) == 1, (S.n, x)
+    calls.clear()
+    assert cstar.block_norms(restricted_left_regular(I4), np.zeros((4, I4.n))).tolist() == [0.0] * 4
+    assert calls == []
+    chain = gen_chain_semilattice(256)
+    rng = np.random.default_rng(47)
+    for rep in (restricted_left_regular(chain), left_regular(chain)):
+        [(Ls, xs, _, _)] = cstar._block_index(rep)
+        assert Ls.shape == (256, 1)
+        step = _rows_per_block(Ls.size + xs.size)
+        F = random_rows(chain, rng, 2 * step + 3)[0]
+        F[::4] = 0.0
+        live = int(F.any(axis=1).sum())
+        calls.clear()
+        norms = cstar.block_norms(rep, F)
+        assert len(calls) == -(-live // step), rep.name
+        assert sum(shape[0] for shape in calls) == 256 * live
+        assert np.array_equal(norms == 0.0, ~F.any(axis=1))
 
 
 def test_block_norm_attained_off_the_largest_block():

@@ -1,10 +1,11 @@
 import ast
 import inspect
+import itertools
 
 import numpy as np
 import pytest
 
-from dense_reference import dense_svd_norm
+from dense_reference import dense_lift_norm, dense_svd_norm, pattern_blocks_reference
 from restalg import linalg
 from restalg.algebra import random_rows
 from restalg.families import gen_symmetric_inverse_monoid
@@ -179,8 +180,9 @@ def _random_block_diagonal(rng, dim):
 
 
 def _lifts():
-    """lambda_r and lambda lifts of the deltas and of 20 random rows, over
-    I4 and its zero-adjoined semigroup."""
+    """(representation, row, lift) for the lambda_r and lambda lifts of the
+    deltas and of 20 random rows, over I4 and its zero-adjoined
+    semigroup."""
     rng = np.random.default_rng(41)
     I4 = gen_symmetric_inverse_monoid(4)
     rs = build_restricted_semigroup(I4)
@@ -188,7 +190,7 @@ def _lifts():
         rows = np.concatenate([np.eye(S.n, dtype=np.complex128), random_rows(S, rng, 20)[0]])
         for rep in (restricted_left_regular(S), left_regular(S)):
             for lo in range(0, rows.shape[0], 32):
-                yield from lift_many(rep, rows[lo : lo + 32])
+                yield from zip(itertools.repeat(rep), rows[lo : lo + 32], lift_many(rep, rows[lo : lo + 32]))
 
 
 def test_svd_op_norm_matches_one_dense_svd():
@@ -213,8 +215,10 @@ def test_svd_op_norm_matches_one_dense_svd():
         assert _close(svd_op_norm(M), dense_svd_norm(M)), M.shape
     assert svd_op_norm(one) == 2.5
     assert svd_op_norm(np.zeros((100, 100))) == 0.0
-    for A in _lifts():
-        assert _close(svd_op_norm(A), dense_svd_norm(A))
+    # the dense references of the I4 lifts are shared with the block norm
+    # tests (dense_lift_norm)
+    for rep, row, A in _lifts():
+        assert _close(svd_op_norm(A), dense_lift_norm(rep, row))
 
 
 def test_pattern_blocks_of_i4_lifts():
@@ -230,6 +234,46 @@ def test_pattern_blocks_of_i4_lifts():
         assert sum(s.shape[0] for s in stacks) > 1
         entries = np.concatenate([s[s != 0] for s in stacks])
         assert np.array_equal(np.sort_complex(entries), np.sort_complex(A[A != 0]))
+
+
+def _same_stacks(M):
+    got, want = list(pattern_blocks(M)), list(pattern_blocks_reference(M))
+    assert len(got) == len(want), M.shape
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g.view(np.uint8), w.view(np.uint8)), M.shape
+
+
+def test_pattern_blocks_match_the_unique_grouping():
+    # the one-pass split yields the stacks of the np.unique grouping in
+    # the same order, bitwise
+    rng = np.random.default_rng(48)
+    I4 = gen_symmetric_inverse_monoid(4)
+    rs = build_restricted_semigroup(I4)
+    rows = np.concatenate([np.eye(I4.n)[::7], random_rows(I4, rng, 3)[0]]).astype(np.complex128)
+    for rep in (restricted_left_regular(I4), left_regular(I4)):
+        for A in lift_many(rep, rows):
+            _same_stacks(A)
+    # the quotient: lambda lifts over the zero-adjoined semigroup with the
+    # zero column cleared
+    zrows = np.concatenate([np.eye(rs.sr.n)[::9], random_rows(rs.sr, rng, 3)[0]]).astype(np.complex128)
+    for A in lift_many(left_regular(rs.sr), zrows):
+        A[:, rs.zero_index] = 0.0
+        _same_stacks(A)
+    # random sparse rectangular patterns, with empty rows and columns
+    for _ in range(40):
+        m, k = rng.integers(1, 160, 2)
+        M = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        M[rng.random((m, k)) >= rng.uniform(0.0, 0.08)] = 0.0
+        _same_stacks(M)
+    M = np.zeros((90, 70), dtype=np.complex128)
+    M[5:40:3, 10:60:2] = 1.0 + 1.0j
+    M[70, 3] = -2.0
+    _same_stacks(M)
+    # all-zero, and non-contiguous views
+    _same_stacks(np.zeros((80, 100), dtype=np.complex128))
+    _same_stacks(M[::-1])
+    _same_stacks(M.T)
+    _same_stacks(_random_block_diagonal(rng, 150)[::2, 1::2])
 
 
 def test_svd_op_norm_takes_a_matrix_with_no_zero_entry_whole(monkeypatch):
@@ -254,7 +298,7 @@ def test_svd_op_norm_is_svd_alone(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
     monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
-    A = next(iter(_lifts()))
+    A = next(iter(_lifts()))[2]
     assert svd_op_norm(A) == pytest.approx(1.0, rel=1e-12)
     imported = set()
     for node in ast.walk(ast.parse(inspect.getsource(linalg))):
