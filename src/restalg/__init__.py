@@ -29,13 +29,9 @@ from .cstar import (
 from .errors import (
     BaseMismatch,
     InvalidGroupTable,
-    NotAdjointClosed,
     NotAssociative,
-    NotContractive,
     NotIdempotent,
     NotInverse,
-    NotMultiplicative,
-    NotRestrictedMultiplicative,
     ParseError,
     RestalgError,
     SizeLimit,

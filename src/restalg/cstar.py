@@ -217,10 +217,7 @@ def sigma_r_cross_check(f, *, trials=5, seed=0):
     never built: the lift of f through a sample is the image of
     A = lift(lambda_r, f), a (k, n, n) stack of summands.
     """
-    return _sigma_r_excess(f, reduced_cstar_norm(f), trials, seed)
-
-
-def _sigma_r_excess(f, value, trials, seed):
+    value = reduced_cstar_norm(f)
     A = lift(restricted_left_regular(f.base), f)
     samples = _sigma_r_images(f.base, A, trials, seed)
     return float(max((op_norms(stack).max() for stack in samples), default=-np.inf)) - value
@@ -363,12 +360,12 @@ def cstar_identity_deviations(S, F):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def l1_quotient_deviations(F, zero_index, rs):
+def l1_quotient_deviations(F, rs):
     """Per row f of a (B, n + 1) array over the zero-adjoined semigroup:
     the deviation of min_c ||f + c delta_0||_1 (attained at c = -f(0))
     from the 1-norm of the restriction."""
     shifted = F.copy()
-    shifted[:, zero_index] += -F[:, zero_index]
+    shifted[:, rs.zero_index] += -F[:, rs.zero_index]
     direct = np.abs(shifted).sum(axis=1)
     # [:, :n] drops the zero coordinate: restrict_to_base on every row
     return np.abs(direct - np.abs(F[:, : rs.base.n]).sum(axis=1))

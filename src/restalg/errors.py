@@ -63,19 +63,3 @@ class ParseError(RestalgError):
         self.line = line
         self.column = column
 
-
-class NotAdjointClosed(WitnessedError):
-    """pi(x*) differs from pi(x)* for some x."""
-
-
-class NotContractive(WitnessedError):
-    """Some pi(x) has operator norm above 1 (plus slack)."""
-
-
-class NotMultiplicative(WitnessedError):
-    """pi(x)pi(y) differs from pi(xy) for some pair."""
-
-
-class NotRestrictedMultiplicative(NotMultiplicative):
-    """pi(x)pi(y) differs from the composability rule: pi(xy) on
-    composable pairs and 0 elsewhere."""

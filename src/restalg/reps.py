@@ -20,13 +20,7 @@ from functools import wraps
 import numpy as np
 
 from .algebra import dot_many, first_max, map_rows, random_rows, scatter, tilde_rows
-from .errors import (
-    BaseMismatch,
-    NotAdjointClosed,
-    NotContractive,
-    NotMultiplicative,
-    NotRestrictedMultiplicative,
-)
+from .errors import BaseMismatch
 from .linalg import column_rank
 from .semigroups import kept_on, read_only
 
@@ -254,21 +248,6 @@ def representation_report(rep):
                 )
             )
             break
-    return report
-
-
-def require_membership(rep):
-    """Raise the coded exception for the first violated membership law."""
-    report = representation_report(rep)
-    for v in report.violations:
-        if v.code == "adjoint":
-            raise NotAdjointClosed(v.witness, witness=v.witness)
-        if v.code == "contraction":
-            raise NotContractive(v.witness, witness=v.witness)
-        if v.code == "multiplicative":
-            if rep.kind == KIND_RESTRICTED:
-                raise NotRestrictedMultiplicative(v.witness, witness=v.witness)
-            raise NotMultiplicative(v.witness, witness=v.witness)
     return report
 
 

@@ -383,22 +383,17 @@ def suite_algebra(S, *, seed=0, trials=100):
         )
     )
 
-    if n <= 12:
-        xs, ys = np.divmod(np.arange(n * n), n)
-    else:
-        xs, ys = np.array(
-            [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(100)]
-        ).T
+    # exact on the coded row, which pins every delta pair d_x . d_y
+    D, G = np.eye(n, dtype=np.complex128), _coded_rows(n, n)
+    exact = float(_coded_devs(dot_many(S, D, G), dot_direct_many(S, D, G)).max(initial=0.0))
     F, G = random_rows(S, rng, min(trials, 25), 2)
-    D = np.eye(n, dtype=np.complex128)
-    F, G = np.concatenate([D[xs], F]), np.concatenate([D[ys], G])
     worst = _max_dev(dot_many(S, F, G), dot_direct_many(S, F, G))
     checks.append(
         Check(
             "algebra.dot-forms-agree",
             "factorization sum and translation sum for the dot product agree",
-            worst < TOL.entrywise,
-            deviation=worst,
+            exact == 0.0 and worst < TOL.entrywise,
+            deviation=max(exact, worst),
         )
     )
 
@@ -498,7 +493,7 @@ def suite_algebra(S, *, seed=0, trials=100):
         )
     )
     Fz = random_rows(rs.sr, rng, trials)[0]
-    dev = float(cstar.l1_quotient_deviations(Fz, rs.zero_index, rs).max(initial=0.0))
+    dev = float(cstar.l1_quotient_deviations(Fz, rs).max(initial=0.0))
     checks.append(
         Check(
             "algebra.restriction-isometry",
@@ -916,7 +911,7 @@ def suite_cstar(S, *, seed=0, trials=100):
     )
 
     Fz = random_rows(rs.sr, rng, min(trials, 25))[0]
-    dev = float(cstar.l1_quotient_deviations(Fz, rs.zero_index, rs).max(initial=0.0))
+    dev = float(cstar.l1_quotient_deviations(Fz, rs).max(initial=0.0))
     checks.append(
         Check(
             "cstar.l1-quotient",

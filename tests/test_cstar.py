@@ -201,7 +201,7 @@ def test_quotient_match_report():
 def test_l1_quotient_deviation():
     rs = build_restricted_semigroup(I2)
     F = random_rows(rs.sr, np.random.default_rng(26), 20)[0]
-    devs = cstar.l1_quotient_deviations(F, rs.zero_index, rs)
+    devs = cstar.l1_quotient_deviations(F, rs)
     assert devs.shape == (20,) and devs.max() < 1e-13
 
 

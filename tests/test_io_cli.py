@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import restalg
 
 from restalg.algebra import AlgebraElement
-from restalg.cli import MAX_TRIALS, main
+from restalg.cli import MAX_TRIALS, _check_args, build_parser, main
 from restalg.errors import NotAssociative, NotInverse, ParseError, RestalgError, StarMismatch
 from restalg.families import gen_group, gen_symmetric_inverse_monoid
 from restalg.io_json import (
@@ -267,14 +267,16 @@ def test_cli_verify_rejects_non_string_labels(tmp_path, capsys):
     assert "one string per element" in capsys.readouterr().err
 
 
-def test_cli_rep_matrix(capsys):
-    code = main(["rep", "--family", "cyclic", "--n", "2", "--which", "lambda_r", "--element", "1"])
+def test_cli_rep_matrix(tmp_path, capsys):
+    path = tmp_path / "z2.json"
+    assert main(["gen", "--family", "cyclic", "--n", "2", "--out", str(path)]) == 0
+    code = main(["rep", str(path), "--which", "lambda_r", "--element", "1"])
     assert code == 0
     assert "lambda_r" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("which", ["lambda_r", "rho_r", "lambda", "Lambda"])
-def test_cli_rep_element_does_not_build_the_stack(which, capsys):
+def test_cli_rep_element_does_not_build_the_stack(which, tmp_path, capsys):
     from dense_reference import dense_lambda, dense_lambda_r, dense_rho_r
     from restalg.restricted import build_restricted_semigroup
 
@@ -284,7 +286,9 @@ def test_cli_rep_element_does_not_build_the_stack(which, capsys):
         "rho_r": dense_rho_r,
         "lambda": dense_lambda,
     }.get(which, lambda S: dense_lambda(build_restricted_semigroup(S).sr))(S)[5]
-    argv = ["rep", "--family", "symmetric-inverse", "--n", "3", "--which", which, "--element", "5"]
+    path = tmp_path / "i3.json"
+    path.write_text(canonical_dumps(semigroup_to_dict(S)))
+    argv = ["rep", str(path), "--which", which, "--element", "5"]
     assert main([*argv, "--json"]) == 0
     got = np.array(json.loads(capsys.readouterr().out))
     assert np.array_equal(got[..., 0] + 1j * got[..., 1], want)
@@ -292,30 +296,57 @@ def test_cli_rep_element_does_not_build_the_stack(which, capsys):
     assert capsys.readouterr().out.startswith(f"{which}(")
 
 
-def test_cli_rep_check(capsys):
-    assert main(["rep", "--family", "symmetric-inverse", "--n", "2", "--check"]) == 0
+REGULAR = [
+    "reps.left-regular-adjoined",
+    "reps.left-regular-full",
+    "reps.left-regular-restricted",
+    "reps.right-regular-restricted",
+]
+
+
+def _removed(argv):
+    """An invocation that is gone: argparse rejects it and exits 2."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_cli_rep_check(tmp_path, capsys):
+    # rep only prints a matrix: the membership laws of the four regular
+    # representations are verify's reps checks
+    path = tmp_path / "i2.json"
+    path.write_text(canonical_dumps(semigroup_to_dict(I2)))
+    _removed(["rep", str(path), "--check"])
+    assert "unrecognized arguments: --check" in capsys.readouterr().err
+    assert main(["verify", str(path), "--suite", "reps"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert all(f"[PASS] {cid} --" in out for cid in REGULAR)
 
 
-def test_cli_rep_check_json(capsys, monkeypatch):
-    assert main(["rep", "--family", "symmetric-inverse", "--n", "2", "--check", "--json"]) == 0
-    entries = json.loads(capsys.readouterr().out)
-    assert [(e["name"], e["kind"], e["passed"], e["violations"]) for e in entries] == [
-        ("lambda_r", "restricted", True, []),
-        ("rho_r", "restricted", True, []),
-        ("lambda", "full", True, []),
-        ("Lambda", "full", True, []),
+def test_cli_rep_check_json(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "i2.json"
+    path.write_text(canonical_dumps(semigroup_to_dict(I2)))
+    assert main(["verify", str(path), "--suite", "reps", "--json"]) == 0
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)[0]["checks"]}
+    assert [(cid, checks[cid]["passed"], checks[cid]["deviation"]) for cid in REGULAR] == [
+        (cid, True, 0.0) for cid in REGULAR
     ]
-    # a violated law is listed with its code and witness, and exits 1
+    # a violated law fails the check with its witness, and exits 1
     from restalg.reps import MembershipReport, Violation
 
     broken = MembershipReport("full", [Violation("adjoint", "x=1", 1.0)])
-    monkeypatch.setattr(restalg.cli, "representation_report", lambda rep: broken)
-    assert main(["rep", "--family", "cyclic", "--n", "2", "--check", "--json"]) == 1
-    entries = json.loads(capsys.readouterr().out)
-    assert all(not e["passed"] for e in entries)
-    assert entries[0]["violations"] == [{"code": "adjoint", "witness": "x=1"}]
+    monkeypatch.setattr(restalg.verify, "representation_report", lambda rep: broken)
+    assert main(["verify", str(path), "--suite", "reps", "--json"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)[0]["checks"]}
+    assert all(not checks[cid]["passed"] and checks[cid]["witness"] == "x=1" for cid in REGULAR)
+
+
+def _assert_report(report, want):
+    """norm --cstar's report: the same keys and block sizes as want, and the
+    same norms up to rounding (want is what the command printed when it
+    also ran a sampled bound)."""
+    assert report.pop("blocks") == want["blocks"]
+    assert report == pytest.approx({k: v for k, v in want.items() if k != "blocks"}, rel=0, abs=1e-13)
 
 
 def test_cli_norm(tmp_path, capsys):
@@ -326,10 +357,10 @@ def test_cli_norm(tmp_path, capsys):
     assert float(capsys.readouterr().out) == 2.0
     assert main(["norm", str(path), "--cstar"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["l1"] == 2.0
-    assert report["reduced"] == pytest.approx(2.0, abs=1e-10)
-    assert report["full"] == pytest.approx(2.0, abs=1e-10)
-    assert report["blocks"] == [2]  # Z2 is one D-class, one 2 x 2 block
+    # Z2 is one D-class, one 2 x 2 block
+    _assert_report(
+        report, {"blocks": [2], "full": 2.0, "l1": 2.0, "reduced": 2.0, "unrestricted_reduced": 2.0}
+    )
 
 
 @pytest.mark.parametrize("value", ["NaN", "1e400", "-Infinity"])
@@ -367,10 +398,14 @@ def test_cli_norm_reports_blocks(tmp_path, capsys):
     path.write_text(canonical_dumps(function_to_dict(f)))
     assert main(["norm", str(path), "--cstar"]) == 0
     report = json.loads(capsys.readouterr().out)
-    # the empty map, the rank-one maps with domain {0}, the permutations
-    assert report["blocks"] == [1, 2, 2]
-    # I2 has a zero (the empty map), so the quotient is reported too
-    assert set(report) == {"l1", "reduced", "full", "unrestricted_reduced", "quotient", "blocks"}
+    # blocks: the empty map, the rank-one maps with domain {0}, the
+    # permutations; I2 has a zero (the empty map), so the quotient is
+    # reported too
+    _assert_report(report, {
+        "blocks": [1, 2, 2], "full": 1.4389295121919614, "l1": 4.21360922238876,
+        "quotient": 1.3901333718720037, "reduced": 1.4389295121919614,
+        "unrestricted_reduced": 1.9408027128247403,
+    })
 
 
 def test_cli_norm_quotient_field(tmp_path, capsys):
@@ -382,7 +417,10 @@ def test_cli_norm_quotient_field(tmp_path, capsys):
     (tmp_path / "f.json").write_text(canonical_dumps(function_to_dict(f)))
     assert main(["norm", str(tmp_path / "f.json"), "--cstar"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["quotient"] == pytest.approx(0.0, abs=1e-12)
+    _assert_report(report, {
+        "blocks": [1, 1, 1], "full": 1.0, "l1": 1.0, "quotient": 0.0, "reduced": 1.0,
+        "unrestricted_reduced": 1.0,
+    })
 
 
 def test_cli_witness_search(capsys):
@@ -393,34 +431,41 @@ def test_cli_witness_search(capsys):
 
 
 def test_cli_quotient_check_single(tmp_path, capsys):
+    # the quotient comparison is verify's cstar.quotient-* checks
     path = tmp_path / "z2.json"
     path.write_text(canonical_dumps(semigroup_to_dict(Z2)))
-    assert main(["quotient-check", str(path), "--trials", "10"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    _removed(["quotient-check", str(path), "--trials", "10"])
+    assert "invalid choice: 'quotient-check'" in capsys.readouterr().err
+    assert main(["verify", str(path), "--suite", "cstar", "--trials", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] cstar.quotient-match --" in out and "[PASS] cstar.quotient-minimized --" in out
 
 
 def test_cli_quotient_check_reads_the_cstar_tolerance(tmp_path, capsys, monkeypatch):
     path = tmp_path / "z2.json"
     path.write_text(canonical_dumps(semigroup_to_dict(Z2)))
-    assert main(["quotient-check", str(path)]) == 0
-    capsys.readouterr()
     # the minimized route is off by rounding, which 1e-30 does not allow
     monkeypatch.setattr(restalg.verify, "TOL", dataclasses.replace(restalg.verify.TOL, cstar=1e-30))
-    assert main(["quotient-check", str(path)]) == 1
-    assert "[FAIL]" in capsys.readouterr().out
+    assert main(["verify", str(path), "--suite", "cstar"]) == 1
+    assert "[FAIL] cstar.quotient-minimized --" in capsys.readouterr().out
 
 
-def test_cli_norm_cstar_reads_the_norm_tolerance(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "f.json"
-    path.write_text(canonical_dumps(function_to_dict(AlgebraElement(Z2, [1, 1]))))
+def test_cli_sigma_cross_check_reads_the_norm_tolerance(tmp_path, capsys, monkeypatch):
+    z2 = tmp_path / "z2.json"
+    z2.write_text(canonical_dumps(semigroup_to_dict(Z2)))
+    f = tmp_path / "f.json"
+    f.write_text(canonical_dumps(function_to_dict(AlgebraElement(Z2, [1, 1]))))
     # a sampled representation 5e-10 above the norm: within the norm
     # tolerance 1e-9, beyond 1e-10
     monkeypatch.setattr(restalg.cstar, "sigma_r_cross_check", lambda f, *, trials, seed: 5e-10)
-    assert main(["norm", str(path), "--cstar"]) == 0
+    assert main(["verify", str(z2), "--suite", "cstar"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(restalg.verify, "TOL", dataclasses.replace(restalg.verify.TOL, norm=1e-10))
-    assert main(["norm", str(path), "--cstar"]) == 1
-    assert "exceeded the norm by 5.000e-10" in capsys.readouterr().err
+    assert main(["verify", str(z2), "--suite", "cstar"]) == 1
+    assert "[FAIL] cstar.sigma-cross-check -- " in capsys.readouterr().out
+    # norm --cstar judges nothing: it prints the norms and exits 0
+    assert main(["norm", str(f), "--cstar"]) == 0
+    assert json.loads(capsys.readouterr().out)["full"] == 2.0
 
 
 @pytest.mark.parametrize(
@@ -430,24 +475,25 @@ def test_cli_norm_cstar_reads_the_norm_tolerance(tmp_path, capsys, monkeypatch):
         ["gen", "--family", "trivial", "--trials", "3"],
         ["gen", "--family", "trivial", "--tol", "norm=1"],
         ["gen", "--family", "trivial", "--json"],
-        ["rep", "--seed", "3"],
-        ["rep", "--trials", "3"],
-        ["rep", "--tol", "norm=1"],
+        ["rep", "unread.json", "--seed", "3"],
+        ["rep", "unread.json", "--trials", "3"],
+        ["rep", "unread.json", "--tol", "norm=1"],
         ["witness-search", "--seed", "3"],
         ["witness-search", "--trials", "3"],
         ["witness-search", "--tol", "norm=1"],
         ["witness-search", "--json"],
-        ["quotient-check", "--text"],
+        # rep only prints a matrix; norm --cstar samples nothing
+        ["rep", "unread.json", "--check"],
         ["gen", "--family", "trivial", "--max-order", "300"],
         ["verify", "--max-order", "300"],
-        ["rep", "--max-order", "300"],
+        ["rep", "unread.json", "--max-order", "300"],
         ["norm", "unread.json", "--max-order", "300"],
-        ["quotient-check", "--max-order", "300"],
+        ["norm", "unread.json", "--seed", "3"],
         ["witness-search", "--max-order", "300"],
         # the tolerances are fixed (restalg.verify.TOL)
         ["verify", "--tol", "entrywise=1e-6"],
         ["norm", "unread.json", "--cstar", "--tol", "norm=1"],
-        ["quotient-check", "--tol", "cstar=1"],
+        ["norm", "unread.json", "--cstar", "--trials", "3"],
     ],
 )
 def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
@@ -460,37 +506,43 @@ def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # a FILE with an unknown corpus name: the unread flag is named first
-        (["quotient-check", "{z2}", "--corpus", "bogus"],
-         "quotient-check reads --corpus only without a FILE"),
-        (["rep", "{z2}", "--n", "3"], "rep reads --n only without a FILE"),
-        (["norm", "{f}", "--seed", "3"], "norm reads --seed only with --cstar"),
-        (["norm", "{f}", "--trials", "3"], "norm reads --trials only with --cstar"),
-        # a given 0 is a given flag
-        (["norm", "{f}", "--p", "2", "--seed", "0"], "norm reads --seed only with --cstar"),
+        # quotient-check, rep's family flags and norm's sampling flags are
+        # gone: argparse rejects them
+        (["quotient-check", "{z2}", "--corpus", "bogus"], "invalid choice: 'quotient-check'"),
+        (["rep", "{z2}", "--n", "3"], "unrecognized arguments: --n 3"),
+        (["norm", "{f}", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["norm", "{f}", "--trials", "3"], "unrecognized arguments: --trials 3"),
+        (["norm", "{f}", "--p", "2", "--seed", "0"], "unrecognized arguments: --seed 0"),
         (["verify", "{z2}", "--no-restricted"], "verify reads --no-restricted only without a FILE"),
         (["witness-search", "{z2}", "--no-restricted"],
          "witness-search reads --no-restricted only without a FILE"),
         (["verify", "{z2}", "--corpus", "default"], "verify reads --corpus only without a FILE"),
-        (["quotient-check", "{z2}", "--corpus", "default"],
-         "quotient-check reads --corpus only without a FILE"),
+        (["quotient-check"], "invalid choice: 'quotient-check'"),
         (["witness-search", "{z2}", "--corpus", "default"],
          "witness-search reads --corpus only without a FILE"),
-        (["rep", "{z2}", "--family", "brandt", "--n", "4"], "rep reads --family only without a FILE"),
-        (["rep", "{z2}", "--with-identity"], "rep reads --with-identity only without a FILE"),
+        (["rep", "{z2}", "--family", "brandt", "--n", "4"],
+         "unrecognized arguments: --family brandt --n 4"),
+        (["rep", "{z2}", "--with-identity"], "unrecognized arguments: --with-identity"),
         (["gen", "--family", "cyclic", "--n", "3", "--group-n", "5"], "gen --family cyclic reads no --group-n"),
         (["gen", "--family", "trivial", "--n", "7"], "gen --family trivial reads no --n"),
-        (["rep", "--group-n", "3"], "rep --family symmetric-inverse reads no --group-n"),
+        # "cyclic" is read as the FILE
+        (["rep", "--family", "cyclic"], "unrecognized arguments: --family"),
     ],
 )
 def test_cli_rejects_tolerances_and_flags_a_command_does_not_read(argv, message, tmp_path, capsys):
-    # each used to run and exit 0, the flag silently unread
+    # each used to run and exit 0, the flag silently unread; an input error
+    # is one line, and argparse ends its usage text with the message
     z2 = tmp_path / "z2.json"
     z2.write_text(canonical_dumps(semigroup_to_dict(Z2)))
     f = tmp_path / "f.json"
     f.write_text(canonical_dumps(function_to_dict(AlgebraElement(Z2, [1, 1]))))
-    assert main([a.format(z2=z2, f=f) for a in argv]) == 2
-    assert capsys.readouterr().err == f"input error: {message}\n"
+    argv = [a.format(z2=z2, f=f) for a in argv]
+    if message.startswith(("invalid choice", "unrecognized")):
+        _removed(argv)
+        assert message in capsys.readouterr().err.splitlines()[-1]
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_cli_gen_size_limit_exit_code(tmp_path, capsys):
@@ -514,17 +566,18 @@ def test_cli_gen_size_limit_exit_code(tmp_path, capsys):
     "argv",
     [
         ["verify", "--corpus", "bogus"],
-        ["quotient-check", "--corpus", "bogus"],
+        # the quotient-check and norm --cstar verdicts are verify --suite cstar's
+        ["verify", "--no-restricted", "--suite", "cstar", "--corpus", "bogus"],
         ["witness-search", "--corpus", "bogus"],
         ["verify", "--suite", "cstar", "--trials", "0"],
         ["verify", "--suite", "axioms", "--trials", "-3"],
         ["verify", "--suite", "cstar", "--seed", "-1"],
         ["verify", "--suite", "algebra", "--no-restricted", "--trials", "1001"],
         ["verify", "--suite", "algebra", "--no-restricted", "--trials", str(10**15)],
-        ["quotient-check", "--trials", "1001"],
-        ["quotient-check", "--trials", str(10**15)],
-        ["norm", "unread.json", "--cstar", "--trials", "1001"],
-        ["norm", "unread.json", "--cstar", "--trials", str(10**15)],
+        ["verify", "--no-restricted", "--suite", "cstar", "--trials", "1001"],
+        ["verify", "--no-restricted", "--suite", "cstar", "--trials", str(10**15)],
+        ["verify", "--suite", "cstar", "--trials", "1001"],
+        ["verify", "--suite", "cstar", "--trials", str(10**15)],
     ],
 )
 def test_cli_rejects_unusable_common_values(argv, capsys):
@@ -542,6 +595,25 @@ def test_cli_trials_bound(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(path), "--suite", "algebra", "--trials", str(10**15)]) == 2
     assert capsys.readouterr().err == f"input error: --trials must be at most 1000, got {10**15}\n"
+
+
+def test_readme_cli_examples_parse():
+    # every restalg line of README's CLI block, its comment and redirection
+    # dropped, parses and passes the argument checks, so the docs list no
+    # command or flag that is gone
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split(">", 1)[0].split() for line in block.splitlines()]
+    lines = [words for words in lines if words[:1] == ["restalg"]]
+    assert {words[1] for words in lines} == {"gen", "verify", "rep", "norm", "witness-search"}
+    parser = build_parser()
+    for words in lines:
+        try:
+            args = parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(words)}")
+        _check_args(args)
 
 
 def test_cli_closed_stdout_exits_quietly():
