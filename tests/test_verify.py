@@ -59,6 +59,8 @@ def test_each_suite_passes_on_i2():
         report = run_suite(I2, "I2", suite, seed=3, trials=10)
         assert report.passed, [c.id for c in report.checks if not c.passed]
         assert report.seconds >= 0
+        with pytest.raises(TypeError):  # a misspelled keyword is not dropped
+            run_suite(I2, "I2", suite, sed=3)
 
 
 def test_every_check_has_claim_or_plumbing_tag():
@@ -180,6 +182,48 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
     assert checks["reps.partial-isometry"].deviation == 1.0
     assert not checks["reps.left-regular-restricted"].passed
     assert "> 1" in checks["reps.left-regular-restricted"].witness  # the contraction law
+
+
+def test_unit_laws_fail_on_a_broken_unit_rows(monkeypatch, full_corpus):
+    # a unit_rows that marks only xx*: every idempotent is its own range,
+    # so delta-absorption cannot see it, and unit-laws, which compares e_F
+    # with the row marking xx* and x*x, must see it wherever xx* != x*x
+    def range_only(S, members):
+        rows = np.zeros((len(members), S.n), dtype=np.complex128)
+        rows[np.arange(len(members))[:, None], S.ran[members]] = 1.0
+        return rows
+
+    monkeypatch.setattr(restalg.verify, "unit_rows", range_only)
+    broken = []
+    for label, S in full_corpus:
+        checks = {c.id: c for c in suite_algebra(S, seed=3)}
+        assert checks["algebra.delta-absorption"].passed, label
+        unit = checks["algebra.unit-laws"]
+        if (S.ran != S.dom).any():
+            broken.append(label)
+            assert not unit.passed and "on F=(" in unit.witness, (label, unit.witness)
+        else:
+            assert unit.passed, label
+    assert len(broken) == 6, broken
+
+
+def test_unit_laws_rows_per_side_on_a_large_chain(monkeypatch):
+    # one unit row per pair {xx*, x*x} plus the 20 bigger sets go through
+    # each side of dot_many; the union enumeration this replaced sent
+    # about 2.8 million rows here
+    S = gen_chain_semilattice(256)
+    bound = S.n + 20
+    rows = []
+    dot = restalg.verify.dot_many
+
+    def counting(S, F, G):
+        rows.append(len(F))
+        assert sum(rows) <= 2 * bound
+        return dot(S, F, G)
+
+    monkeypatch.setattr(restalg.verify, "dot_many", counting)
+    assert finite_unit_laws_deviation(S, np.random.default_rng(0)) == (0.0, "")
+    assert sum(rows[0::2]) <= bound and sum(rows[1::2]) <= bound, rows
 
 
 @pytest.mark.parametrize(
