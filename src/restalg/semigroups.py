@@ -4,6 +4,12 @@ Elements are the indices 0..n-1.  A structure is accepted exactly when its
 table is associative, every element has a generalized inverse, and the
 idempotents commute; the involution is then derived (and checked against a
 user-supplied one, if any).
+
+Associativity is decided exactly by Light's test (A. H. Clifford and
+G. B. Preston, *The Algebraic Theory of Semigroups I*, 1961, section 1.2):
+it suffices that (xa)y = x(ay) for all x, y and every a in a generating set
+A of the table's magma.  That costs O(g n^2) products for g = |A|, against
+n^3 for all triples; the proof is in :func:`associativity_witness`.
 """
 
 from __future__ import annotations
@@ -147,27 +153,102 @@ class FiniteInvSemigroup:
 
 
 def _as_table(mul):
-    t = np.asarray(mul, dtype=np.intp)
+    t = np.asarray(mul)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("multiplication table must be square")
     n = int(t.shape[0])
     if n == 0:
         raise ValueError("multiplication table must be nonempty")
+    _require_integers(t, "table")
     if t.min() < 0 or t.max() >= n:
         raise ValueError("table entries must be element indices in 0..n-1")
-    return t, n
+    return t.astype(np.intp, copy=False), n
+
+
+def _require_integers(a, what):
+    """ValueError unless ``a`` has an integer dtype: a float, bool or
+    object array is never cast to indices."""
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{what} entries must be integers, got dtype {a.dtype}")
+
+
+# entries per block of (xa)y and x(ay) arrays in associativity_witness
+_LIGHT_BLOCK = 2**18
+
+
+def generating_set(t):
+    """Indices that generate the magma of table ``t`` under its product,
+    in the order they were taken.
+
+    Greedy: candidates go by the number of distinct entries in their row
+    plus their column, most first (ties by index), and each candidate
+    outside the closure so far becomes a generator.  The closure grows by
+    frontier: each new element is multiplied once against the closure on
+    both sides, so at most 2 n^2 products are taken in all.
+    """
+    n = t.shape[0]
+    idx = np.arange(n)
+    seen = np.zeros((n, n), dtype=bool)
+    seen[idx[:, None], t] = True
+    score = seen.sum(axis=1)
+    seen[:] = False
+    seen[t, idx] = True
+    score += seen.sum(axis=0)
+    inside = np.zeros(n, dtype=bool)
+    gens = []
+    for a in np.argsort(-score, kind="stable").tolist():
+        if inside.all():
+            break
+        if inside[a]:
+            continue
+        gens.append(a)
+        frontier = np.array([a])
+        while frontier.size:
+            inside[frontier] = True
+            closure = np.flatnonzero(inside)
+            fresh = np.zeros(n, dtype=bool)
+            fresh[t[np.ix_(frontier, closure)]] = True
+            fresh[t[np.ix_(closure, frontier)]] = True
+            frontier = np.flatnonzero(fresh & ~inside)
+    return np.array(gens, dtype=np.intp)
 
 
 def associativity_witness(t):
-    """First (x, y, z) with (xy)z != x(yz), or None.  Row-by-row to keep
-    memory at O(n^2)."""
+    """A triple (x, a, y) with (xa)y != x(ay), or None when the table is
+    associative.
+
+    Light's test: let G be the set of a with (xa)y = x(ay) for all x, y.
+    G is closed under the product: for a, b in G, x(ab) = (xa)b, so
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), and ab is in G.
+    So when G contains a generating set (:func:`generating_set`), G is the
+    whole table, which is then associative; no associativity is assumed
+    on the way.  The check runs over the generators only, g of them, at
+    O(g n^2) cost instead of the n^3 of all triples (Clifford and Preston,
+    *The Algebraic Theory of Semigroups I*, 1961, section 1.2).
+
+    The generators are checked in blocks of about ``_LIGHT_BLOCK`` entries,
+    gathered as small integers into buffers reused across blocks, so
+    memory stays O(n^2) even when every element is a generator (a chain).
+    The witness is a genuine failing triple with a generator in the
+    middle, not the first failing triple in x-major order.
+    """
     n = t.shape[0]
-    for x in range(n):
-        lhs = t[t[x], :]
-        rhs = t[x, t]
-        if not np.array_equal(lhs, rhs):
-            y, z = np.argwhere(lhs != rhs)[0]
-            return int(x), int(y), int(z)
+    gens = generating_set(t)
+    step = max(1, _LIGHT_BLOCK // (n * n))
+    values = t.astype(np.min_scalar_type(n - 1))
+    lhs_buf = np.empty(step * n * n, dtype=values.dtype)
+    rhs_buf = np.empty_like(lhs_buf)
+    ne_buf = np.empty(lhs_buf.size, dtype=bool)
+    for i in range(0, gens.size, step):
+        a = gens[i : i + step]
+        shape = (n, a.size, n)
+        size = n * a.size * n
+        lhs = np.take(values, t[:, a], axis=0, out=lhs_buf[:size].reshape(shape))  # (xa)y
+        rhs = np.take(values, t[a], axis=1, out=rhs_buf[:size].reshape(shape))  # x(ay)
+        ne = np.not_equal(lhs, rhs, out=ne_buf[:size].reshape(shape))
+        if ne.any():
+            x, k, y = np.argwhere(ne)[0]
+            return int(x), int(a[k]), int(y)
     return None
 
 
@@ -207,7 +288,7 @@ def check_order(order, shown=None):
 def build_from_table(mul, star=None, *, labels=None):
     """:func:`validate_table` for at most MAX_ORDER elements; a larger
     table raises SizeLimit before any entry is read."""
-    t = np.asarray(mul, dtype=np.intp)
+    t = np.asarray(mul)
     if t.ndim == 2:
         check_order(t.shape[0])
     return validate_table(t, star, labels=labels)
@@ -227,14 +308,17 @@ def validate_table(mul, star=None, *, labels=None):
     the table.  No bound on the order: the zero-adjoined semigroup of an
     order-MAX_ORDER table comes through here.
 
-    Raises ValueError for a table or star of the wrong shape or range,
-    and NotAssociative, NotInverse or StarMismatch with a witness.
+    Raises ValueError for a table or star of the wrong shape or range or
+    of a non-integer dtype, and NotAssociative, NotInverse or StarMismatch with a witness.
     """
     t, n = _as_table(mul)
     idx = np.arange(n)
     if star is not None:
-        s = np.asarray(star, dtype=np.intp)
-        if s.shape != (n,) or s.min() < 0 or s.max() >= n:
+        s = np.asarray(star)
+        if s.shape != (n,):
+            raise ValueError("involution map must list one index in 0..n-1 per element")
+        _require_integers(s, "involution map")
+        if s.min() < 0 or s.max() >= n:
             raise ValueError("involution map must list one index in 0..n-1 per element")
 
     bad = associativity_witness(t)

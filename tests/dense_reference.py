@@ -33,6 +33,8 @@ Nothing here is used by the library.
 - The generalized inverses element by element, and the Latin-square test
   of a group table row and column by row and column, for the array
   identities of restalg.semigroups and restalg.families.
+- Associativity over all n^3 triples, one row of x at a time, for Light's
+  test over a generating set in restalg.semigroups.
 """
 
 import hashlib
@@ -769,3 +771,16 @@ def latin_square_loop(t):
                 f"row/column {x} is not a permutation (not a Latin square)",
                 witness=(x,),
             )
+
+
+def associativity_witness_loop(t):
+    """First (x, y, z) with (xy)z != x(yz), or None.  Row-by-row to keep
+    memory at O(n^2)."""
+    n = t.shape[0]
+    for x in range(n):
+        lhs = t[t[x], :]
+        rhs = t[x, t]
+        if not np.array_equal(lhs, rhs):
+            y, z = np.argwhere(lhs != rhs)[0]
+            return int(x), int(y), int(z)
+    return None

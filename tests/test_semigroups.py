@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import restalg.semigroups
-from dense_reference import derive_star_loop, latin_square_loop
+from dense_reference import associativity_witness_loop, derive_star_loop, latin_square_loop
 from restalg.corpus import corpus_member
 from restalg.errors import (
     InvalidGroupTable,
@@ -28,7 +28,14 @@ from restalg.families import (
     symmetric_inverse_monoid_order,
 )
 from restalg.restricted import build_restricted_semigroup
-from restalg.semigroups import MAX_ORDER, _derive_star, build_from_table
+from restalg.semigroups import (
+    MAX_ORDER,
+    _derive_star,
+    associativity_witness,
+    build_from_table,
+    generating_set,
+    validate_table,
+)
 
 RIGHT_ZERO = [[0, 1], [0, 1]]  # xy = y; idempotents do not commute
 LEFT_ZERO = [[0, 0], [1, 1]]
@@ -187,6 +194,20 @@ def test_bad_entries_rejected():
         build_from_table([[0, 2], [1, 0]])
     with pytest.raises(ValueError):
         build_from_table([[0, 1]])
+
+
+@pytest.mark.parametrize(
+    "table, star, match",
+    [
+        ([[0, 1.9], [1.2, 0]], None, "table entries must be integers, got dtype float64"),
+        ([[0, 1], [1, 0]], [0.4, 1.7], "involution map entries must be integers, got dtype float64"),
+        ([[False, True], [True, False]], None, "table entries must be integers, got dtype bool"),
+    ],
+)
+def test_non_integer_entries_are_not_truncated(table, star, match):
+    # each would pass as Z2 if its entries were cast to indices
+    with pytest.raises(ValueError, match=match):
+        build_from_table(table, star)
 
 
 # -- idempotents and the natural order ---------------------------------
@@ -392,7 +413,7 @@ def test_adjoin_identity_on_monoid():
 def test_corpus_axioms_exhaustive(full_corpus):
     idx_of = {}
     for label, S in full_corpus:
-        # revalidates associativity over all n^3 triples and regenerates star
+        # revalidates associativity (Light's test) and regenerates star
         T = build_from_table(S.mul, S.star)
         assert np.array_equal(T.star, S.star), label
         idx = np.arange(S.n)
@@ -412,3 +433,110 @@ def test_corpus_idempotents_closed_commutative(full_corpus):
         assert np.array_equal(sub, sub.T), label
         assert np.all(np.isin(sub, E)), label
         assert set(E.tolist()) == set(S.ran.tolist()), label
+
+
+# -- associativity: Light's test against the triple scan -----------------
+
+# a loop of order 5 (a Latin square with identity 0) that is not a group
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def _genuine(t, witness):
+    x, y, z = witness
+    return t[t[x, y], z] != t[x, t[y, z]]
+
+
+def _same_verdict(t):
+    """Light's test and the triple scan agree on t, and a witness of the
+    first fails associativity; returns the verdict."""
+    bad = associativity_witness(t)
+    assert (bad is None) == (associativity_witness_loop(t) is None)
+    assert bad is None or _genuine(t, bad)
+    return bad
+
+
+def _closure(t, gens):
+    """The subset of 0..n-1 closed under t that holds gens, by squaring."""
+    inside = np.zeros(t.shape[0], dtype=bool)
+    inside[gens] = True
+    while True:
+        members = np.flatnonzero(inside)
+        grown = inside.copy()
+        grown[t[np.ix_(members, members)]] = True
+        if np.array_equal(grown, inside):
+            return members
+        inside = grown
+
+
+@pytest.fixture(scope="module")
+def large_tables(seed):
+    """I4, B(Z3, 9), Z256 and the order-256 chain, with the zero-adjoined
+    tables of I4 and the chain, and I4 under a random relabelling."""
+    I4 = gen_symmetric_inverse_monoid(4)
+    chain = gen_chain_semilattice(MAX_ORDER)
+    perm = np.random.default_rng(seed).permutation(I4.n)
+    relabelled = np.empty_like(I4.mul)
+    relabelled[np.ix_(perm, perm)] = perm[I4.mul]
+    return {
+        "I4": I4.mul,
+        "I4_r": build_restricted_semigroup(I4).sr.mul,
+        "I4-relabelled": relabelled,
+        "B(Z3, 9)": gen_brandt(gen_group("cyclic", 3).mul, 9).mul,
+        "Z256": gen_group("cyclic", 256).mul,
+        "chain256": chain.mul,
+        "chain256_r": build_restricted_semigroup(chain).sr.mul,
+    }
+
+
+def test_light_test_agrees_with_the_triple_scan(full_corpus, large_tables):
+    tables = [S.mul for _, S in full_corpus] + list(large_tables.values())
+    for t in tables:
+        assert _same_verdict(t) is None
+        assert _closure(t, generating_set(t)).size == t.shape[0]
+    # each element of a chain is a product only of itself and smaller ones
+    assert generating_set(large_tables["chain256"]).size == MAX_ORDER
+    # the relabelled copy takes its generators in another order
+    assert generating_set(large_tables["I4-relabelled"]).tolist() != generating_set(large_tables["I4"]).tolist()
+    assert _same_verdict(np.array(LOOP5)) is not None
+
+
+def test_light_test_agrees_on_every_changed_entry(full_corpus):
+    rejected = 0
+    for _, S in full_corpus:
+        if S.n > 8:
+            continue
+        for x, y in itertools.product(range(S.n), repeat=2):
+            for v in range(S.n):
+                if v == S.mul[x, y]:
+                    continue
+                t = S.mul.copy()
+                t[x, y] = v
+                rejected += _same_verdict(t) is not None
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("label", ["chain256", "chain256_r"])
+def test_validation_memory_when_every_element_generates(large_tables, label):
+    # g = n: the blocked check reuses its buffers, so memory stays O(n^2)
+    t = large_tables[label]
+    tracemalloc.start()
+    try:
+        validate_table(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_non_associative_latin_square_is_not_a_group():
+    # the Latin-square test passes, so the associativity branch rejects it
+    latin_square_loop(LOOP5)
+    with pytest.raises(InvalidGroupTable, match="group table is not associative") as info:
+        gen_brandt(LOOP5, 1)
+    assert _genuine(np.array(LOOP5), info.value.witness)
