@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 verification failure, 2 input error, 141
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -276,9 +277,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept for the process: parsing
+    reads it and never changes it, and each call gets its own namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_args(args)
         code = args.fn(args)

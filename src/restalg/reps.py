@@ -9,6 +9,17 @@ every pair.
 The regular representations are 0/1 partial permutations, so a
 representation is an (n, dim) partial-map table, never a matrix stack,
 and each membership law is an integer identity on that table.
+
+Multiplicativity is decided on generators, by the closure argument of
+Light's associativity test (Clifford and Preston, *The Algebraic Theory
+of Semigroups I*, 1961, section 1.2): over an associative base B, the
+set of a with pi(a)pi(y) = pi(ay) for all y is closed under the
+product, so it is B once it holds a generating set.  The restricted law
+on S is the full law on the zero-adjoined semigroup S0, whose nonzero
+products are exactly the composable pairs (the groupoid picture of
+Paterson, *Groupoids, Inverse Semigroups, and their Operator Algebras*,
+1999), for pi extended by pi(0) = 0.  Both proofs are in
+:func:`representation_report`.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ import numpy as np
 from .algebra import dot_many, first_max, map_rows, random_rows, scatter, tilde_rows
 from .errors import BaseMismatch
 from .linalg import column_rank
+from .restricted import build_restricted_semigroup
 from .semigroups import kept_on, read_only
 
 KIND_FULL = "full"
@@ -194,6 +206,27 @@ def representation_report(rep):
     violated adjoint or product law deviates by exactly 1.  The witness is
     the first x (adjoint, contraction) or the first pair (x, y) in x-major
     order (multiplicativity).
+
+    The product law is checked for x in a generating set only, O(g n dim)
+    for g generators against O(n^2 dim) for every x.  The premise is that
+    the base came through :func:`restalg.semigroups.validate_table`, so it
+    is associative; its generators are the ones that validation kept.
+
+    - Full kind over B: let H = {a : pi(a)pi(y) = pi(ay) for all y}.  For
+      a, b in H and any y, pi(ab)pi(y) = pi(a)pi(b)pi(y) = pi(a)pi(by) =
+      pi(a(by)) = pi((ab)y), so ab is in H.  H is closed under the
+      product, so it is B once it holds B's generators.
+    - Restricted kind over S: extend pi to the zero-adjoined semigroup S0
+      by pi(0) = 0.  The product of S0 is xy on composable pairs and 0
+      elsewhere, and any pair with 0 gives 0 on both sides, so the
+      restricted law on S says exactly that the extension is
+      multiplicative on S0.  S0 is associative (it is validated when it
+      is built), and the argument above runs over S0: x goes over S0's
+      generators with the zero dropped (the law holds at 0), y over S.
+
+    When the generators find a failure, all x are checked in order, so
+    the witness is still the first failing pair in x-major order; only a
+    broken table pays the full cost.
     """
     S = rep.base
     T = rep.table
@@ -228,27 +261,68 @@ def representation_report(rep):
             )
         )
 
-    # row r of pi(x)pi(y) has its 1 in column T[y, T[x, r]]
-    C = S.composable_matrix()
-    for x in range(S.n):
-        got = np.where(has[x], T[:, T[x]], -1)
-        want = T[S.mul[x]]
-        if rep.kind == KIND_RESTRICTED:
-            want = np.where(C[x, :, None], want, -1)
-        bad = np.any(got != want, axis=1)
-        if bad.any():
-            y = int(np.argmax(bad))
-            report.multiplicative_deviation = 1.0
-            law = "pi(xy) on composables / 0 otherwise" if rep.kind == KIND_RESTRICTED else "pi(xy)"
-            report.violations.append(
-                Violation(
-                    "multiplicative",
-                    f"pi({S.label(x)}) pi({S.label(y)}) != {law} (deviation 1.000e+00)",
-                    1.0,
-                )
+    # the extension of pi by pi(0) = 0 to the product table mul, where
+    # entry n is the zero: the table of S0 for the restricted kind
+    if rep.kind == KIND_RESTRICTED:
+        rs = build_restricted_semigroup(S)
+        mul = rs.sr.mul[: S.n, : S.n]
+        gens = rs.sr.generators()
+        gens = gens[gens != rs.zero_index]
+    else:
+        mul, gens = S.mul, S.generators()
+    if _product_law_witness(T, mul, gens) is not None:
+        x, y = _product_law_witness(T, mul, np.arange(S.n))
+        report.multiplicative_deviation = 1.0
+        law = "pi(xy) on composables / 0 otherwise" if rep.kind == KIND_RESTRICTED else "pi(xy)"
+        report.violations.append(
+            Violation(
+                "multiplicative",
+                f"pi({S.label(x)}) pi({S.label(y)}) != {law} (deviation 1.000e+00)",
+                1.0,
             )
-            break
+        )
     return report
+
+
+# entries per block of the gathers in _product_law_witness
+_LAW_BLOCK = 2**16
+
+
+def _product_law_witness(T, mul, xs):
+    """The first x in xs, with the first y, at which pi(x)pi(y) !=
+    pi(mul[x, y]), or None; T is pi's (n, dim) partial-map table and an
+    entry n of mul stands for the zero, whose pi is 0.
+
+    Row r of pi(x)pi(y) has its 1 in column T[y, T[x, r]] and row r of
+    pi(xy) in column T[xy, r]; both are read as one gather per side from
+    tables padded with -1, the row of a zero row of pi(x) (index -1, so
+    the last) and of the zero.  The x go in blocks of about
+    ``_LAW_BLOCK`` entries, gathered as small integers into buffers
+    reused across blocks.
+    """
+    n, dim = T.shape
+    dtype = np.promote_types(np.int8, np.min_scalar_type(dim))
+    lhs_table = np.full((dim + 1, n), -1, dtype=dtype)  # [T[x, r], y]
+    lhs_table[:dim] = T.T
+    rhs_table = np.full((dim, n + 1), -1, dtype=dtype)  # [r, xy]
+    rhs_table[:, :n] = T.T
+    step = max(1, _LAW_BLOCK // (dim * n or 1))
+    lhs_buf = np.empty(dim * min(step, len(xs)) * n, dtype=dtype)
+    rhs_buf = np.empty_like(lhs_buf)
+    ne_buf = np.empty(lhs_buf.size, dtype=bool)
+    for i in range(0, len(xs), step):
+        x = xs[i : i + step]
+        shape = (dim, x.size, n)
+        size = dim * x.size * n
+        # wrap sends T[x, r] = -1 to the padding row; unlike the default
+        # mode it writes into out= without a buffered copy
+        lhs = np.take(lhs_table, T[x].T, axis=0, mode="wrap", out=lhs_buf[:size].reshape(shape))
+        rhs = np.take(rhs_table, mul[x], axis=1, mode="wrap", out=rhs_buf[:size].reshape(shape))
+        ne = np.not_equal(lhs, rhs, out=ne_buf[:size].reshape(shape))
+        if ne.any():
+            k = int(np.argmax(ne.any(axis=(0, 2))))
+            return int(x[k]), int(np.argmax(ne[:, k].any(axis=0)))
+    return None
 
 
 def restricted_multiplicativity_witness(rep):

@@ -73,8 +73,8 @@ class FiniteInvSemigroup:
         self.ran = self.mul[idx, self.star]
         for arr in (self.mul, self.star, self.dom, self.ran):
             arr.setflags(write=False)
-        # key -> idempotents, order and composability tables, product
-        # triples, regular representations, L-class blocks, the
+        # key -> idempotents, order and composability tables, generators,
+        # product triples, regular representations, L-class blocks, the
         # zero-adjoined semigroup
         self._rep_data = {}
 
@@ -147,6 +147,14 @@ class FiniteInvSemigroup:
         """Boolean (n, n) matrix of the x*x = yy* predicate, kept on S."""
         return kept_on(self, "composable", lambda: read_only(self.dom[:, None] == self.ran[None, :]))
 
+    # -- generators ----------------------------------------------------
+
+    def generators(self):
+        """A generating set of S as a read-only index array, kept on S:
+        the one Light's test used when the table came through
+        :func:`validate_table`, else :func:`generating_set` of the table."""
+        return kept_on(self, "generators", lambda: read_only(generating_set(self.mul)))
+
 
 # ---------------------------------------------------------------------
 # validation
@@ -207,8 +215,8 @@ def generating_set(t):
             inside[frontier] = True
             closure = np.flatnonzero(inside)
             fresh = np.zeros(n, dtype=bool)
-            fresh[t[np.ix_(frontier, closure)]] = True
-            fresh[t[np.ix_(closure, frontier)]] = True
+            fresh[t[frontier][:, closure]] = True
+            fresh[t[:, frontier][closure]] = True
             frontier = np.flatnonzero(fresh & ~inside)
     return np.array(gens, dtype=np.intp)
 
@@ -232,8 +240,13 @@ def associativity_witness(t):
     The witness is a genuine failing triple with a generator in the
     middle, not the first failing triple in x-major order.
     """
+    return _light_witness(t, generating_set(t))
+
+
+def _light_witness(t, gens):
+    """:func:`associativity_witness` over the generating set ``gens`` of
+    ``t``, so that :func:`validate_table` can keep the set it checked."""
     n = t.shape[0]
-    gens = generating_set(t)
     step = max(1, _LIGHT_BLOCK // (n * n))
     values = t.astype(np.min_scalar_type(n - 1))
     lhs_buf = np.empty(step * n * n, dtype=values.dtype)
@@ -321,7 +334,8 @@ def validate_table(mul, star=None, *, labels=None):
         if s.min() < 0 or s.max() >= n:
             raise ValueError("involution map must list one index in 0..n-1 per element")
 
-    bad = associativity_witness(t)
+    gens = generating_set(t)
+    bad = _light_witness(t, gens)
     if bad is not None:
         x, y, z = bad
         raise NotAssociative(
@@ -352,4 +366,6 @@ def validate_table(mul, star=None, *, labels=None):
         )
 
     identity, zero = _identity_and_zero(t)
-    return FiniteInvSemigroup(t, derived, identity=identity, zero=zero, labels=labels)
+    S = FiniteInvSemigroup(t, derived, identity=identity, zero=zero, labels=labels)
+    S._rep_data["generators"] = read_only(gens)
+    return S

@@ -35,6 +35,8 @@ Nothing here is used by the library.
   identities of restalg.semigroups and restalg.families.
 - Associativity over all n^3 triples, one row of x at a time, for Light's
   test over a generating set in restalg.semigroups.
+- The multiplicativity law of a partial-map table one x at a time over
+  every y, for the check over a generating set in restalg.reps.
 """
 
 import hashlib
@@ -783,4 +785,23 @@ def associativity_witness_loop(t):
         if not np.array_equal(lhs, rhs):
             y, z = np.argwhere(lhs != rhs)[0]
             return int(x), int(y), int(z)
+    return None
+
+
+def multiplicativity_witness_loop(rep):
+    """The first pair (x, y), x-major, at which rep breaks the product law
+    of its kind, or None; O(n^2 dim), one row of x at a time."""
+    S = rep.base
+    T = rep.table
+    has = T >= 0
+    # row r of pi(x)pi(y) has its 1 in column T[y, T[x, r]]
+    C = S.composable_matrix()
+    for x in range(S.n):
+        got = np.where(has[x], T[:, T[x]], -1)
+        want = T[S.mul[x]]
+        if rep.kind == KIND_RESTRICTED:
+            want = np.where(C[x, :, None], want, -1)
+        bad = np.any(got != want, axis=1)
+        if bad.any():
+            return x, int(np.argmax(bad))
     return None

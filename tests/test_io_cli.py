@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import restalg
-
+import restalg.cli
 from restalg.algebra import AlgebraElement
 from restalg.cli import MAX_TRIALS, _check_args, build_parser, main
 from restalg.errors import NotAssociative, NotInverse, ParseError, RestalgError, StarMismatch
@@ -242,6 +242,37 @@ def test_cli_verify_json_output(tmp_path, capsys):
     # every suite's verdicts and deviations are plain JSON values
     assert main(["verify", str(path), "--suite", "all", "--json", "--trials", "5"]) == 0
     assert all(c["passed"] is True for r in json.loads(capsys.readouterr().out) for c in r["checks"])
+
+
+def test_cli_calls_in_one_process_share_the_parser(tmp_path, capsys):
+    # the parser is built once per process, and no option value of one call
+    # reaches the next: each call prints what it prints with a new parser
+    path = tmp_path / "z4.json"
+    path.write_text(canonical_dumps(semigroup_to_dict(gen_group("cyclic", 4))))
+    calls = [
+        ["verify", "--corpus", "default", "--no-restricted", "--trials", "3", "--json"],
+        ["verify", str(path), "--json"],
+        ["gen", "--family", "cyclic", "--n", "3"],
+        ["gen", "--family", "cyclic"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        if argv[0] == "verify":
+            out = json.loads(out)
+            for report in out:
+                del report["seconds"]
+        return code, out
+
+    restalg.cli._parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert restalg.cli._parser.cache_info().misses == 1
+    for argv, got in zip(calls, shared):
+        restalg.cli._parser.cache_clear()
+        assert run(argv) == got, argv
+    assert [code for code, _ in shared] == [0, 0, 0, 0]
+    assert [json.loads(out)["order"] for _, out in shared[2:]] == [3, 1]
 
 
 def test_cli_verify_missing_file_is_input_error(capsys):

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import restalg.reps
 from dense_reference import (
     dense_lambda,
     dense_lambda_r,
@@ -13,6 +14,7 @@ from dense_reference import (
     dense_rho_r,
     dense_svd_norm,
     gram_schmidt_rank,
+    multiplicativity_witness_loop,
     stack_of,
 )
 from restalg import cstar
@@ -28,6 +30,7 @@ from restalg.families import (
 )
 from restalg.linalg import column_rank
 from restalg.reps import (
+    KIND_RESTRICTED,
     Representation,
     _incidence,
     column_multiplicity,
@@ -48,6 +51,7 @@ from restalg.reps import (
     trace_form_rank,
 )
 from restalg.restricted import build_restricted_semigroup
+from restalg.semigroups import MAX_ORDER, build_from_table
 
 Z2 = gen_group("cyclic", 2)
 CHAIN2 = gen_chain_semilattice(2)
@@ -336,19 +340,29 @@ def _reports_agree(rep, mats):
     return got
 
 
+def _five_reps(S):
+    """The five representations the reps suite reports on: lambda_r,
+    rho_r, lambda, Lambda of the zero-adjoined semigroup and lambda_r
+    extended by zero."""
+    rs = build_restricted_semigroup(S)
+    lam_r = restricted_left_regular(S)
+    return [
+        lam_r,
+        restricted_right_regular(S),
+        left_regular(S),
+        left_regular(rs.sr),
+        extend_with_zero(lam_r, rs),
+    ]
+
+
 def _regular_cases(S):
-    """The four regular representations of S and lambda_r extended by
-    zero, each with its dense reference stack."""
+    """The five representations of _five_reps, each with its dense
+    reference stack."""
     rs = build_restricted_semigroup(S)
     lam_r = dense_lambda_r(S)
     ext = np.concatenate([lam_r, np.zeros((1, S.n, S.n))])
-    return [
-        (restricted_left_regular(S), lam_r),
-        (restricted_right_regular(S), dense_rho_r(S)),
-        (left_regular(S), dense_lambda(S)),
-        (left_regular(rs.sr), dense_lambda(rs.sr)),
-        (extend_with_zero(restricted_left_regular(S), rs), ext),
-    ]
+    stacks = [lam_r, dense_rho_r(S), dense_lambda(S), dense_lambda(rs.sr), ext]
+    return list(zip(_five_reps(S), stacks))
 
 
 def test_table_laws_match_the_dense_report(full_corpus):
@@ -489,3 +503,114 @@ def test_lift_many_rows_equal_lift():
             assert stack.shape == (7, rep.dim, rep.dim)
             for f, M in zip(F, stack):
                 assert np.array_equal(M, lift(rep, AlgebraElement(S, f)))
+
+
+def _product_witness(rep):
+    """The witness of the multiplicative violation in rep's report, or None."""
+    found = [v.witness for v in representation_report(rep).violations if v.code == "multiplicative"]
+    return found[0] if found else None
+
+
+def _loop_witness(rep):
+    """The same witness from the x-by-x loop's first failing pair."""
+    pair = multiplicativity_witness_loop(rep)
+    if pair is None:
+        return None
+    x, y = pair
+    law = "pi(xy) on composables / 0 otherwise" if rep.kind == KIND_RESTRICTED else "pi(xy)"
+    return f"pi({rep.base.label(x)}) pi({rep.base.label(y)}) != {law} (deviation 1.000e+00)"
+
+
+@pytest.fixture(scope="module")
+def large_semigroups(seed):
+    """I4 and a random relabelling of it, Z256 and the order-256 chain."""
+    I4 = gen_symmetric_inverse_monoid(4)
+    perm = np.random.default_rng(seed).permutation(I4.n)
+    relabelled = np.empty_like(I4.mul)
+    relabelled[np.ix_(perm, perm)] = perm[I4.mul]
+    return {
+        "I4": I4,
+        "I4-relabelled": build_from_table(relabelled),
+        "Z256": gen_group("cyclic", MAX_ORDER),
+        "chain256": gen_chain_semilattice(MAX_ORDER),
+    }
+
+
+def test_product_law_on_generators_matches_the_loop(full_corpus, large_semigroups, seed):
+    rng = np.random.default_rng(seed)
+    tables = [S for _, S in full_corpus] + _fresh_reps_tables() + list(large_semigroups.values())
+    failing = 0
+    for S in tables:
+        for rep in _five_reps(S):
+            assert _product_witness(rep) is None is multiplicativity_witness_loop(rep), (S, rep.name)
+        # the order-based lambda claimed as restricted, and lambda_r with
+        # one entry moved: the witness is the loop's first failing pair
+        T = left_regular(S).table
+        x, y = rng.integers(S.n, size=2)
+        moved = restricted_left_regular(S).table.copy()
+        moved[x, y] = (moved[x, y] + 1) % S.n
+        for rep in (
+            Representation(S, T, KIND_RESTRICTED, "lambda-as-restricted"),
+            Representation(S, moved, KIND_RESTRICTED, "lambda_r moved"),
+        ):
+            witness = _product_witness(rep)
+            assert witness == _loop_witness(rep), (S, rep.name)
+            failing += witness is not None
+    assert failing > len(tables)
+
+
+def test_product_law_on_every_changed_entry(corpus):
+    # the five tables of a member cover its zero-adjoined semigroup too
+    changed = failing = 0
+    for _, S in corpus:
+        if S.n > 6:
+            continue
+        for good in _five_reps(S):
+            for x, r in np.ndindex(good.table.shape):
+                for v in range(-1, good.dim):
+                    if v == good.table[x, r]:
+                        continue
+                    table = good.table.copy()
+                    table[x, r] = v
+                    rep = Representation(good.base, table, good.kind)
+                    witness = _product_witness(rep)
+                    assert witness == _loop_witness(rep), (S, good.name, x, r, v)
+                    changed += 1
+                    failing += witness is not None
+    assert failing > changed // 2
+
+
+def test_product_law_reads_one_row_per_generator(monkeypatch):
+    S = gen_symmetric_inverse_monoid(4)
+    sr = build_restricted_semigroup(S).sr
+    rows = []
+    law = restalg.reps._product_law_witness
+
+    def counting(T, mul, xs):
+        rows.append(len(xs))
+        return law(T, mul, xs)
+
+    monkeypatch.setattr(restalg.reps, "_product_law_witness", counting)
+    for rep in _five_reps(S):
+        rows.clear()
+        assert not representation_report(rep).violations, rep.name
+        # S0's generators less its zero for lambda_r and rho_r, the base's
+        # generators for the full kind; the loop read all n rows
+        bound = sr.generators().size if rep.kind == KIND_RESTRICTED else rep.base.generators().size
+        assert len(rows) == 1 and rows[0] <= bound, (rep.name, rows)
+    assert (S.generators().size, sr.generators().size) == (5, 33)
+
+
+@pytest.mark.parametrize("label", ["chain256", "Z256"])
+def test_product_law_memory_on_order_256(large_semigroups, label):
+    # the chain needs every element as a generator: the blocked gathers
+    # reuse their buffers, so memory stays O(n dim)
+    reps = _five_reps(large_semigroups[label])
+    tracemalloc.start()
+    try:
+        for rep in reps:
+            assert not representation_report(rep).violations, rep.name
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -30,6 +30,7 @@ from restalg.families import (
 from restalg.restricted import build_restricted_semigroup
 from restalg.semigroups import (
     MAX_ORDER,
+    FiniteInvSemigroup,
     _derive_star,
     associativity_witness,
     build_from_table,
@@ -519,6 +520,43 @@ def test_light_test_agrees_on_every_changed_entry(full_corpus):
                 t[x, y] = v
                 rejected += _same_verdict(t) is not None
     assert rejected > 0
+
+
+def test_generating_sets_are_pinned(large_tables):
+    # the greedy order is part of what validation keeps on S: the frontier
+    # products by row and column slices give the sets np.ix_ gave
+    assert generating_set(large_tables["I4"]).tolist() == [185, 186, 187, 191, 89]
+    assert generating_set(large_tables["I4_r"]).tolist() == [
+        89, 90, 91, 92, 95, 98, 113, 137, 161, 185, 186, 187, 191,
+        17, 18, 19, 20, 21, 22, 25, 29, 41, 53, 65, 77, 1, 2, 3, 4, 5, 9, 13, 0,
+    ]  # fmt: skip
+    assert generating_set(large_tables["Z256"]).tolist() == [0, 1]
+
+
+def test_validation_keeps_its_generating_set(monkeypatch):
+    I4 = gen_symmetric_inverse_monoid(4)
+    calls = []
+    counted = restalg.semigroups.generating_set
+
+    def counting(t):
+        calls.append(t.shape[0])
+        return counted(t)
+
+    monkeypatch.setattr(restalg.semigroups, "generating_set", counting)
+    S = build_from_table(I4.mul, labels=I4.labels)
+    sr = build_restricted_semigroup(S).sr
+    for T in (S, sr):
+        gens = T.generators()
+        assert T.generators() is gens
+        assert not gens.flags.writeable
+        assert gens.tolist() == counted(T.mul).tolist()
+        assert _closure(T.mul, gens).size == T.n
+    # one greedy search per validated table, none for generators()
+    assert calls == [S.n, sr.n]
+    # a semigroup built without validation finds its set on first use
+    raw = FiniteInvSemigroup(S.mul, S.star)
+    assert raw.generators().tolist() == S.generators().tolist()
+    assert calls == [S.n, sr.n, S.n]
 
 
 @pytest.mark.parametrize("label", ["chain256", "chain256_r"])
