@@ -76,10 +76,11 @@ def semigroup_from_dict(obj):
         raise ParseError('"star" must be a list')
     values = [*(v for row in mul for v in row), *(star or [])]
     values += [obj[key] for key in ("order", "identity", "zero") if key in obj]
-    # JSON integers only: floats such as 1.0, strings and booleans are not
-    bad = [v for v in values if not isinstance(v, int) or isinstance(v, bool)]
-    if bad:
-        raise ParseError(f"{json.dumps(bad[0])} is not an integer")
+    # JSON integers only: floats such as 1.0, strings and booleans (whose
+    # type is not int itself) are not
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ParseError(f"{json.dumps(bad)} is not an integer")
     n = len(mul)
     if "order" in obj and obj["order"] != n:
         raise ParseError(f'"order" is {obj["order"]} but the table has {n} rows')

@@ -447,31 +447,62 @@ def rho_lift_identity_report(S, *, trials=100, seed=0):
 # faithfulness and the compression identity
 
 
-def _incidence(rep):
-    """The (n, P) 0/1 matrix with a 1 where pi(x) has a 1 at the p-th of
-    the P distinct positions that are nonzero for some x: each pi(x)
-    flattened, without the positions that are zero for every x."""
-    xs, ys, cols = rep.entries()
-    positions, at = np.unique(ys * rep.dim + cols, return_inverse=True)
-    V = np.zeros((rep.base.n, positions.size))
-    V[xs, at] = 1.0
-    return V
+# entries per block of the column comparisons in _gram
+_GRAM_BLOCK = 2**18
+
+
+def _gram(rep):
+    """The exact (n, n) Gram matrix G[x, y] = tr(pi(x) pi(y)*), the
+    number of rows r with T[x, r] == T[y, r] >= 0, kept on rep.
+
+    It is V V^T for the 0/1 matrix V of the flattened pi(x), so it has
+    V's rank, without V: on the order-256 tables G is 128 KiB where V
+    is up to 128 MiB.  Each -1 of T is first replaced by a code of its
+    own row (dim + x), so that it matches nothing off the diagonal; the
+    diagonal, where every code matches itself, is set to the row counts.
+    The columns of T are compared in blocks of about ``_GRAM_BLOCK``
+    entries and at most 255 columns, whose counts are summed as uint8.
+    """
+
+    def build():
+        T = rep.table
+        n, dim = T.shape
+        codes = np.where(T >= 0, T, dim + np.arange(n)[:, None]).T
+        cols = np.ascontiguousarray(codes, dtype=np.promote_types(np.int16, np.min_scalar_type(dim + n)))
+        # entries are at most dim
+        G = np.zeros((n, n), dtype=np.promote_types(np.uint16, np.min_scalar_type(dim)))
+        step = max(1, min(255, _GRAM_BLOCK // (n * n or 1)))
+        eq = np.empty((min(step, dim), n, n), dtype=bool)
+        part = np.empty((n, n), dtype=np.uint8)
+        for i in range(0, dim, step):
+            c = cols[i : i + step]
+            same = np.equal(c[:, :, None], c[:, None, :], out=eq[: len(c)])
+            G += np.add.reduce(same.view(np.uint8), axis=0, dtype=np.uint8, out=part)
+        np.fill_diagonal(G, np.count_nonzero(T >= 0, axis=1))
+        return read_only(G)
+
+    return kept_on(rep, "gram", build)
 
 
 def lift_rank(rep, rel_tol=1e-9):
-    """Rank of f -> lift(rep, f); the lift is faithful iff this is n."""
-    return column_rank(_incidence(rep).T, rel_tol)
+    """Rank of f -> lift(rep, f); the lift is faithful iff this is n.
+
+    It is the rank of the Gram matrix of the pi(x) under the trace form,
+    from the singular values of G, which are the squares of those of the
+    flattened pi(x): rel_tol cuts them at sqrt(rel_tol) of the largest.
+    """
+    return column_rank(_gram(rep), rel_tol)
 
 
 def trace_form_rank(rep, rel_tol=1e-9):
     """Rank of the Gram matrix of tr(pi(x) pi(y)*), the number of nonzero
-    positions pi(x) and pi(y) share (exact in floats).
+    positions pi(x) and pi(y) share (exact integers).
 
-    Full rank certifies that the trace form is nondegenerate on the image
-    of the lift, hence that the lifted algebra has zero radical.
+    The trace form is the Frobenius inner product, positive definite on
+    every matrix algebra, so this is the rank of the lift (lift_rank):
+    full rank says the lift is injective, not that the radical is zero.
     """
-    V = _incidence(rep)
-    return column_rank(V @ V.T, rel_tol)
+    return column_rank(_gram(rep), rel_tol)
 
 
 def compression_deviation(rs):

@@ -7,6 +7,10 @@ Nothing here is used by the library.
   float-matmul check the table laws replaced.
 - The D-classes of the idempotents by union-find over the pairs
   (xx*, x*x), for the classes restalg.cstar reads off the table.
+- The dense (n, P) 0/1 incidence of a representation's nonzero
+  positions, whose SVD ranks are the reference for the ranks restalg.reps
+  reads off one (n, n) Gram matrix, and that Gram matrix one row of x at
+  a time, for its blocked column comparisons.
 - Column rank by modified Gram-Schmidt, for the SVD rank of
   restalg.linalg, and the spectral norm as one LAPACK SVD of the whole
   matrix, for the block-by-block SVD norm of restalg.linalg and as the
@@ -315,6 +319,27 @@ def scatter_reference(values, index, size):
     out.real = np.bincount(index, weights=values.real, minlength=size)
     out.imag = np.bincount(index, weights=values.imag, minlength=size)
     return out
+
+
+def _incidence(rep):
+    """The (n, P) 0/1 matrix with a 1 where pi(x) has a 1 at the p-th of
+    the P distinct positions that are nonzero for some x: each pi(x)
+    flattened, without the positions that are zero for every x."""
+    xs, ys, cols = rep.entries()
+    positions, at = np.unique(ys * rep.dim + cols, return_inverse=True)
+    V = np.zeros((rep.base.n, positions.size))
+    V[xs, at] = 1.0
+    return V
+
+
+def gram_loop(rep):
+    """G[x, y] = #{r : T[x, r] == T[y, r] >= 0}, one row x at a time
+    against the whole table."""
+    T = rep.table
+    G = np.zeros((T.shape[0], T.shape[0]), dtype=np.int64)
+    for x in range(T.shape[0]):
+        G[x] = np.count_nonzero((T == T[x]) & (T[x] >= 0), axis=1)
+    return G
 
 
 def gram_schmidt_rank(cols, rel_tol=1e-9):

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 import restalg.reps
+import restalg.verify
 from dense_reference import (
+    _incidence,
     dense_lambda,
     dense_lambda_r,
     dense_multiplicativity_witness,
     dense_representation_report,
     dense_rho_r,
     dense_svd_norm,
+    gram_loop,
     gram_schmidt_rank,
     multiplicativity_witness_loop,
     stack_of,
@@ -32,7 +35,6 @@ from restalg.linalg import column_rank
 from restalg.reps import (
     KIND_RESTRICTED,
     Representation,
-    _incidence,
     column_multiplicity,
     compression_deviation,
     drop_zero,
@@ -453,6 +455,91 @@ def test_svd_ranks_match_gram_schmidt(full_corpus):
     # on I4 only lambda: the restricted incidences have rank n by inspection,
     # one nonzero position per x, and the reference takes about 0.8 s each
     assert _ranks_match_gram_schmidt(left_regular(gen_symmetric_inverse_monoid(4)))
+
+
+def test_gram_matches_the_row_loop(full_corpus, large_semigroups, seed):
+    tables = [S for _, S in full_corpus] + _fresh_reps_tables() + list(large_semigroups.values())
+    for S in tables:
+        for build in (restricted_left_regular, left_regular, restricted_right_regular):
+            rep = build(S)
+            assert np.array_equal(restalg.reps._gram(rep), gram_loop(rep)), (S, build.__name__)
+    # off-diagonal counts past 255, more than one block's uint8 sums hold
+    table = np.where(np.random.default_rng(seed).random((2, 600)) < 0.1, -1, 0)
+    wide = Representation(Z2, table, "full", "wide")
+    G = restalg.reps._gram(wide)
+    assert np.array_equal(G, gram_loop(wide)) and G[0, 1] > 255
+
+
+def _copied_row(rep, src, dst):
+    """rep with row dst of its table replaced by row src: pi(dst) = pi(src)."""
+    table = rep.table.copy()
+    table[dst] = table[src]
+    return Representation(rep.base, table, rep.kind, rep.name + " copied")
+
+
+def test_ranks_read_n_minus_1_when_two_elements_share_a_matrix(full_corpus, large_semigroups):
+    # the rows of the incidence were independent, so n - 1 exactly
+    tables = [(label, S) for label, S in full_corpus if S.n > 1] + [("I4", large_semigroups["I4"])]
+    for label, S in tables:
+        for build in (restricted_left_regular, left_regular):
+            rep = _copied_row(build(S), 0, S.n - 1)
+            V = _incidence(rep)
+            ranks = (lift_rank(rep), trace_form_rank(rep), column_rank(V.T), column_rank(V @ V.T))
+            assert ranks == (S.n - 1,) * 4, (label, rep.name, ranks)
+
+
+@pytest.mark.parametrize(
+    "patched, failing",
+    [
+        ("restricted_left_regular", {"reps.faithful-restricted", "reps.semisimple"}),
+        ("left_regular", {"reps.faithful-full"}),
+    ],
+)
+def test_rank_checks_fail_on_a_copied_row(monkeypatch, patched, failing):
+    # reps.semisimple reads the rank of the same Gram matrix as
+    # reps.faithful-restricted, so the two fail together
+    S = gen_symmetric_inverse_monoid(3)
+    real = getattr(restalg.verify, patched)
+    monkeypatch.setattr(restalg.verify, patched, lambda B: _copied_row(real(B), 1, 2) if B is S else real(B))
+    rank_ids = {"reps.faithful-restricted", "reps.faithful-full", "reps.semisimple"}
+    failed = {c.id for c in restalg.verify.suite_reps(S, seed=1, trials=5) if not c.passed}
+    assert failed & rank_ids == failing
+
+
+@pytest.mark.parametrize("label", ["chain256", "Z256"])
+def test_rank_memory_on_order_256(large_semigroups, label):
+    # one (n, n) Gram matrix per representation, never the (n, P)
+    # incidence: P = 65,536 on Z256, 128 MiB as floats
+    S = large_semigroups[label]
+    # new objects, so that no Gram kept by an earlier test is read
+    reps = [Representation(S, rep.table, rep.kind) for rep in (restricted_left_regular(S), left_regular(S))]
+    tracemalloc.start()
+    try:
+        ranks = [(lift_rank(rep), trace_form_rank(rep)) for rep in reps]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks == [(S.n, S.n)] * 2
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_reps_suite_builds_one_gram_per_ranked_representation(monkeypatch, order):
+    # lambda_r is ranked twice (faithful-restricted, semisimple) and
+    # lambda once; each Gram is built once and kept on its representation
+    S = gen_symmetric_inverse_monoid(order)
+    built = []
+    real = restalg.reps.kept_on
+
+    def counting(owner, key, build):
+        if key == "gram":
+            return real(owner, key, lambda: built.append(owner.name) or build())
+        return real(owner, key, build)
+
+    monkeypatch.setattr(restalg.reps, "kept_on", counting)
+    checks = restalg.verify.suite_reps(S, seed=1, trials=5)
+    assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
+    assert sorted(built) == ["lambda", "lambda_r"]
 
 
 def test_table_laws_memory_on_cold_i4():
