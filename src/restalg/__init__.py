@@ -8,7 +8,6 @@ from .algebra import (
     dot,
     dot_direct,
     extend_from_base,
-    find_nonassoc_witness,
     inner,
     max_abs_diff,
     order_dot,
@@ -51,7 +50,6 @@ from .linalg import column_rank, op_norm, svd_op_norm
 from .reps import (
     Representation,
     compression_deviation,
-    drop_zero,
     extend_with_zero,
     left_regular,
     lift,
@@ -61,12 +59,7 @@ from .reps import (
     restricted_right_regular,
     trace_form_rank,
 )
-from .restricted import (
-    RestrictedSemigroup,
-    build_restricted_semigroup,
-    composable_pairs,
-    restricted_product,
-)
+from .restricted import RestrictedSemigroup, build_restricted_semigroup
 from .semigroups import MAX_ORDER, FiniteInvSemigroup, build_from_table
 from .verify import Tolerances, run_suite, run_suites
 

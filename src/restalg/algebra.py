@@ -478,10 +478,3 @@ def order_dot_scan(members):
         results.append(record)
     return results
 
-
-def find_nonassoc_witness(members):
-    """First failing delta triple over the corpus, or None."""
-    for record in order_dot_scan(members):
-        if record["witness"] is not None:
-            return record
-    return None

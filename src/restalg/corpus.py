@@ -50,10 +50,3 @@ def default_corpus(include_restricted=True):
         for label, _S in _base_members():
             members.append((label + "_r", restricted_of(label).sr))
     return members
-
-
-def corpus_member(label):
-    for name, S in default_corpus():
-        if name == label:
-            return S
-    raise KeyError(f"unknown corpus member {label!r}")

@@ -37,7 +37,7 @@ from .errors import BaseMismatch, VerificationFailure
 from .linalg import min_shift_norm, op_norms
 from .reps import left_regular, lift, restricted_left_regular
 from .restricted import build_restricted_semigroup
-from .semigroups import kept_on
+from .semigroups import kept_on, read_only
 
 
 def reduced_cstar_norm(f):
@@ -58,7 +58,7 @@ def unrestricted_reduced_norm(f):
 
 
 def representative_blocks(S):
-    """One L-class {y : y*y = e} per class of idempotent_classes (e the
+    """One L-class {y : y*y = e_1} per D-class of S.brandt() (e_1 the
     smallest idempotent of the class), as read-only index arrays, kept on
     S.
 
@@ -72,12 +72,7 @@ def representative_blocks(S):
     """
 
     def build():
-        blocks = []
-        for cls in idempotent_classes(S):
-            L = np.flatnonzero(S.dom == cls[0])
-            L.setflags(write=False)
-            blocks.append(L)
-        return blocks
+        return [read_only(np.flatnonzero(S.dom == cls[0])) for cls in S.brandt().classes]
 
     return kept_on(S, ("L-classes", "representatives"), build)
 
@@ -162,18 +157,12 @@ def _block_norm(rep, f, cleared=None):
 
 def idempotent_classes(S):
     """The D-classes of the idempotents, each sorted, in the order of
-    their smallest members.
+    their smallest members: the classes of S.brandt() as lists.
 
-    In an inverse semigroup e D f iff some x has xx* = e and x*x = f, so
-    the class of e is {x*x : xx* = e} and its smallest member is read off
-    the table.  A diagonal projection onto the coordinates whose range
-    idempotent lies in a union of these classes commutes with every
-    lambda_r(x).
+    A diagonal projection onto the coordinates whose range idempotent
+    lies in a union of these classes commutes with every lambda_r(x).
     """
-    E = S.idempotents()
-    low = np.full(S.n, S.n)
-    np.minimum.at(low, S.ran, S.dom)
-    return [E[low[E] == m].tolist() for m in E[low[E] == E]]
+    return [cls.tolist() for cls in S.brandt().classes]
 
 
 def _sigma_r_images(S, M, trials, seed):
@@ -190,14 +179,12 @@ def _sigma_r_images(S, M, trials, seed):
     summand's norm, and conjugating by a unitary changes no norm, so the
     summands are not assembled into one (kn, kn) matrix."""
     rng = np.random.default_rng(seed)
-    classes = idempotent_classes(S)
-    class_of = np.empty(S.n, dtype=np.intp)
-    for i, cls in enumerate(classes):
-        class_of[cls] = i
+    brandt = S.brandt()
     for _ in range(trials):
         k = int(rng.integers(1, 4))
-        # one draw per summand and class, in the order of k scalar loops
-        masks = (rng.random((k, len(classes))) < 0.7)[:, class_of[S.ran]]
+        # one draw per summand and class, in the order of k scalar loops;
+        # D[y] is the class of yy*
+        masks = (rng.random((k, len(brandt.classes))) < 0.7)[:, brandt.D]
         yield np.where(masks[:, None, :], M[..., None, :, :], 0.0)
 
 

@@ -109,10 +109,6 @@ def load_semigroup(path):
     return semigroup_from_dict(_load_json(path))
 
 
-def coeffs_to_pairs(coeffs):
-    return [[float(c.real), float(c.imag)] for c in coeffs]
-
-
 def pairs_to_coeffs(pairs):
     try:
         coeffs = np.array(
@@ -126,11 +122,6 @@ def pairs_to_coeffs(pairs):
     if not np.all(np.isfinite(coeffs.view(np.float64))):
         raise ParseError('"coeffs" must be finite numbers')
     return coeffs
-
-
-def function_to_dict(f, *, semigroup_path=None):
-    sem = semigroup_path if semigroup_path else semigroup_to_dict(f.base)
-    return {"semigroup": sem, "coeffs": coeffs_to_pairs(f.coeffs)}
 
 
 def load_function(path):

@@ -153,17 +153,6 @@ def extend_with_zero(rep, rs):
     return Representation(rs.sr, table, KIND_FULL, rep.name + "+0")
 
 
-def drop_zero(rep, rs):
-    """Inverse of extend_with_zero: forget the zero coordinate of a
-    representation of the zero-adjoined semigroup that vanishes at 0."""
-    if rep.base is not rs.sr:
-        raise BaseMismatch("representation does not live over the zero-adjoined semigroup")
-    if np.any(rep.table[rs.zero_index] >= 0):
-        raise ValueError("representation does not vanish at the adjoined zero")
-    name = rep.name[:-2] if rep.name.endswith("+0") else rep.name
-    return Representation(rs.base, rep.table[: rs.base.n], KIND_RESTRICTED, name)
-
-
 def column_multiplicity(rep):
     """Per x, the largest number of rows of pi(x) with their 1 in one
     column.  pi(x)* pi(x) is the diagonal matrix of the column counts, so

@@ -14,6 +14,8 @@ n^3 for all triples; the proof is in :func:`associativity_witness`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import (
@@ -22,6 +24,7 @@ from .errors import (
     NotInverse,
     SizeLimit,
     StarMismatch,
+    VerificationFailure,
 )
 
 MAX_ORDER = 256
@@ -41,6 +44,17 @@ def read_only(arr):
     """arr, marked read-only."""
     arr.setflags(write=False)
     return arr
+
+
+class Brandt(NamedTuple):
+    """The read-only arrays of :meth:`FiniteInvSemigroup.brandt`."""
+
+    D: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    g: np.ndarray
+    classes: tuple
+    arrows: np.ndarray
 
 
 class FiniteInvSemigroup:
@@ -139,10 +153,6 @@ class FiniteInvSemigroup:
 
     # -- composability -------------------------------------------------
 
-    def composable(self, x, y):
-        """True when the partial product xy is defined, i.e. x*x = yy*."""
-        return bool(self.dom[x] == self.ran[y])
-
     def composable_matrix(self):
         """Boolean (n, n) matrix of the x*x = yy* predicate, kept on S."""
         return kept_on(self, "composable", lambda: read_only(self.dom[:, None] == self.ran[None, :]))
@@ -154,6 +164,52 @@ class FiniteInvSemigroup:
         the one Light's test used when the table came through
         :func:`validate_table`, else :func:`generating_set` of the table."""
         return kept_on(self, "generators", lambda: read_only(generating_set(self.mul)))
+
+    # -- the groupoid of composable pairs ------------------------------
+
+    def brandt(self):
+        """The Brandt coordinates (D, i, j, g) of S, kept on S.
+
+        The composable pairs form the disjoint union over the D-classes of
+        the pair groupoid on the class's m_D idempotents times its maximal
+        subgroup G_D (M. V. Lawson, *Inverse Semigroups*, 1998; Paterson
+        1999).  ``classes`` lists each class {x*x : xx* = e} ascending, in
+        the order of the smallest members e_1; x lies in class D[x], with
+        xx* and x*x at positions i[x] and j[x].  ``arrows[e]`` is the first
+        x with x*x = e_1 and xx* = e (-1 off the idempotents), and
+        g[x] = t_i* x t_j, for the arrows t_i, t_j at xx* and x*x, lies in
+        G_D, the H-class of e_1.  VerificationFailure, witness (x,), at the
+        first x without coordinates (never in an inverse semigroup).
+        """
+
+        def build():
+            n, ran, dom = self.n, self.ran, self.dom
+            E = self.idempotents()
+            low = np.full(n + 1, n)  # index n stands for "none"
+            np.minimum.at(low, ran, dom)  # e_1 of the class of e, at e
+            firsts = E[low[E] == E]
+            cls = np.full(n + 1, -1)
+            cls[firsts] = np.arange(firsts.size)
+            cls[E] = cls[low[E]]
+            cand = np.flatnonzero(dom == low[ran])
+            arrows = np.full(n + 1, n)
+            np.minimum.at(arrows, ran[cand], cand)
+            bad = (cls[ran] < 0) | (cls[dom] != cls[ran]) | (arrows[ran] == n) | (arrows[dom] == n)
+            bad[E] |= cls[E] < 0
+            if bad.any():
+                x = int(np.argmax(bad))
+                raise VerificationFailure(f"element {x} has no Brandt coordinates", witness=(x,))
+            sizes = np.bincount(cls[E])
+            grouped = E[np.argsort(cls[E], kind="stable")]
+            pos = np.empty(n, dtype=np.intp)
+            pos[grouped] = np.arange(E.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            t = arrows[:n]
+            g = self.mul[self.mul[self.star[t[ran]], np.arange(n)], t[dom]]
+            classes = tuple(map(read_only, np.split(grouped, np.cumsum(sizes)[:-1])))
+            arrows = np.where(cls[:n] >= 0, t, -1)  # at the idempotents
+            return Brandt(*map(read_only, (cls[ran], pos[ran], pos[dom], g)), classes, read_only(arrows))
+
+        return kept_on(self, "brandt", build)
 
 
 # ---------------------------------------------------------------------

@@ -181,11 +181,12 @@ def suite_axioms(S):
         )
     )
 
-    # natural order: reflexive, antisymmetric, transitive on E
+    # natural order: reflexive, antisymmetric, transitive on E; L @ L in
+    # float64 runs on BLAS and is exact, each entry counting <= |E| paths
     L = S.order_table()[np.ix_(E, E)]
     refl = bool(np.all(np.diagonal(L)))
     antisym = bool(np.all(~(L & L.T) | np.eye(len(E), dtype=bool)))
-    trans = bool(np.all(~((L.astype(int) @ L.astype(int)) > 0) | L))
+    trans = bool(np.all(~(L @ L.astype(np.float64) > 0) | L))
     checks.append(
         Check(
             "axioms.natural-order",

@@ -41,6 +41,8 @@ Nothing here is used by the library.
   test over a generating set in restalg.semigroups.
 - The multiplicativity law of a partial-map table one x at a time over
   every y, for the check over a generating set in restalg.reps.
+- The groupoid laws of the composable pairs over all triples, one row of
+  x at a time, for the Brandt-coordinate check of restalg.restricted.
 """
 
 import hashlib
@@ -830,3 +832,41 @@ def multiplicativity_witness_loop(rep):
         if bad.any():
             return x, int(np.argmax(bad))
     return None
+
+
+def groupoid_law_violations_loop(S):
+    """Violations of the groupoid laws on the composable pairs.
+
+    Checks that (x*, x) and (x, x*) are always composable, and that
+    whenever (x, y) and (xy, z) are composable so is (y, z), with the two
+    partial products agreeing.  Returns a list of human-readable strings;
+    empty for every valid inverse semigroup.
+    """
+    out = []
+    C = S.composable_matrix()
+    idx = np.arange(S.n)
+    if not np.all(C[S.star, idx]):
+        x = int(np.flatnonzero(~C[S.star, idx])[0])
+        out.append(f"(x*, x) not composable at x={x}")
+    if not np.all(C[idx, S.star]):
+        x = int(np.flatnonzero(~C[idx, S.star])[0])
+        out.append(f"(x, x*) not composable at x={x}")
+    for x in range(S.n):
+        first = C[x]                      # over y
+        chained = C[S.mul[x]]             # (y, z): (xy, z) composable
+        need = first[:, None] & chained
+        missing = need & ~C
+        if missing.any():
+            y, z = np.argwhere(missing)[0]
+            out.append(
+                f"(x,y) and (xy,z) composable but (y,z) is not at "
+                f"x={x}, y={int(y)}, z={int(z)}"
+            )
+        # products agree wherever both chains are defined
+        lhs = S.mul[S.mul[x], :]
+        rhs = S.mul[x, S.mul]
+        bad = need & (lhs != rhs)
+        if bad.any():
+            y, z = np.argwhere(bad)[0]
+            out.append(f"(xy)z != x(yz) on composables at x={x}, y={int(y)}, z={int(z)}")
+    return out

@@ -20,7 +20,6 @@ from restalg.algebra import (
     dot_many,
     dot_triples,
     extend_from_base,
-    find_nonassoc_witness,
     inner,
     max_abs_diff,
     order_dot,
@@ -452,8 +451,7 @@ def test_witness_search_deterministic_over_corpus():
     second = order_dot_scan(members)
     assert [r["label"] for r in first] == [r["label"] for r in second]
     assert [r["witness"] for r in first] == [r["witness"] for r in second]
-    hit = find_nonassoc_witness(members)
-    assert hit is not None
+    hit = next(r for r in first if r["witness"] is not None)
     assert hit["label"] == "chain2"
     assert hit["witness"] == (0, 1, 1)
 

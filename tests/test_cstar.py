@@ -13,9 +13,10 @@ from dense_reference import (
     sigma_r_samples,
     union_find_idempotent_classes,
 )
+from helpers import corpus_member
 from restalg import cstar
 from restalg.algebra import AlgebraElement, _rows_per_block, random_rows, restrict_to_base
-from restalg.corpus import corpus_member, default_corpus, restricted_of
+from restalg.corpus import default_corpus, restricted_of
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
 from restalg.linalg import op_norm, op_norms
 from restalg.reps import left_regular, lift, restricted_left_regular
@@ -377,6 +378,19 @@ def test_representative_blocks_of_i4():
     # one L-class per D-class
     for L, cls in zip(blocks, cstar.idempotent_classes(I4)):
         assert np.all(I4.dom[L] == cls[0])
+
+
+def test_representative_blocks_read_the_brandt_classes(full_corpus):
+    # the L-class of each class's smallest idempotent, with the classes
+    # from union-find: the blocks, their order and their dtype
+    I4 = gen_symmetric_inverse_monoid(4)
+    large = [I4, build_restricted_semigroup(I4).sr, gen_group("cyclic", 256), gen_chain_semilattice(256)]
+    for S in [S for _, S in full_corpus] + large:
+        blocks = cstar.representative_blocks(S)
+        want = [np.flatnonzero(S.dom == cls[0]) for cls in union_find_idempotent_classes(S)]
+        assert len(blocks) == len(want)
+        for L, M in zip(blocks, want):
+            assert L.dtype == M.dtype and np.array_equal(L, M) and not L.flags.writeable
 
 
 def test_quotient_norm_needs_the_zero():

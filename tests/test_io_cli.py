@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 import restalg
 import restalg.cli
+from helpers import function_to_dict
 from restalg.algebra import AlgebraElement
 from restalg.cli import MAX_TRIALS, _check_args, build_parser, main
 from restalg.errors import NotAssociative, NotInverse, ParseError, RestalgError, StarMismatch
 from restalg.families import gen_group, gen_symmetric_inverse_monoid
 from restalg.io_json import (
     canonical_dumps,
-    function_to_dict,
     load_function,
     load_semigroup,
     semigroup_from_dict,

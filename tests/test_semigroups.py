@@ -1,13 +1,20 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import restalg.semigroups
-from dense_reference import associativity_witness_loop, derive_star_loop, latin_square_loop
-from restalg.corpus import corpus_member
+from dense_reference import (
+    associativity_witness_loop,
+    derive_star_loop,
+    latin_square_loop,
+    union_find_idempotent_classes,
+)
+from helpers import corpus_member
 from restalg.errors import (
     InvalidGroupTable,
     NotAssociative,
@@ -15,6 +22,7 @@ from restalg.errors import (
     NotInverse,
     SizeLimit,
     StarMismatch,
+    VerificationFailure,
 )
 from restalg.families import (
     PartialInjection,
@@ -578,3 +586,68 @@ def test_non_associative_latin_square_is_not_a_group():
     with pytest.raises(InvalidGroupTable, match="group table is not associative") as info:
         gen_brandt(LOOP5, 1)
     assert _genuine(np.array(LOOP5), info.value.witness)
+
+
+# ---------------------------------------------------------------------
+# Brandt coordinates
+
+
+def test_brandt_coordinates_are_kept_read_only_and_freed_with_s():
+    S = gen_symmetric_inverse_monoid(3)
+    b = S.brandt()
+    assert S.brandt() is b  # built once per S
+    for arr in (b.D, b.i, b.j, b.g, b.arrows, *b.classes):
+        assert not arr.flags.writeable
+    ref = weakref.ref(S)
+    del S
+    gc.collect()
+    assert ref() is None
+    assert b.D.size == 34  # the arrays outlive S
+
+
+def _brandt_tables(full_corpus, large_tables):
+    return list(full_corpus) + [(label, validate_table(t)) for label, t in large_tables.items()]
+
+
+def test_brandt_coordinates_element_by_element(full_corpus, large_tables):
+    for label, S in _brandt_tables(full_corpus, large_tables):
+        b = S.brandt()
+        classes = [c.tolist() for c in b.classes]
+        assert classes == union_find_idempotent_classes(S), label
+        arrows = {}
+        for x in range(S.n):
+            e, f = int(S.ran[x]), int(S.dom[x])
+            cls = classes[b.D[x]]
+            assert (cls[b.i[x]], cls[b.j[x]]) == (e, f), (label, x)
+            # the arrow at e is the first candidate in element order
+            if f == cls[0] and e not in arrows:
+                arrows[e] = x
+        want = np.full(S.n, -1)
+        want[list(arrows)] = list(arrows.values())
+        assert np.array_equal(b.arrows, want), label
+        for x in range(S.n):
+            ti, tj = b.arrows[S.ran[x]], b.arrows[S.dom[x]]
+            g = S.mul[S.mul[S.star[ti], x], tj]
+            e1 = b.classes[b.D[x]][0]
+            assert b.g[x] == g and S.ran[g] == S.dom[g] == e1, (label, x)
+
+
+def test_brandt_points_count_the_elements(full_corpus, large_tables):
+    # sum over the D-classes of m_D^2 |G_D| = n, G_D the H-class of e_1
+    for label, S in _brandt_tables(full_corpus, large_tables):
+        pairs = [(c.size, int(((S.ran == c[0]) & (S.dom == c[0])).sum())) for c in S.brandt().classes]
+        assert sum(m * m * g for m, g in pairs) == S.n, label
+        if label == "I4":
+            assert pairs == [(1, 1), (4, 1), (6, 2), (4, 6), (1, 24)]
+        if label == "chain256":
+            assert pairs == [(1, 1)] * MAX_ORDER
+
+
+def test_brandt_rejects_a_table_without_coordinates():
+    # Z2 with star(0) = 1, taken past validation: xx* at x = 0 is 1, not
+    # an idempotent, so it lies in no class
+    S = FiniteInvSemigroup([[0, 1], [1, 0]], [1, 1])
+    for _ in range(2):  # a build that raises is not kept
+        with pytest.raises(VerificationFailure, match="no Brandt coordinates") as info:
+            S.brandt()
+        assert info.value.witness == (0,)

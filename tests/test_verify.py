@@ -18,8 +18,8 @@ from dense_reference import (
     tilde_delta_pairs,
     unit_laws_blocks,
 )
+from helpers import corpus_member
 from restalg.algebra import AlgebraElement, conv, conv_triples, delta_assoc_witness, dot_triples
-from restalg.corpus import corpus_member
 from restalg.cstar import quotient_match_report
 from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
 from restalg.reps import (
@@ -239,6 +239,16 @@ def test_star_antihom_check_fails_on_its_own(monkeypatch, label, star, antihom):
     checks = {c.id: c.passed for c in suite_axioms(FiniteInvSemigroup(S.mul, star))}
     assert checks["axioms.star-antihom"] is antihom
     assert checks["axioms.regularity"] is (star is S.star)
+
+
+@pytest.mark.parametrize("label", ["S3", "I2", "B2_1"])
+def test_identity_check_fails_on_a_wrong_identity(label):
+    # a valid table declared with a non-identity as its identity fails
+    # axioms.identity and nothing else
+    S = corpus_member(label)
+    T = FiniteInvSemigroup(S.mul, S.star, identity=(S.identity + 1) % S.n)
+    assert {c.id for c in suite_axioms(T) if not c.passed} == {"axioms.identity"}
+    assert all(c.passed for c in suite_axioms(S))
 
 
 def test_batched_checks_match_the_scalar_loops(full_corpus):
