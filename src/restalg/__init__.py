@@ -8,7 +8,6 @@ from .algebra import (
     dot,
     dot_direct,
     extend_from_base,
-    inner,
     max_abs_diff,
     order_dot,
     order_dot_scan,
@@ -29,7 +28,6 @@ from .errors import (
     BaseMismatch,
     InvalidGroupTable,
     NotAssociative,
-    NotIdempotent,
     NotInverse,
     ParseError,
     RestalgError,
@@ -38,7 +36,6 @@ from .errors import (
     VerificationFailure,
 )
 from .families import (
-    PartialInjection,
     adjoin_identity,
     gen_brandt,
     gen_chain_semilattice,

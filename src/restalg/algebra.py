@@ -119,12 +119,6 @@ def max_abs_diff(f, g):
     return float(np.abs(f.coeffs - g.coeffs).max())
 
 
-def inner(f, g):
-    """<f, g> = sum_x f(x) conj(g(x))."""
-    _same_base(f, g)
-    return complex(np.vdot(g.coeffs, f.coeffs))
-
-
 # ---------------------------------------------------------------------
 # the products as triple sets: a triple (a, b, c) adds F[a] G[b] into
 # coordinate c
@@ -214,23 +208,21 @@ def first_max(values):
     return float(values[i]), i
 
 
-def scatter(values, index, size):
-    """Complex scatter-add: out[i] sums values[j] over index[j] == i, each
-    bin from +0.0 in the order of index (np.add.at; a complex add is
-    componentwise, so real and imaginary parts are summed apart)."""
-    out = np.zeros(size, dtype=np.complex128)
-    np.add.at(out, index, values)
-    return out
+def scatter_rows(W, index, size):
+    """Row-wise complex scatter-add: row r of the (B, size) result sums
+    W[r, j] over index[j] == i into column i, each bin from +0.0 in the
+    order of index, in one np.add.at over the B rows side by side (a
+    complex add is componentwise, so real and imaginary parts are summed
+    apart).  A row's result does not depend on the batch it came in."""
+    rows = W.shape[0]
+    out = np.zeros(rows * size, dtype=np.complex128)
+    np.add.at(out, (np.arange(rows)[:, None] * size + index).ravel(), W.ravel())
+    return out.reshape(rows, size)
 
 
 def _dot_block(F, G, triples, n):
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-    rows = F.shape[0]
-    w = (F[:, a] * G[:, b]).ravel()
-    bins = (np.arange(rows)[:, None] * n + c).ravel()
-    # each bin is summed in the order of the triples, so a row's result
-    # does not depend on the batch it came in
-    return scatter(w, bins, rows * n).reshape(rows, n)
+    return scatter_rows(F[:, a] * G[:, b], c, n)
 
 
 def _row_pair(S, F, G):

@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 verification failure, 2 input error, 141
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -52,6 +53,16 @@ EXIT_BROKEN_PIPE = 141
 # --trials draws (trials, count, 2, n) random values at once, so it is
 # bounded; 10 times the default
 MAX_TRIALS = 1000
+
+# glibc's mallopt parameters and the values the CLI gives them.  The row
+# blocks of algebra.map_rows are about 1 MiB, above glibc's default 128 KiB
+# mmap threshold, so each block would be mapped, zero-faulted and unmapped
+# anew; with these, blocks come from the heap and their pages stay mapped.
+# Setting either threshold turns off glibc's dynamic mmap threshold, so both
+# are set: a trim threshold alone leaves every block to mmap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 64 << 20
+_MMAP_THRESHOLD = 32 << 20
 
 
 def _add_format(p):
@@ -278,6 +289,22 @@ def build_parser():
 
 
 @functools.cache
+def _keep_freed_heap():
+    """Set glibc's heap thresholds, once per process; without glibc, do
+    nothing.  Only the CLI does this: importing restalg leaves a library
+    user's allocator as it is."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    if glibc:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+@functools.cache
 def _parser():
     """The parser, built on first use and kept for the process: parsing
     reads it and never changes it, and each call gets its own namespace."""
@@ -285,6 +312,7 @@ def _parser():
 
 
 def main(argv=None):
+    _keep_freed_heap()
     args = _parser().parse_args(argv)
     try:
         _check_args(args)

@@ -30,7 +30,7 @@ from .algebra import (
     first_max,
     map_rows,
     random_rows,
-    scatter,
+    scatter_rows,
     tilde_rows,
 )
 from .errors import BaseMismatch, VerificationFailure
@@ -134,9 +134,7 @@ def block_norms(rep, F, cleared=None):
         q_hit, col_hit = np.nonzero(Ls == cleared)
 
         def norms(rows):
-            bins = (np.arange(rows.shape[0])[:, None] * (q * d * d) + flat).ravel()
-            stack = scatter(np.take(rows, xs, axis=1).ravel(), bins, rows.shape[0] * q * d * d)
-            stack = stack.reshape(-1, q, d, d)
+            stack = scatter_rows(np.take(rows, xs, axis=1), flat, q * d * d).reshape(-1, q, d, d)
             stack[:, q_hit, :, col_hit] = 0.0
             return op_norms(stack.reshape(-1, d, d)).reshape(-1, q).max(axis=1)
 
@@ -155,16 +153,6 @@ def _block_norm(rep, f, cleared=None):
 # randomized members of the contractive restricted representations
 
 
-def idempotent_classes(S):
-    """The D-classes of the idempotents, each sorted, in the order of
-    their smallest members: the classes of S.brandt() as lists.
-
-    A diagonal projection onto the coordinates whose range idempotent
-    lies in a union of these classes commutes with every lambda_r(x).
-    """
-    return [cls.tolist() for cls in S.brandt().classes]
-
-
 def _sigma_r_images(S, M, trials, seed):
     """M under each sampled representation, for M a lift through lambda_r
     (or a stack of them): the (..., k, n, n) stack of the summands M P_i,
@@ -173,11 +161,12 @@ def _sigma_r_images(S, M, trials, seed):
 
     Each sample is a random contractive restricted representation: the
     direct sum over i of lambda_r compressed by P_i, the diagonal
-    projection onto the coordinates y with yy* in the drawn classes (it
-    commutes with every lambda_r(x); see idempotent_classes).  M P_i is M
-    with the other columns zeroed.  A direct sum's norm is its largest
-    summand's norm, and conjugating by a unitary changes no norm, so the
-    summands are not assembled into one (kn, kn) matrix."""
+    projection onto the coordinates y with yy* in the drawn classes of
+    S.brandt() (it commutes with every lambda_r(x), which keeps the
+    D-class of each coordinate's yy*).  M P_i is M with the other columns
+    zeroed.  A direct sum's norm is its largest summand's norm, and
+    conjugating by a unitary changes no norm, so the summands are not
+    assembled into one (kn, kn) matrix."""
     rng = np.random.default_rng(seed)
     brandt = S.brandt()
     for _ in range(trials):

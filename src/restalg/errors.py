@@ -40,10 +40,6 @@ class StarMismatch(WitnessedError):
     with the derived one."""
 
 
-class NotIdempotent(WitnessedError):
-    """The natural order was asked about a non-idempotent element."""
-
-
 class BaseMismatch(RestalgError):
     """Two operands live over different semigroups."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,56 +23,6 @@ from .semigroups import (
     build_from_table,
     check_order,
 )
-
-
-@dataclass(frozen=True)
-class PartialInjection:
-    """A partial injective map on {0..n-1}, stored as sorted (point, image)
-    pairs."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        pts = [p for p, _ in self.pairs]
-        imgs = [q for _, q in self.pairs]
-        if any(not 0 <= v < self.n for v in pts + imgs):
-            raise ValueError("points and images must lie in 0..n-1")
-        if len(set(pts)) != len(pts):
-            raise ValueError("map is not a function: repeated point")
-        if len(set(imgs)) != len(imgs):
-            raise ValueError("map is not injective: repeated image")
-        if list(pts) != sorted(pts):
-            object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-
-    def __call__(self, p):
-        for q, r in self.pairs:
-            if q == p:
-                return r
-        return None
-
-    def domain(self):
-        return tuple(p for p, _ in self.pairs)
-
-    def image(self):
-        return tuple(sorted(q for _, q in self.pairs))
-
-    def compose(self, other):
-        """self after other: (self . other)(p) = self(other(p))."""
-        if self.n != other.n:
-            raise ValueError("ground sets differ")
-        pairs = []
-        for p, q in other.pairs:
-            r = self(q)
-            if r is not None:
-                pairs.append((p, r))
-        return PartialInjection(self.n, tuple(pairs))
-
-    def inverse(self):
-        return PartialInjection(self.n, tuple(sorted((q, p) for p, q in self.pairs)))
-
-    def label(self):
-        return "[" + " ".join(f"{p}>{q}" for p, q in self.pairs) + "]"
 
 
 def maps_table(images):
@@ -124,12 +73,13 @@ def symmetric_inverse_monoid_order(n):
 
 
 def all_partial_injections(n):
-    """Deterministic enumeration: by domain size, then domain, then image."""
+    """Every partial injection on n points as its tuple of (point, image)
+    pairs, points ascending; by domain size, then domain, then image."""
     out = []
     for k in range(n + 1):
         for dom in itertools.combinations(range(n), k):
             for img in itertools.permutations(range(n), k):
-                out.append(PartialInjection(n, tuple(zip(dom, img))))
+                out.append(tuple(zip(dom, img)))
     return out
 
 
@@ -146,8 +96,8 @@ def gen_symmetric_inverse_monoid(n):
         order = symmetric_inverse_monoid_order(m)
         check_order(order, None if m == n else f"sum C({n},k)^2 k!")
     elems = all_partial_injections(n)
-    mul, star = maps_table([[dict(e.pairs).get(p, -1) for p in range(n)] for e in elems])
-    labels = [e.label() for e in elems]
+    mul, star = maps_table([[dict(e).get(p, -1) for p in range(n)] for e in elems])
+    labels = ["[" + " ".join(f"{p}>{q}" for p, q in e) + "]" for e in elems]
     return build_from_table(mul, star, labels=labels)
 
 

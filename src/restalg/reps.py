@@ -30,7 +30,7 @@ from functools import wraps
 
 import numpy as np
 
-from .algebra import dot_many, first_max, map_rows, random_rows, scatter, tilde_rows
+from .algebra import dot_many, first_max, map_rows, random_rows, scatter_rows, tilde_rows
 from .errors import BaseMismatch
 from .linalg import column_rank
 from .restricted import build_restricted_semigroup
@@ -138,9 +138,8 @@ def lift_many(rep, F):
     array, in one scatter; each is bitwise the lift of its row alone.
     Callers bound B (see algebra.map_rows)."""
     xs, ys, cols = rep.entries()
-    dim, rows = rep.dim, F.shape[0]
-    bins = (np.arange(rows)[:, None] * (dim * dim) + (ys * dim + cols)).ravel()
-    return scatter(np.take(F, xs, axis=1).ravel(), bins, rows * dim * dim).reshape(rows, dim, dim)
+    dim = rep.dim
+    return scatter_rows(np.take(F, xs, axis=1), ys * dim + cols, dim * dim).reshape(-1, dim, dim)
 
 
 def extend_with_zero(rep, rs):
@@ -347,9 +346,7 @@ def _pairings(rep, at, Xi, Eta):
     def block(X, Y):
         # np.take lays the gathers out row-major, so each product is
         # bitwise the one its row gives alone
-        w = np.take(X, cols, axis=1) * np.conj(np.take(Y, ys, axis=1))
-        bins = (np.arange(X.shape[0])[:, None] * n + at).ravel()
-        return scatter(w.ravel(), bins, X.shape[0] * n).reshape(-1, n)
+        return scatter_rows(np.take(X, cols, axis=1) * np.conj(np.take(Y, ys, axis=1)), at, n)
 
     return map_rows(block, ys.size, Xi, Eta)
 

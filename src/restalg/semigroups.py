@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     NotAssociative,
-    NotIdempotent,
     NotInverse,
     SizeLimit,
     StarMismatch,
@@ -115,13 +114,6 @@ class FiniteInvSemigroup:
         # one idempotent <=> a group
         return len(self.idempotents()) == 1
 
-    def same_table(self, other):
-        return (
-            self.n == other.n
-            and np.array_equal(self.mul, other.mul)
-            and np.array_equal(self.star, other.star)
-        )
-
     # -- idempotents and the natural order ----------------------------
 
     def idempotents(self):
@@ -130,18 +122,6 @@ class FiniteInvSemigroup:
             return read_only(np.flatnonzero(np.diagonal(self.mul) == np.arange(self.n)))
 
         return kept_on(self, "idempotents", build)
-
-    def is_idempotent(self, x):
-        return self.mul[x, x] == x
-
-    def natural_leq(self, e, f):
-        """e <= f in the natural order on idempotents, i.e. ef = e."""
-        for g in (e, f):
-            if not self.is_idempotent(g):
-                raise NotIdempotent(
-                    f"element {self.label(g)} is not idempotent", witness=(int(g),)
-                )
-        return bool(self.mul[e, f] == e)
 
     def order_table(self):
         """Boolean table L with L[a, b] = (ab == a).
@@ -259,9 +239,10 @@ def generating_set(t):
     seen[t, idx] = True
     score += seen.sum(axis=0)
     inside = np.zeros(n, dtype=bool)
+    size = 0  # of the closure: each frontier holds new elements only
     gens = []
     for a in np.argsort(-score, kind="stable").tolist():
-        if inside.all():
+        if size == n:
             break
         if inside[a]:
             continue
@@ -269,6 +250,7 @@ def generating_set(t):
         frontier = np.array([a])
         while frontier.size:
             inside[frontier] = True
+            size += frontier.size
             closure = np.flatnonzero(inside)
             fresh = np.zeros(n, dtype=bool)
             fresh[t[frontier][:, closure]] = True

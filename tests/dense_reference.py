@@ -18,7 +18,7 @@ Nothing here is used by the library.
   lift's value, so tests that need the same lift share one SVD).
 - The pattern split of restalg.linalg with one np.unique per count and
   per shape, for its one-pass grouping, and the complex scatter-add as
-  two real bincounts, for restalg.algebra.scatter.
+  two real bincounts, for restalg.algebra.scatter_rows.
 - The dot product coordinate by coordinate from the translation sum,
   for the padded-table route restalg.algebra.dot_direct_many.
 - The order-relaxed product coordinate by coordinate, and its
@@ -43,11 +43,14 @@ Nothing here is used by the library.
   every y, for the check over a generating set in restalg.reps.
 - The groupoid laws of the composable pairs over all triples, one row of
   x at a time, for the Brandt-coordinate check of restalg.restricted.
+- Partial injections composed and inverted one pair at a time, for the
+  table gathers of restalg.families.maps_table.
 """
 
 import hashlib
 import itertools
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,7 +223,7 @@ def dense_sigma_r_samples(S, M, trials, seed, rng):
     drawn from the seed one scalar at a time, P_i = diag(1 where yy* lies
     in the drawn classes), and the Haar unitary U is drawn from rng."""
     draws = np.random.default_rng(seed)
-    classes = cstar.idempotent_classes(S)
+    classes = [c.tolist() for c in S.brandt().classes]
     n = S.n
     for _ in range(trials):
         k = int(draws.integers(1, 4))
@@ -870,3 +873,50 @@ def groupoid_law_violations_loop(S):
             y, z = np.argwhere(bad)[0]
             out.append(f"(xy)z != x(yz) on composables at x={x}, y={int(y)}, z={int(z)}")
     return out
+
+
+@dataclass(frozen=True)
+class PartialInjection:
+    """A partial injective map on {0..n-1}, stored as sorted (point, image)
+    pairs."""
+
+    n: int
+    pairs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        pts = [p for p, _ in self.pairs]
+        imgs = [q for _, q in self.pairs]
+        if any(not 0 <= v < self.n for v in pts + imgs):
+            raise ValueError("points and images must lie in 0..n-1")
+        if len(set(pts)) != len(pts):
+            raise ValueError("map is not a function: repeated point")
+        if len(set(imgs)) != len(imgs):
+            raise ValueError("map is not injective: repeated image")
+        if list(pts) != sorted(pts):
+            object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
+
+    def __call__(self, p):
+        for q, r in self.pairs:
+            if q == p:
+                return r
+        return None
+
+    def domain(self):
+        return tuple(p for p, _ in self.pairs)
+
+    def image(self):
+        return tuple(sorted(q for _, q in self.pairs))
+
+    def compose(self, other):
+        """self after other: (self . other)(p) = self(other(p))."""
+        if self.n != other.n:
+            raise ValueError("ground sets differ")
+        pairs = []
+        for p, q in other.pairs:
+            r = self(q)
+            if r is not None:
+                pairs.append((p, r))
+        return PartialInjection(self.n, tuple(pairs))
+
+    def inverse(self):
+        return PartialInjection(self.n, tuple(sorted((q, p) for p, q in self.pairs)))

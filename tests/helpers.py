@@ -1,5 +1,7 @@
 """Small helpers the tests share; the library has no use for them."""
 
+import numpy as np
+
 from restalg.corpus import default_corpus
 from restalg.io_json import semigroup_to_dict
 
@@ -19,3 +21,8 @@ def function_to_dict(f, *, semigroup_path=None):
     [re, im] pairs."""
     sem = semigroup_path if semigroup_path else semigroup_to_dict(f.base)
     return {"semigroup": sem, "coeffs": [[float(c.real), float(c.imag)] for c in f.coeffs]}
+
+
+def same_table(S, T):
+    """Whether two semigroups have the same product table and involution."""
+    return S.n == T.n and np.array_equal(S.mul, T.mul) and np.array_equal(S.star, T.star)

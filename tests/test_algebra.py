@@ -20,14 +20,13 @@ from restalg.algebra import (
     dot_many,
     dot_triples,
     extend_from_base,
-    inner,
     max_abs_diff,
     order_dot,
     random_rows,
     order_dot_assoc_witness,
     order_dot_scan,
     restrict_to_base,
-    scatter,
+    scatter_rows,
     unit_rows,
 )
 from restalg.corpus import default_corpus
@@ -48,7 +47,7 @@ I2 = gen_symmetric_inverse_monoid(2)
 
 def _i2_element(pairs):
     elems = all_partial_injections(2)
-    return next(i for i, e in enumerate(elems) if e.pairs == pairs)
+    return next(i for i, e in enumerate(elems) if e == pairs)
 
 
 # -- element basics -----------------------------------------------------
@@ -68,9 +67,9 @@ def test_norms_and_inner():
     d1 = AlgebraElement.delta(I2, 1)
     assert d0.norm(1) == 1.0
     assert (d0 + d1).norm(1) == 2.0
-    assert inner(d0, d1) == 0
+    assert np.vdot(d1.coeffs, d0.coeffs) == 0
     f = AlgebraElement(I2, np.arange(7) * (1 + 1j))
-    assert inner(f, f) == pytest.approx(f.norm(2) ** 2)
+    assert np.vdot(f.coeffs, f.coeffs) == pytest.approx(f.norm(2) ** 2)
     assert f.norm("inf") == np.abs(f.coeffs).max()
     with pytest.raises(ValueError):
         f.norm(3)
@@ -462,39 +461,41 @@ def _bitwise(a, b):
 
 def test_scatter_is_the_bincount_reference():
     # np.add.at sums every bin from +0.0 in the order of the index, as two
-    # real bincounts do: bitwise equal, signed zeros, infinities and NaNs
-    # included
+    # real bincounts over the rows side by side do: bitwise equal, signed
+    # zeros, infinities and NaNs included
     rng = np.random.default_rng(45)
 
-    def draw(count):
-        return rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     cases = [
-        (np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.intp), 0),
-        (np.zeros(0, dtype=np.complex128), np.zeros(0, dtype=np.intp), 7),
+        (np.zeros((1, 0), dtype=np.complex128), np.zeros(0, dtype=np.intp), 0),
+        (np.zeros((1, 0), dtype=np.complex128), np.zeros(0, dtype=np.intp), 7),
+        (np.zeros((0, 3), dtype=np.complex128), np.array([0, 2, 2]), 4),
         # duplicate bins, summed in index order, with cancellations
-        (np.array([1e16, 1.0, -1e16, 1.0 + 2j, 3j]), np.array([2, 2, 2, 0, 2]), 4),
+        (np.array([[1e16, 1.0, -1e16, 1.0 + 2j, 3j]]), np.array([2, 2, 2, 0, 2]), 4),
         # signed zeros alone and mixed
-        (np.array([complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]), np.array([0, 1, 1]), 3),
-        (np.array([complex(-0.0, -0.0), complex(-0.0, -0.0)]), np.array([1, 1]), 2),
+        (np.array([[complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]]), np.array([0, 1, 1]), 3),
+        (np.array([[complex(-0.0, -0.0), complex(-0.0, -0.0)]]), np.array([1, 1]), 2),
     ]
     values = draw(1000)
     values[::7] = complex(-0.0, -0.0)
     values[3], values[5], values[9] = np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)
     index = rng.integers(0, 24 * 24, 1000)
     index[9] = index[3]  # inf + (1 - inf j) in one bin
-    cases.append((values, index, 24 * 24))
-    # a 4-row dot block, a lambda_r lift row and an L-class block stack of I4
+    cases += [(values[None], index, 24 * 24), (values.reshape(4, 250), index[:250], 24 * 24)]
+    # a 4-row dot block, 2 rows of lambda_r lifts and an L-class block stack of I4
     I4 = gen_symmetric_inverse_monoid(4)
     a, b, c = dot_triples(I4).T
     F, G = random_rows(I4, rng, 4, count=2)
-    cases.append(((F[:, a] * G[:, b]).ravel(), (np.arange(4)[:, None] * I4.n + c).ravel(), 4 * I4.n))
+    cases.append((F[:, a] * G[:, b], c, I4.n))
     xs, ys, cols = restricted_left_regular(I4).entries()
-    cases.append((draw(xs.size), ys * I4.n + cols, I4.n * I4.n))
+    cases.append((draw(2, xs.size), ys * I4.n + cols, I4.n * I4.n))
     for Ls, xs, flat, _ in cstar._block_index(left_regular(I4)):
         q, d = Ls.shape
-        cases.append((draw(3 * xs.size), (np.arange(3)[:, None] * (q * d * d) + flat).ravel(), 3 * q * d * d))
-    for values, index, size in cases:
-        want = scatter_reference(values, index, size)
-        assert _bitwise(scatter(values, index, size), want), size
-
+        cases.append((draw(3, xs.size), flat, q * d * d))
+    for W, index, size in cases:
+        rows = W.shape[0]
+        bins = (np.arange(rows)[:, None] * size + index).ravel()
+        want = scatter_reference(W.ravel(), bins, rows * size).reshape(rows, size)
+        assert _bitwise(scatter_rows(W, index, size), want), size

@@ -51,7 +51,7 @@ def test_cstar_identity():
 
 
 def test_idempotent_classes_partition():
-    classes = cstar.idempotent_classes(I2)
+    classes = [c.tolist() for c in I2.brandt().classes]
     flat = sorted(e for c in classes for e in c)
     assert flat == I2.idempotents().tolist()
     # the two singleton-domain idempotents are linked by the shift (0 -> 1)
@@ -66,12 +66,12 @@ def test_idempotent_classes_match_union_find(full_corpus):
     cases = [*full_corpus, ("I4", I4), ("I4_r", build_restricted_semigroup(I4).sr)]
     assert len(cases) == 24
     for label, S in cases:
-        assert cstar.idempotent_classes(S) == union_find_idempotent_classes(S), label
+        assert [c.tolist() for c in S.brandt().classes] == union_find_idempotent_classes(S), label
 
 
 def test_central_projections_commute_with_lambda_r():
     lam = dense_lambda_r(I2)
-    classes = cstar.idempotent_classes(I2)
+    classes = [c.tolist() for c in I2.brandt().classes]
     for k in range(1 << len(classes)):
         chosen = [e for i, c in enumerate(classes) if k >> i & 1 for e in c]
         P = np.diag(np.isin(I2.ran, chosen).astype(np.complex128))
@@ -376,7 +376,7 @@ def test_representative_blocks_of_i4():
     assert [int(L.size) for L in blocks] == [1, 4, 12, 24, 24]
     assert cstar.representative_blocks(I4) is blocks  # kept on the semigroup
     # one L-class per D-class
-    for L, cls in zip(blocks, cstar.idempotent_classes(I4)):
+    for L, cls in zip(blocks, I4.brandt().classes):
         assert np.all(I4.dom[L] == cls[0])
 
 

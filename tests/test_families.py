@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import PartialInjection
 from restalg.families import (
-    PartialInjection,
     all_partial_injections,
     gen_brandt,
     gen_group,
@@ -29,7 +29,8 @@ def symmetric_images(n):
 
 
 def partial_injection_images(n):
-    return [[e(p) if e(p) is not None else -1 for p in range(n)] for e in all_partial_injections(n)]
+    maps = [PartialInjection(n, e) for e in all_partial_injections(n)]
+    return [[f(p) if f(p) is not None else -1 for p in range(n)] for f in maps]
 
 
 def brandt_images(g, n):
@@ -81,6 +82,12 @@ def test_maps_table_matches_compose_on_symmetric_inverse_monoids(n):
     assert np.array_equal(mul, ref_mul) and np.array_equal(star, ref_star)
     S = gen_symmetric_inverse_monoid(n)
     assert np.array_equal(S.mul, mul) and np.array_equal(S.star, star)
+
+
+def test_symmetric_inverse_monoid_labels():
+    # each map as its point>image pairs, points ascending
+    I2 = gen_symmetric_inverse_monoid(2)
+    assert I2.labels == ["[]", "[0>0]", "[0>1]", "[1>0]", "[1>1]", "[0>0 1>1]", "[0>1 1>0]"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

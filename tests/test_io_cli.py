@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import restalg
 import restalg.cli
-from helpers import function_to_dict
+from helpers import function_to_dict, same_table
 from restalg.algebra import AlgebraElement
 from restalg.cli import MAX_TRIALS, _check_args, build_parser, main
 from restalg.errors import NotAssociative, NotInverse, ParseError, RestalgError, StarMismatch
@@ -36,7 +37,7 @@ def test_semigroup_roundtrip_byte_identical(tmp_path):
     path.write_text(payload)
     S = load_semigroup(str(path))
     assert canonical_dumps(semigroup_to_dict(S)) == payload
-    assert S.same_table(I2)
+    assert same_table(S, I2)
     assert S.identity == I2.identity and S.zero == I2.zero
 
 
@@ -161,7 +162,7 @@ def test_function_roundtrip(tmp_path):
     path.write_text(canonical_dumps(function_to_dict(f)))
     g = load_function(str(path))
     assert np.array_equal(g.coeffs, f.coeffs)
-    assert g.base.same_table(I2)
+    assert same_table(g.base, I2)
 
 
 def test_function_with_semigroup_path(tmp_path):
@@ -665,3 +666,37 @@ def test_cli_closed_stdout_exits_quietly():
     code = proc.wait(timeout=120)
     assert code not in (1, 2), err
     assert "Traceback" not in err
+
+
+_REFAULT_CHILD = """
+import contextlib, io, resource, sys
+from restalg import cli
+path = sys.argv[1]
+assert cli.main(["gen", "--family", "brandt", "--n", "4", "--group-n", "5", "--with-identity", "--out", path]) == 0
+argv = ["verify", path, "--suite", "reps", "--json"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the CLI sets heap thresholds through glibc's mallopt",
+)
+def test_cli_call_reuses_the_heap_of_the_previous_call(tmp_path):
+    # the row blocks of the reps suite are about 1 MiB each; without the
+    # thresholds glibc maps and zero-faults each one anew (about 3-5k faults
+    # on this call), with them the second call finds its pages mapped
+    src = os.path.dirname(os.path.dirname(restalg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFAULT_CHILD, str(tmp_path / "brandt.json")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000

@@ -123,8 +123,8 @@ def test_lambda_full_restricted_violation_is_concrete():
     # s = (0 -> 1) composed with itself is the empty map, whose
     # order-based matrix is a rank-one projection, not zero
     elems = all_partial_injections(2)
-    s = next(i for i, e in enumerate(elems) if e.pairs == ((0, 1),))
-    empty = next(i for i, e in enumerate(elems) if e.pairs == ())
+    s = next(i for i, e in enumerate(elems) if e == ((0, 1),))
+    empty = next(i for i, e in enumerate(elems) if e == ())
     lam = left_regular(I2)
     prod = lam.mat(s) @ lam.mat(s)
     assert not I2.composable_matrix()[s, s]
@@ -497,6 +497,31 @@ def test_rank_checks_fail_on_a_copied_row(monkeypatch, patched, failing):
     rank_ids = {"reps.faithful-restricted", "reps.faithful-full", "reps.semisimple"}
     failed = {c.id for c in restalg.verify.suite_reps(S, seed=1, trials=5) if not c.passed}
     assert failed & rank_ids == failing
+
+
+def _zero_row_copies_row_0(extend):
+    def patched(rep, rs):
+        ext = extend(rep, rs)
+        table = ext.table.copy()
+        table[rs.zero_index] = table[0]
+        return Representation(ext.base, table, ext.kind, ext.name)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "patched, mutate, failing",
+    [
+        ("extend_with_zero", _zero_row_copies_row_0, "reps.zero-extension"),
+        ("approx_identity", lambda unit: lambda S, F: 2 * unit(S, F), "reps.unit-projection"),
+    ],
+)
+def test_reps_check_fails_alone_under_its_mutation(monkeypatch, patched, mutate, failing):
+    # a zero whose lambda_r row is not zero, and units lifted to 2 e_F,
+    # which is no projection: each fails its own check and no other
+    assert not {c.id for c in restalg.verify.suite_reps(I2, seed=1, trials=5) if not c.passed}
+    monkeypatch.setattr(restalg.verify, patched, mutate(getattr(restalg.verify, patched)))
+    assert {c.id for c in restalg.verify.suite_reps(I2, seed=1, trials=5) if not c.passed} == {failing}
 
 
 @pytest.mark.parametrize("label", ["chain256", "Z256"])

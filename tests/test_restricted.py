@@ -21,7 +21,7 @@ from restalg.verify import suite_axioms
 
 def _i2_element(pairs):
     elems = all_partial_injections(2)
-    return next(i for i, e in enumerate(elems) if e.pairs == pairs)
+    return next(i for i, e in enumerate(elems) if e == pairs)
 
 
 def _pairs(S):

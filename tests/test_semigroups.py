@@ -9,6 +9,7 @@ import pytest
 
 import restalg.semigroups
 from dense_reference import (
+    PartialInjection,
     associativity_witness_loop,
     derive_star_loop,
     latin_square_loop,
@@ -18,14 +19,12 @@ from helpers import corpus_member
 from restalg.errors import (
     InvalidGroupTable,
     NotAssociative,
-    NotIdempotent,
     NotInverse,
     SizeLimit,
     StarMismatch,
     VerificationFailure,
 )
 from restalg.families import (
-    PartialInjection,
     adjoin_identity,
     all_partial_injections,
     gen_brandt,
@@ -235,7 +234,7 @@ def test_i2_has_four_idempotents():
     # the idempotents are the partial identities: one per subset of {0, 1}
     elems = all_partial_injections(2)
     partial_identities = {
-        i for i, e in enumerate(elems) if all(p == q for p, q in e.pairs)
+        i for i, e in enumerate(elems) if all(p == q for p, q in e)
     }
     assert set(idem.tolist()) == partial_identities
 
@@ -249,29 +248,22 @@ def test_semilattice_is_all_idempotent():
 def test_natural_order_reflexive():
     S = gen_chain_semilattice(3)
     for e in S.idempotents():
-        assert S.natural_leq(e, e)
+        assert S.order_table()[e, e]
 
 
 def test_natural_order_in_i2():
     I2 = gen_symmetric_inverse_monoid(2)
     elems = all_partial_injections(2)
-    index = {e.pairs: i for i, e in enumerate(elems)}
+    index = {e: i for i, e in enumerate(elems)}
     empty = index[()]
     ident = index[((0, 0), (1, 1))]
     r0 = index[((0, 0),)]
     r1 = index[((1, 1),)]
-    assert I2.natural_leq(empty, ident)
-    assert not I2.natural_leq(r0, r1)
-    assert not I2.natural_leq(r1, r0)
-
-
-def test_natural_order_rejects_non_idempotent():
-    I2 = gen_symmetric_inverse_monoid(2)
-    s = next(
-        i for i, e in enumerate(all_partial_injections(2)) if e.pairs == ((0, 1),)
-    )
-    with pytest.raises(NotIdempotent):
-        I2.natural_leq(s, I2.identity)
+    leq = I2.order_table()
+    assert leq[empty, ident] and leq[r0, ident] and leq[empty, r1]
+    assert not leq[r0, r1]
+    assert not leq[r1, r0]
+    assert not leq[ident, r0]
 
 
 # -- partial injections -------------------------------------------------
@@ -362,8 +354,8 @@ def test_gen_group_unknown_kind():
 def test_chain_semilattice_order_structure():
     S = gen_chain_semilattice(2)
     assert S.identity == 0
-    assert S.natural_leq(1, 0)
-    assert not S.natural_leq(0, 1)
+    assert S.order_table()[1, 0]
+    assert not S.order_table()[0, 1]
     assert S.labels == ["1", "e1"]
 
 
