@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     dot_many,
     first_max,
     map_rows,
@@ -34,8 +33,8 @@ from .algebra import (
     tilde_rows,
 )
 from .errors import BaseMismatch, VerificationFailure
-from .linalg import min_shift_norm, op_norms
-from .reps import left_regular, lift, restricted_left_regular
+from .linalg import min_shift_norm, min_shift_norms, op_norms
+from .reps import left_regular, lift, lift_many, restricted_left_regular
 from .restricted import build_restricted_semigroup
 from .semigroups import kept_on, read_only
 
@@ -153,50 +152,72 @@ def _block_norm(rep, f, cleared=None):
 # randomized members of the contractive restricted representations
 
 
-def _sigma_r_images(S, M, trials, seed):
-    """M under each sampled representation, for M a lift through lambda_r
-    (or a stack of them): the (..., k, n, n) stack of the summands M P_i,
-    with k and the idempotent classes of each central projection P_i
-    drawn from the seed.
+def _sigma_r_masks(S, trials, seed):
+    """The column masks of the summands of each sampled representation:
+    one (k, n) boolean array per sample, with k and the idempotent
+    classes of each central projection P_i drawn from the seed.
 
     Each sample is a random contractive restricted representation: the
     direct sum over i of lambda_r compressed by P_i, the diagonal
     projection onto the coordinates y with yy* in the drawn classes of
     S.brandt() (it commutes with every lambda_r(x), which keeps the
-    D-class of each coordinate's yy*).  M P_i is M with the other columns
-    zeroed.  A direct sum's norm is its largest summand's norm, and
-    conjugating by a unitary changes no norm, so the summands are not
-    assembled into one (kn, kn) matrix."""
+    D-class of each coordinate's yy*).  For M a lift through lambda_r,
+    the summand M P_i is M with the columns outside mask i zeroed.  A direct
+    sum's norm is its largest summand's norm, and conjugating by a
+    unitary changes no norm, so the summands are not assembled into one
+    (kn, kn) matrix."""
     rng = np.random.default_rng(seed)
     brandt = S.brandt()
     for _ in range(trials):
         k = int(rng.integers(1, 4))
         # one draw per summand and class, in the order of k scalar loops;
         # D[y] is the class of yy*
-        masks = (rng.random((k, len(brandt.classes))) < 0.7)[:, brandt.D]
-        yield np.where(masks[:, None, :], M[..., None, :, :], 0.0)
+        yield (rng.random((k, len(brandt.classes))) < 0.7)[:, brandt.D]
 
 
 def full_cstar_norm(f):
     """The supremum norm over contractive restricted representations,
     computed as the reduced norm (they agree for finite S;
-    sigma_r_cross_check measures sampled members of the family against
+    sigma_r_cross_checks measures sampled members of the family against
     it)."""
     return reduced_cstar_norm(f)
 
 
 def sigma_r_cross_check(f, *, trials=5, seed=0):
     """Largest amount by which a sampled representation's lift exceeds the
-    computed supremum norm (negative when none does).
+    computed supremum norm (negative when none does): the one-row case of
+    sigma_r_cross_checks."""
+    return float(sigma_r_cross_checks(f.base, f.coeffs[None, :], trials=trials, seeds=[seed])[0])
 
-    The samples are those of _sigma_r_images, whose matrix stacks are
-    never built: the lift of f through a sample is the image of
-    A = lift(lambda_r, f), a (k, n, n) stack of summands.
+
+def sigma_r_cross_checks(S, F, *, trials, seeds):
+    """sigma_r_cross_check of every row of a (B, n) array, row i sampled
+    from seeds[i]; -inf for a row with no samples.
+
+    The samples are drawn seed by seed (_sigma_r_masks), and their
+    matrices are never built: the lift of row i through a sample is the
+    image of A_i = lift(lambda_r, F[i]), a stack of summands A_i P_j.
+    The values take one block_norms call and the lifts one lift_many; the
+    summands of all rows go through op_norms in blocks of rows
+    (algebra.map_rows), so they are never all held at once.
     """
-    value = reduced_cstar_norm(f)
-    A = lift(restricted_left_regular(f.base), f)
-    samples = _sigma_r_images(f.base, A, trials, seed)
-    return float(max((op_norms(stack).max() for stack in samples), default=-np.inf)) - value
+    lam_r = restricted_left_regular(S)
+    F = np.asarray(F, dtype=np.complex128)
+    lifts = lift_many(lam_r, F)
+    owner, masks = [], []
+    for i, seed in enumerate(seeds):
+        for m in _sigma_r_masks(S, trials, seed):
+            owner.extend([i] * len(m))
+            masks.append(m)
+
+    def tops(rows, cols):
+        # a block of summands: the owner's lift, columns outside the mask zeroed
+        return op_norms(np.where(cols[:, None, :], lifts[rows], 0.0))
+
+    best = np.full(F.shape[0], -np.inf)
+    if masks:
+        np.maximum.at(best, owner, map_rows(tops, S.n * S.n, np.array(owner), np.concatenate(masks)))
+    return best - block_norms(lam_r, F)
 
 
 # ---------------------------------------------------------------------
@@ -297,28 +318,31 @@ def quotient_match_report(S, *, trials=100, seed=7):
 
     The closed-form minimum over c of ||f + c delta_0|| (dense lift and
     SVD) reruns a subsample (the delta at zero, 4 spread-out other
-    deltas, and 2 random elements) as a third route.
+    deltas, and 2 random elements drawn after the rest) as a third route:
+    the lifts go through linalg.min_shift_norms in blocks of rows.
     """
     rs = build_restricted_semigroup(S)
     sr = rs.sr
+    Lam = left_regular(sr)
     rng = np.random.default_rng(seed)
     rows = np.concatenate([np.eye(sr.n, dtype=np.complex128), random_rows(sr, rng, trials)[0]])
-    quotient = block_norms(left_regular(sr), rows, cleared=rs.zero_index)
+    # the extra random rows of the subsample; one call norms them with the
+    # rest, as a row's norm does not depend on its batch
+    F = np.concatenate([rows, random_rows(sr, rng, 2)[0]])
+    quotient = block_norms(Lam, F, cleared=rs.zero_index)
     # rows[:, :n] drops the zero coordinate: restrict_to_base on every row
     reduced = block_norms(restricted_left_regular(S), rows[:, : S.n])
-    worst, i = first_max(np.abs(quotient - reduced))
+    worst, i = first_max(np.abs(quotient[: len(rows)] - reduced))
     witness = ""
     if worst > 0:
         witness = f"element #{i} (delta)" if i < sr.n else f"element #{i} (random)"
 
-    # the delta rows take their quotient norms from the batch above, the
-    # random ones from one more call: a row's norm does not depend on its batch
-    deltas = np.concatenate([[rs.zero_index], np.linspace(0, sr.n - 1, num=min(4, sr.n), dtype=int)])
-    extra = random_rows(sr, rng, 2)[0]
-    sample = np.concatenate([rows[deltas], extra])
-    q = np.concatenate([quotient[deltas], block_norms(left_regular(sr), extra, cleared=rs.zero_index)])
-    m = np.array([minimized_quotient_norm(AlgebraElement(sr, f), rs.zero_index) for f in sample])
-    worst_min = float(np.abs(q - m).max())
+    # the delta at zero, 4 spread-out other deltas and the 2 extra rows
+    spread = np.linspace(0, sr.n - 1, num=min(4, sr.n), dtype=int)
+    picked = np.concatenate([[rs.zero_index], spread, len(rows) + np.arange(2)])
+    P = Lam.mat(rs.zero_index)
+    minimized = map_rows(lambda R: min_shift_norms(lift_many(Lam, R), P), sr.n * sr.n, F[picked])
+    worst_min = float(np.abs(quotient[picked] - minimized).max())
     return QuotientMatchReport(max_deviation=worst, minimized_deviation=worst_min, witness=witness)
 
 
@@ -330,9 +354,8 @@ def cstar_identity_deviation(f):
 
 def cstar_identity_deviations(S, F):
     """cstar_identity_deviation of every row of a (B, n) array."""
-    lam_r = restricted_left_regular(S)
-    a = block_norms(lam_r, dot_many(S, tilde_rows(S, F), F))
-    b = block_norms(lam_r, F) ** 2
+    norms = block_norms(restricted_left_regular(S), np.concatenate([dot_many(S, tilde_rows(S, F), F), F]))
+    a, b = norms[: len(F)], norms[len(F) :] ** 2
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 

@@ -1,9 +1,9 @@
-"""Dense linear-algebra backends: spectral norm by a Hermitian
-eigensolve on M*M, of one matrix or of a stack at once, and by LAPACK
-SVD as the independent cross-check, taken block by block over the
-connected components of the matrix's own zero pattern; min over scalars
-c of ||A + cP|| for a rank-one projection P in closed form (Parrott's
-theorem), and column rank from the singular values."""
+"""Dense linear-algebra backends, each of one matrix or of a stack at
+once: spectral norm by a Hermitian eigensolve on M*M, and by LAPACK SVD
+as the independent cross-check, taken block by block over the connected
+components of the matrix's own zero pattern; min over scalars c of
+||A + cP|| for a rank-one projection P in closed form (Parrott's
+theorem); and column rank from the singular values."""
 
 from __future__ import annotations
 
@@ -49,11 +49,21 @@ SPLIT_MIN_DIM = 64
 
 def svd_op_norm(mat):
     """Largest singular value by LAPACK SVD; the independent backend in
-    cross-checks.
+    cross-checks, and the one-matrix case of svd_op_norms."""
+    M = np.asarray(mat, dtype=np.complex128)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
+    return float(svd_op_norms(M[None])[0])
 
-    From SPLIT_MIN_DIM rows and columns on, the matrix is split into the
-    connected components of the bipartite graph of its nonzero entries
-    (pattern_blocks) and the result is the largest singular value over
+
+def svd_op_norms(stack):
+    """svd_op_norm of every matrix of a (B, m, k) stack; each value is
+    bitwise the one its matrix gives alone.
+
+    Below SPLIT_MIN_DIM rows or columns the stack takes one stacked
+    LAPACK SVD.  From it on, each matrix is split into the connected
+    components of the bipartite graph of its nonzero entries
+    (pattern_blocks) and its value is the largest singular value over
     the components: row and column permutations are unitary and the norm
     of a direct sum is the largest norm of its parts.  The blocks come
     from the entries alone, every component is taken, and the values are
@@ -61,17 +71,18 @@ def svd_op_norm(mat):
     shares nothing with the block norms of restalg.cstar.
     """
     # contiguous, so that the finite-entries check reads the float64 view
-    M = np.ascontiguousarray(mat, dtype=np.complex128)
-    if M.ndim != 2:
-        raise ValueError("expected a matrix")
+    M = np.ascontiguousarray(stack, dtype=np.complex128)
+    if M.ndim != 3:
+        raise ValueError("expected a stack of matrices")
     if M.size == 0:
-        return 0.0
+        return np.zeros(M.shape[0])
     if not np.isfinite(M.view(np.float64)).all():
         raise ValueError("matrix entries must be finite")
-    if min(M.shape) < SPLIT_MIN_DIM:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    tops = [np.linalg.svd(stack, compute_uv=False)[:, 0].max() for stack in pattern_blocks(M)]
-    return float(max(tops, default=0.0))
+    if min(M.shape[1:]) < SPLIT_MIN_DIM:
+        return np.linalg.svd(M, compute_uv=False)[:, 0]
+    return np.array(
+        [max((np.linalg.svd(b, compute_uv=False)[:, 0].max() for b in pattern_blocks(A)), default=0.0) for A in M]
+    )
 
 
 def _pattern_labels(nonzero):
@@ -155,18 +166,26 @@ def column_rank(cols, rel_tol=1e-9):
 
 
 def min_shift_norm(A, P):
-    """min over complex c of ||A + c P||, in closed form.
+    """min over complex c of ||A + c P||, in closed form: the one-matrix
+    case of min_shift_norms."""
+    return float(min_shift_norms(np.asarray(A)[None], P)[0])
+
+
+def min_shift_norms(A, P):
+    """min over complex c of ||A_b + c P|| for every matrix of a (B, n, n)
+    stack A and one P, in closed form; each value is bitwise the one its
+    matrix gives alone.
 
     Parrott's theorem (On a quotient norm and the Sz.-Nagy-Foias lifting
     theorem, J. Funct. Anal. 30, 1978): when P is a rank-one orthogonal
     projection, the minimum is max(||(I - P) A||, ||A (I - P)||).  That
     is the one premise; P need not commute with A.  It also gives
     P = P[:, j] P[j, :] / P[j, j] at the largest diagonal entry j, so P A
-    and A P are outer products.  Both norms are svd_op_norm.
+    and A P are outer products.  Both norms are svd_op_norms.
     """
     j = int(np.argmax(np.diagonal(P).real))
     col, row = P[:, j] / P[j, j], P[j, :]
-    return max(
-        svd_op_norm(A - np.outer(col, row @ A)),
-        svd_op_norm(A - np.outer(A @ col, row)),
+    return np.maximum(
+        svd_op_norms(A - col[:, None] * (row @ A)[:, None, :]),
+        svd_op_norms(A - (A @ col)[:, :, None] * row),
     )

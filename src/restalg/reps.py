@@ -32,7 +32,6 @@ import numpy as np
 
 from .algebra import dot_many, first_max, map_rows, random_rows, scatter_rows, tilde_rows
 from .errors import BaseMismatch
-from .linalg import column_rank
 from .restricted import build_restricted_semigroup
 from .semigroups import kept_on, read_only
 
@@ -470,6 +469,15 @@ def _gram(rep):
     return kept_on(rep, "gram", build)
 
 
+def _gram_rank(rep, rel_tol):
+    """The number of singular values of _gram(rep) above rel_tol times
+    the largest, as linalg.column_rank counts them; the singular values
+    are kept on rep beside the Gram matrix, so that both ranks read one
+    SVD."""
+    s = kept_on(rep, "gram singular values", lambda: read_only(np.linalg.svd(_gram(rep), compute_uv=False)))
+    return int(np.count_nonzero(s > rel_tol * s[0]))
+
+
 def lift_rank(rep, rel_tol=1e-9):
     """Rank of f -> lift(rep, f); the lift is faithful iff this is n.
 
@@ -477,7 +485,7 @@ def lift_rank(rep, rel_tol=1e-9):
     from the singular values of G, which are the squares of those of the
     flattened pi(x): rel_tol cuts them at sqrt(rel_tol) of the largest.
     """
-    return column_rank(_gram(rep), rel_tol)
+    return _gram_rank(rep, rel_tol)
 
 
 def trace_form_rank(rep, rel_tol=1e-9):
@@ -485,10 +493,11 @@ def trace_form_rank(rep, rel_tol=1e-9):
     positions pi(x) and pi(y) share (exact integers).
 
     The trace form is the Frobenius inner product, positive definite on
-    every matrix algebra, so this is the rank of the lift (lift_rank):
-    full rank says the lift is injective, not that the radical is zero.
+    every matrix algebra, so this is the rank of the lift (lift_rank),
+    read off the same singular values: full rank says the lift is
+    injective, not that the radical is zero.
     """
-    return column_rank(_gram(rep), rel_tol)
+    return _gram_rank(rep, rel_tol)
 
 
 def compression_deviation(rs):

@@ -17,7 +17,6 @@ import numpy as np
 from . import cstar
 from .algebra import (
     AlgebraElement,
-    approx_identity,
     conv_many,
     delta_assoc_witness,
     dot_direct_many,
@@ -32,14 +31,13 @@ from .algebra import (
     unit_rows,
 )
 from .errors import RestalgError
-from .linalg import op_norm, svd_op_norm
+from .linalg import op_norms, svd_op_norms
 from .reps import (
     column_multiplicity,
     compression_deviation,
     extend_with_zero,
     lambda_inner_identity_report,
     left_regular,
-    lift,
     lift_many,
     lift_rank,
     representation_report,
@@ -733,16 +731,7 @@ def suite_reps(S, *, seed=0, trials=100):
         )
     )
 
-    worst = 0.0
-    for _ in range(10):
-        size = int(rng.integers(1, S.n + 1))
-        F = rng.choice(S.n, size=size, replace=False).tolist()
-        B = lift(lam_r, approx_identity(S, F))
-        worst = max(
-            worst,
-            float(np.abs(B @ B - B).max()),
-            float(np.abs(B - B.conj().T).max()),
-        )
+    worst = unit_projection_deviation(S, rng)
     checks.append(
         Check(
             "reps.unit-projection",
@@ -823,6 +812,28 @@ def suite_reps(S, *, seed=0, trials=100):
     return checks
 
 
+def unit_projection_deviation(S, rng):
+    """The largest entry of B B - B and of B - B* over the lifts B through
+    lambda_r of e_F for 10 random sets F, drawn set by set; exactly 0.0
+    when each lift is an orthogonal projection.  The sets are padded with
+    their first member, which leaves e_F as it is, and lifted and
+    squared in one stack per block of rows."""
+    sets = []
+    for _ in range(10):
+        size = int(rng.integers(1, S.n + 1))
+        sets.append(rng.choice(S.n, size=size, replace=False).tolist())
+    width = max(len(F) for F in sets)
+    padded = np.array([F + F[:1] * (width - len(F)) for F in sets], dtype=np.intp)
+    lam_r = restricted_left_regular(S)
+
+    def devs(members):
+        B = lift_many(lam_r, unit_rows(S, members))
+        square = np.abs(B @ B - B).max(axis=(1, 2))
+        return np.maximum(square, np.abs(B - np.conj(B).transpose(0, 2, 1)).max(axis=(1, 2)))
+
+    return float(map_rows(devs, S.n * S.n, padded).max())
+
+
 # ---------------------------------------------------------------------
 # C*-norms
 
@@ -870,10 +881,7 @@ def suite_cstar(S, *, seed=0, trials=100):
         )
     )
 
-    excess = -np.inf
-    for i in range(5):
-        f = AlgebraElement.random(S, rng)
-        excess = max(excess, cstar.sigma_r_cross_check(f, trials=3, seed=seed + i))
+    excess = sigma_cross_excess(S, rng, seed)
     checks.append(
         Check(
             "cstar.sigma-cross-check",
@@ -916,17 +924,7 @@ def suite_cstar(S, *, seed=0, trials=100):
         )
     )
 
-    worst = 0.0
-    for i in range(5):
-        M = rng.standard_normal((S.n, S.n)) + 1j * rng.standard_normal((S.n, S.n))
-        dense = svd_op_norm(M)
-        worst = max(worst, abs(op_norm(M) - dense) / max(1.0, dense))
-        f = AlgebraElement.random(S, rng)
-        A = lift(lam_r, f)
-        dense = svd_op_norm(A)
-        worst = max(worst, abs(op_norm(A) - dense) / max(1.0, dense))
-        # the block route of reduced_cstar_norm against the dense lift
-        worst = max(worst, abs(cstar.reduced_cstar_norm(f) - dense) / max(1.0, dense))
+    worst = opnorm_backend_deviation(S, rng)
     checks.append(
         Check(
             "cstar.opnorm-backend",
@@ -936,6 +934,44 @@ def suite_cstar(S, *, seed=0, trials=100):
         )
     )
     return checks
+
+
+def sigma_cross_excess(S, rng, seed):
+    """The largest excess of a sampled representation's lift over the
+    supremum norm (cstar.sigma_r_cross_checks) on 5 random elements,
+    element i with 3 samples drawn from seed + i."""
+    F = random_rows(S, rng, 5)[0]
+    return float(cstar.sigma_r_cross_checks(S, F, trials=3, seeds=range(seed, seed + 5)).max())
+
+
+def opnorm_backend_deviation(S, rng):
+    """The worst gap, relative to max(1, svd_op_norm), of op_norm from
+    svd_op_norm on 5 random dense (n, n) matrices, and of op_norm and of
+    the block norms of reduced_cstar_norm from svd_op_norm on the lifts
+    through lambda_r of 5 random elements; matrix i and element i are
+    drawn in turn.  Each kind of norm takes one stacked call per block of
+    rows."""
+    n = S.n
+    Ms, F = np.empty((5, n, n), dtype=np.complex128), np.empty((5, n), dtype=np.complex128)
+    for i in range(5):
+        Ms[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        F[i] = AlgebraElement.random(S, rng).coeffs
+    lam_r = restricted_left_regular(S)
+
+    def gaps(mats, rows):
+        A = lift_many(lam_r, rows)
+        dense_M, dense_A = svd_op_norms(mats), svd_op_norms(A)
+        return np.stack(
+            [
+                np.abs(op_norms(mats) - dense_M) / np.maximum(1.0, dense_M),
+                np.abs(op_norms(A) - dense_A) / np.maximum(1.0, dense_A),
+                # the block route of reduced_cstar_norm against the dense lift
+                np.abs(cstar.block_norms(lam_r, rows) - dense_A) / np.maximum(1.0, dense_A),
+            ],
+            axis=1,
+        )
+
+    return float(map_rows(gaps, 2 * n * n, Ms, F).max(initial=0.0))
 
 
 SUITES = {

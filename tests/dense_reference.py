@@ -31,6 +31,11 @@ Nothing here is used by the library.
   the one-row norms (the inner-identity reports, the lifted rho report,
   the approximate identity and the quotient match), for the batched
   checks of restalg.reps, restalg.verify and restalg.cstar.
+- The per-sample loops of the sigma cross-check, the opnorm backend
+  check, the quotient match's minimized subsample and the unit
+  projection check, with the one-matrix SVD norm and closed-form
+  minimum they called, for the stacked calls of restalg.verify,
+  restalg.cstar and restalg.linalg.
 - The delta-level algebra laws one product per delta pair, and the unit
   laws set by set with one random partner and function each, for the
   coded-row checks of restalg.verify.
@@ -67,16 +72,18 @@ from restalg.algebra import (
     tilde_rows,
 )
 from restalg.errors import InvalidGroupTable, NotInverse
-from restalg.linalg import _pattern_labels, op_norm
+from restalg.linalg import SPLIT_MIN_DIM, _pattern_labels, op_norm, op_norms, pattern_blocks
 from restalg.reps import (
     KIND_RESTRICTED,
     LiftedRhoReport,
     MembershipReport,
     Violation,
+    left_regular,
     lift,
     restricted_left_regular,
     restricted_right_regular,
 )
+from restalg.restricted import build_restricted_semigroup
 
 
 def dense_lambda_r(S):
@@ -204,8 +211,9 @@ def sigma_r_samples(S, trials, seed):
     """Random contractive restricted representations as dense stacks: per
     sample, the (k, n, n, n) images of the lambda_r stack, one stack per
     summand of cstar's sampled representations."""
-    for images in cstar._sigma_r_images(S, dense_lambda_r(S), trials, seed):
-        yield np.moveaxis(images, -3, 0)
+    lam = dense_lambda_r(S)
+    for masks in cstar._sigma_r_masks(S, trials, seed):
+        yield np.where(masks[:, None, None, :], lam, 0.0)
 
 
 def haar_unitary(dim, rng):
@@ -549,6 +557,123 @@ def minimized_loop(rs, rng):
         m = cstar.minimized_quotient_norm(f, rs.zero_index)
         worst_min = max(worst_min, abs(q - m))
     return worst_min
+
+
+# ---------------------------------------------------------------------
+# the per-sample norm and lift loops, one matrix at a time
+
+
+def svd_op_norm_one(mat):
+    """Largest singular value of one matrix by LAPACK SVD, split into the
+    components of its zero pattern from SPLIT_MIN_DIM on."""
+    M = np.ascontiguousarray(mat, dtype=np.complex128)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
+    if M.size == 0:
+        return 0.0
+    if not np.isfinite(M.view(np.float64)).all():
+        raise ValueError("matrix entries must be finite")
+    if min(M.shape) < SPLIT_MIN_DIM:
+        return float(np.linalg.svd(M, compute_uv=False)[0])
+    tops = [np.linalg.svd(stack, compute_uv=False)[:, 0].max() for stack in pattern_blocks(M)]
+    return float(max(tops, default=0.0))
+
+
+def min_shift_norm_one(A, P):
+    """min over c of ||A + c P|| for one matrix, by Parrott's closed form
+    with svd_op_norm_one."""
+    j = int(np.argmax(np.diagonal(P).real))
+    col, row = P[:, j] / P[j, j], P[j, :]
+    return max(
+        svd_op_norm_one(A - np.outer(col, row @ A)),
+        svd_op_norm_one(A - np.outer(A @ col, row)),
+    )
+
+
+def _sigma_r_images_one(S, M, trials, seed):
+    """The (k, n, n) summand stacks of M under each sampled
+    representation, drawn as restalg.cstar draws them."""
+    rng = np.random.default_rng(seed)
+    brandt = S.brandt()
+    for _ in range(trials):
+        k = int(rng.integers(1, 4))
+        masks = (rng.random((k, len(brandt.classes))) < 0.7)[:, brandt.D]
+        yield np.where(masks[:, None, :], M[..., None, :, :], 0.0)
+
+
+def sigma_r_cross_check_one(f, *, trials=5, seed=0):
+    """The sigma cross-check of one element, one sample at a time."""
+    value = cstar.reduced_cstar_norm(f)
+    A = lift(restricted_left_regular(f.base), f)
+    samples = _sigma_r_images_one(f.base, A, trials, seed)
+    return float(max((op_norms(stack).max() for stack in samples), default=-np.inf)) - value
+
+
+def sigma_cross_check_loop(S, rng, seed):
+    """cstar.sigma-cross-check's excess, one element at a time."""
+    excess = -np.inf
+    for i in range(5):
+        f = AlgebraElement.random(S, rng)
+        excess = max(excess, sigma_r_cross_check_one(f, trials=3, seed=seed + i))
+    return excess
+
+
+def opnorm_backend_loop(S, rng):
+    """cstar.opnorm-backend's deviation, one matrix at a time."""
+    lam_r = restricted_left_regular(S)
+    worst = 0.0
+    for i in range(5):
+        M = rng.standard_normal((S.n, S.n)) + 1j * rng.standard_normal((S.n, S.n))
+        dense = svd_op_norm_one(M)
+        worst = max(worst, abs(op_norm(M) - dense) / max(1.0, dense))
+        f = AlgebraElement.random(S, rng)
+        A = lift(lam_r, f)
+        dense = svd_op_norm_one(A)
+        worst = max(worst, abs(op_norm(A) - dense) / max(1.0, dense))
+        # the block route of reduced_cstar_norm against the dense lift
+        worst = max(worst, abs(cstar.reduced_cstar_norm(f) - dense) / max(1.0, dense))
+    return worst
+
+
+def unit_projection_loop(S, rng):
+    """reps.unit-projection's deviation, one unit at a time."""
+    lam_r = restricted_left_regular(S)
+    worst = 0.0
+    for _ in range(10):
+        size = int(rng.integers(1, S.n + 1))
+        F = rng.choice(S.n, size=size, replace=False).tolist()
+        B = lift(lam_r, approx_identity(S, F))
+        worst = max(
+            worst,
+            float(np.abs(B @ B - B).max()),
+            float(np.abs(B - B.conj().T).max()),
+        )
+    return worst
+
+
+def quotient_match_report_loop(S, *, trials=100, seed=7):
+    """cstar.quotient_match_report with its minimized subsample one
+    element at a time, and the extra random rows normed in a call of
+    their own."""
+    rs = build_restricted_semigroup(S)
+    sr = rs.sr
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([np.eye(sr.n, dtype=np.complex128), random_rows(sr, rng, trials)[0]])
+    quotient = cstar.block_norms(left_regular(sr), rows, cleared=rs.zero_index)
+    reduced = cstar.block_norms(restricted_left_regular(S), rows[:, : S.n])
+    worst, i = first_max(np.abs(quotient - reduced))
+    witness = ""
+    if worst > 0:
+        witness = f"element #{i} (delta)" if i < sr.n else f"element #{i} (random)"
+
+    deltas = np.concatenate([[rs.zero_index], np.linspace(0, sr.n - 1, num=min(4, sr.n), dtype=int)])
+    extra = random_rows(sr, rng, 2)[0]
+    sample = np.concatenate([rows[deltas], extra])
+    q = np.concatenate([quotient[deltas], cstar.block_norms(left_regular(sr), extra, cleared=rs.zero_index)])
+    Lam = left_regular(sr)
+    m = np.array([min_shift_norm_one(lift(Lam, AlgebraElement(sr, f)), Lam.mat(rs.zero_index)) for f in sample])
+    worst_min = float(np.abs(q - m).max())
+    return cstar.QuotientMatchReport(max_deviation=worst, minimized_deviation=worst_min, witness=witness)
 
 
 # ---------------------------------------------------------------------

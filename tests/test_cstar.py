@@ -10,6 +10,7 @@ from dense_reference import (
     dense_sigma_r_samples,
     dense_svd_norm,
     haar_unitary,
+    sigma_r_cross_check_one,
     sigma_r_samples,
     union_find_idempotent_classes,
 )
@@ -121,13 +122,37 @@ def test_sigma_r_images_match_the_dense_haar_reference(S):
     rng = np.random.default_rng(36)
     A = lift(restricted_left_regular(S), AlgebraElement.random(S, rng))
     trials = 3 if S.n > 100 else 6
-    new = list(cstar._sigma_r_images(S, A, trials, 37))
+    new = [np.where(masks[:, None, :], A, 0.0) for masks in cstar._sigma_r_masks(S, trials, 37)]
     old = list(dense_sigma_r_samples(S, A, trials, 37, rng))
     assert len(new) == len(old) == trials
     for stack, (summands, dense) in zip(new, old):
         assert np.array_equal(stack, summands)
         value = op_norms(stack).max()
         assert abs(value - op_norm(dense)) <= 1e-12 * max(1.0, value)
+
+
+@pytest.mark.parametrize("label", ["I3_r", "I4"])
+def test_sigma_r_cross_checks_rows_equal_the_one_row_form(label):
+    # n = 35 and n = 209, on both sides of linalg.SPLIT_MIN_DIM: each row
+    # is bitwise its one-row value and the value of the loop over the
+    # samples one at a time; a row with no samples reads -inf
+    S = gen_symmetric_inverse_monoid(4) if label == "I4" else corpus_member(label)
+    F = random_rows(S, np.random.default_rng(46), 12)[0]
+    # rows 4 on are supported on one D-class each, so their lifts are
+    # too: a row whose samples all miss its class reads -||f||, which
+    # shows which classes were drawn (row 4 here)
+    D = S.brandt().D
+    F[4:] *= D[None, :] == np.arange(8)[:, None] % (D.max() + 1)
+    seeds = [3, 8, 8, 50, *range(1, 9)]
+    for trials in (1, 3):
+        got = cstar.sigma_r_cross_checks(S, F, trials=trials, seeds=seeds)
+        assert got.shape == (12,)
+        for row, seed, value in zip(F, seeds, got):
+            f = AlgebraElement(S, row)
+            one = cstar.sigma_r_cross_check(f, trials=trials, seed=seed)
+            assert value == one == sigma_r_cross_check_one(f, trials=trials, seed=seed), (trials, seed)
+    assert np.any(cstar.sigma_r_cross_checks(S, F, trials=1, seeds=seeds) < -0.1)
+    assert np.all(cstar.sigma_r_cross_checks(S, F[:2], trials=0, seeds=[1, 2]) == -np.inf)
 
 
 @pytest.mark.parametrize("label, bound_mb", [("I3_r", 5), ("I4", 100)])

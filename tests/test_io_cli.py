@@ -489,7 +489,7 @@ def test_cli_sigma_cross_check_reads_the_norm_tolerance(tmp_path, capsys, monkey
     f.write_text(canonical_dumps(function_to_dict(AlgebraElement(Z2, [1, 1]))))
     # a sampled representation 5e-10 above the norm: within the norm
     # tolerance 1e-9, beyond 1e-10
-    monkeypatch.setattr(restalg.cstar, "sigma_r_cross_check", lambda f, *, trials, seed: 5e-10)
+    monkeypatch.setattr(restalg.cstar, "sigma_r_cross_checks", lambda S, F, *, trials, seeds: np.full(len(F), 5e-10))
     assert main(["verify", str(z2), "--suite", "cstar"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(restalg.verify, "TOL", dataclasses.replace(restalg.verify.TOL, norm=1e-10))

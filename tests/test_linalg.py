@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from dense_reference import dense_lift_norm, dense_svd_norm, pattern_blocks_reference
+from dense_reference import (
+    dense_lift_norm,
+    dense_svd_norm,
+    min_shift_norm_one,
+    pattern_blocks_reference,
+    svd_op_norm_one,
+)
 from restalg import linalg
 from restalg.algebra import random_rows
 from restalg.families import gen_symmetric_inverse_monoid
@@ -13,11 +19,14 @@ from restalg.linalg import (
     SPLIT_MIN_DIM,
     column_rank,
     min_shift_norm,
+    min_shift_norms,
     op_norm,
     op_norms,
     pattern_blocks,
     svd_op_norm,
+    svd_op_norms,
 )
+from restalg.corpus import restricted_of
 from restalg.reps import left_regular, lift, lift_many, restricted_left_regular
 from restalg.restricted import build_restricted_semigroup
 
@@ -320,3 +329,37 @@ def test_min_shift_norm_of_a_lift_is_the_dense_products():
         A = lift_many(Lam, row[None])[0]
         want = max(svd_op_norm(A - P @ A), svd_op_norm(A - A @ P))
         assert min_shift_norm(A, P) == want
+
+
+@pytest.mark.parametrize("n", [35, 209])
+def test_stacked_svd_norms_equal_the_one_matrix_forms(n):
+    # lifts through lambda_r with zeros, dense random matrices and a zero
+    # matrix, on both sides of SPLIT_MIN_DIM: each stacked value is
+    # bitwise the one its matrix gives alone, and the one a single
+    # matrix gave before the stacked form
+    S = restricted_of("I3").sr if n == 35 else gen_symmetric_inverse_monoid(4)
+    assert S.n == n and (n < SPLIT_MIN_DIM) == (n == 35)
+    rng = np.random.default_rng(45)
+    A = lift_many(restricted_left_regular(S), random_rows(S, rng, 3)[0])
+    dense = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    stack = np.concatenate([A, dense, np.zeros((1, n, n))])
+    got = svd_op_norms(stack)
+    assert got.shape == (len(stack),)
+    for b, M in enumerate(stack):
+        assert got[b] == svd_op_norm(M) == svd_op_norm_one(M), b
+
+    # a rank-one orthogonal projection: the lifted zero of the
+    # zero-adjoined semigroup at n = 35, a random one at n = 209
+    if n == 35:
+        Lam = left_regular(S)
+        P = Lam.mat(S.zero)
+        A = lift_many(Lam, random_rows(S, rng, 3)[0])
+    else:
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        P = np.outer(v, np.conj(v)) / np.vdot(v, v).real
+    got = min_shift_norms(A, P)
+    for b, M in enumerate(A):
+        assert got[b] == min_shift_norm(M, P) == min_shift_norm_one(M, P), b
+    assert svd_op_norms(np.zeros((0, n, n))).shape == (0,)
+    with pytest.raises(ValueError):
+        svd_op_norms(A[0])

@@ -513,7 +513,7 @@ def _zero_row_copies_row_0(extend):
     "patched, mutate, failing",
     [
         ("extend_with_zero", _zero_row_copies_row_0, "reps.zero-extension"),
-        ("approx_identity", lambda unit: lambda S, F: 2 * unit(S, F), "reps.unit-projection"),
+        ("unit_rows", lambda unit: lambda S, members: 2 * unit(S, members), "reps.unit-projection"),
     ],
 )
 def test_reps_check_fails_alone_under_its_mutation(monkeypatch, patched, mutate, failing):
@@ -544,20 +544,24 @@ def test_rank_memory_on_order_256(large_semigroups, label):
 @pytest.mark.parametrize("order", [2, 4])
 def test_reps_suite_builds_one_gram_per_ranked_representation(monkeypatch, order):
     # lambda_r is ranked twice (faithful-restricted, semisimple) and
-    # lambda once; each Gram is built once and kept on its representation
+    # lambda once; each Gram and its singular values are built once and
+    # kept on the representation, so the two ranks share one SVD
     S = gen_symmetric_inverse_monoid(order)
-    built = []
+    built = {"gram": [], "gram singular values": []}
     real = restalg.reps.kept_on
 
     def counting(owner, key, build):
-        if key == "gram":
-            return real(owner, key, lambda: built.append(owner.name) or build())
+        if key in built:
+            return real(owner, key, lambda: built[key].append(owner.name) or build())
         return real(owner, key, build)
 
     monkeypatch.setattr(restalg.reps, "kept_on", counting)
     checks = restalg.verify.suite_reps(S, seed=1, trials=5)
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
-    assert sorted(built) == ["lambda", "lambda_r"]
+    assert {key: sorted(names) for key, names in built.items()} == {
+        "gram": ["lambda", "lambda_r"],
+        "gram singular values": ["lambda", "lambda_r"],
+    }
 
 
 def test_table_laws_memory_on_cold_i4():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -11,17 +12,22 @@ from dense_reference import (
     delta_absorption_pairs,
     delta_dot_pairs,
     lambda_inner_identity_loop,
+    opnorm_backend_loop,
     quotient_match_loop,
+    quotient_match_report_loop,
     rho_inner_identity_loop,
     rho_lift_identity_loop,
+    sigma_cross_check_loop,
     tau_homomorphism_pairs,
     tilde_delta_pairs,
     unit_laws_blocks,
+    unit_projection_loop,
 )
 from helpers import corpus_member
 from restalg.algebra import AlgebraElement, conv, conv_triples, delta_assoc_witness, dot_triples
+from restalg.corpus import default_corpus
 from restalg.cstar import quotient_match_report
-from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
+from restalg.families import gen_brandt, gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
 from restalg.reps import (
     KIND_RESTRICTED,
     Representation,
@@ -35,19 +41,24 @@ from restalg.restricted import build_restricted_semigroup
 from restalg.semigroups import FiniteInvSemigroup
 from restalg.verify import (
     PLUMBING,
+    SUITES,
     TOL,
     _coded_devs,
     approx_identity_property,
     delta_absorption_deviation,
     delta_dot_deviation,
     finite_unit_laws_deviation,
+    opnorm_backend_deviation,
     run_suite,
     run_suites,
+    sigma_cross_excess,
     suite_algebra,
     suite_axioms,
+    suite_cstar,
     suite_reps,
     tau_homomorphism_deviation,
     tilde_delta_deviation,
+    unit_projection_deviation,
 )
 
 Z2 = gen_group("cyclic", 2)
@@ -279,6 +290,81 @@ def test_batched_checks_match_the_scalar_loops(full_corpus):
         assert got.witness == witness, label
         assert abs(got.max_deviation - worst) <= 1e-14, label
         assert got.minimized_deviation == worst_min, label
+
+
+def _stacked_cases():
+    I4 = gen_symmetric_inverse_monoid(4)
+    large = [
+        ("I4", I4),
+        ("I4_r", build_restricted_semigroup(I4).sr),
+        ("B(Z3, 9)", gen_brandt(gen_group("cyclic", 3).mul, 9)),
+    ]
+    return [pytest.param(S, id=label) for label, S in [*default_corpus(), *large]]
+
+
+@pytest.mark.parametrize("S", _stacked_cases())
+def test_stacked_checks_equal_the_per_sample_loops(S):
+    # the stacked norms, SVDs and lifts of four checks against the loops
+    # they replaced, one sample at a time: bitwise equal deviations (and
+    # witness), from the same draws, each reading as many of them
+    for stacked, loop in (
+        (unit_projection_deviation, unit_projection_loop),
+        (opnorm_backend_deviation, opnorm_backend_loop),
+        (lambda S, rng: sigma_cross_excess(S, rng, 4), lambda S, rng: sigma_cross_check_loop(S, rng, 4)),
+    ):
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        assert stacked(S, got_rng) == loop(S, want_rng), loop.__name__
+        assert got_rng.random() == want_rng.random(), loop.__name__
+    assert quotient_match_report(S, trials=40, seed=11) == quotient_match_report_loop(S, trials=40, seed=11)
+
+
+@pytest.mark.parametrize("suite, bound_mb", [("cstar", 10), ("reps", 7)])
+def test_warm_suite_memory_on_i4(suite, bound_mb):
+    # the stacked norms, SVDs and lifts go through in blocks of rows: one
+    # (n, n) lift at a time at n = 209 (an unblocked cstar suite reads
+    # about 27 MB here); the tables kept on S by the first run are not
+    # counted
+    S = gen_symmetric_inverse_monoid(4)
+    SUITES[suite](S, seed=0, trials=100)
+    tracemalloc.start()
+    try:
+        checks = SUITES[suite](S, seed=0, trials=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
+    assert peak < bound_mb * 1e6
+
+
+@pytest.mark.parametrize(
+    "module, name, failing",
+    [
+        ("restalg.verify", "svd_op_norms", {"cstar.opnorm-backend"}),
+        # through linalg.min_shift_norms
+        ("restalg.linalg", "svd_op_norms", {"cstar.quotient-minimized"}),
+        (
+            "restalg.cstar",
+            "block_norms",
+            {
+                "cstar.identity",
+                "cstar.lift-contractive",
+                "cstar.norm-order",
+                "cstar.opnorm-backend",
+                "cstar.quotient-minimized",
+            },
+        ),
+    ],
+)
+def test_scaled_norms_fail_exactly_these_cstar_checks(monkeypatch, module, name, failing):
+    # every norm of one backend scaled by 1.001; sigma-cross-check,
+    # quotient-match and l1-quotient compare a backend with itself, or no
+    # operator norm at all, so they pass under each
+    S = corpus_member("I3")
+    assert all(c.passed for c in suite_cstar(S, seed=1, trials=10))
+    target = importlib.import_module(module)
+    real = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda *args, **kwargs: 1.001 * real(*args, **kwargs))
+    assert {c.id for c in suite_cstar(S, seed=1, trials=10) if not c.passed} == failing
 
 
 def _delta_law_deviations(S, seed, *, unit_pairs=True):
