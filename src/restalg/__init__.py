@@ -3,13 +3,11 @@ regular representations, and C*-norm checks."""
 
 from .algebra import (
     AlgebraElement,
-    approx_identity,
     conv,
     dot,
     dot_direct,
     extend_from_base,
     max_abs_diff,
-    order_dot,
     order_dot_scan,
     restrict_to_base,
 )

@@ -5,7 +5,7 @@ coordinate c, and one gather-scatter kernel runs them all, row by row on
 (B, n) arrays.  ``conv`` is the classical convolution over the triples
 (x, y, xy) of every pair; ``dot`` keeps only the composable pairs
 x*x = yy* and is the product that matches the restricted regular
-representations.  ``order_dot`` sums the triples (xy, y*, x) over the
+representations.  ``order_dot_many`` sums the triples (xy, y*, x) over the
 pairs with yy* <= x*x, the composability equality relaxed to the natural
 order; it is not associative and serves the associativity witness search
 only.  ``dot_direct_many`` evaluates ``dot`` from the translation sum
@@ -257,7 +257,9 @@ def conv_many(S, F, G):
 
 
 def order_dot_many(S, F, G):
-    """Row-wise order-relaxed product of two (B, n) coefficient arrays."""
+    """Row-wise order-relaxed product of two (B, n) coefficient arrays:
+    (f.'g)(x) = sum over y with yy* <= x*x of f(xy) g(y*), the natural
+    order in place of equality.  Not associative in general."""
     return _product_many(S, F, G, order_triples(S))
 
 
@@ -324,13 +326,6 @@ def dot_direct(f, g):
     return _one_row(dot_direct_many, f, g)
 
 
-def order_dot(f, g):
-    """The order-relaxed variant: (f.'g)(x) = sum over y with yy* <= x*x
-    of f(xy) g(y*), the natural order in place of equality.  Not
-    associative in general."""
-    return _one_row(order_dot_many, f, g)
-
-
 # ---------------------------------------------------------------------
 # finitely supported units
 
@@ -338,29 +333,16 @@ def order_dot(f, g):
 def unit_rows(S, members):
     """Row r is e_F for F the elements in row r of a (B, k) index array:
     ones at the idempotents i(F), the xx* and x*x of its members.  A row
-    padded with repeats of its own members keeps its i(F)."""
+    padded with repeats of its own members keeps its i(F).
+
+    These elements form a two-sided approximate identity for the
+    composable-factorization product as F grows.
+    """
     rows = np.zeros((len(members), S.n), dtype=np.complex128)
     r = np.arange(len(members))[:, None]
     rows[r, S.ran[members]] = 1.0
     rows[r, S.dom[members]] = 1.0
     return rows
-
-
-def approx_identity(S, F):
-    """e_F, the sum of the deltas at the idempotents attached to F: the
-    one-row case of unit_rows.
-
-    These elements form a two-sided approximate identity for the
-    composable-factorization product as F grows.
-    """
-    F = np.asarray(F)
-    if F.size and not np.issubdtype(F.dtype, np.integer):
-        raise TypeError(f"elements must be integers, got {F.dtype}")
-    F = F.astype(np.intp).reshape(1, -1)
-    bad = (F < 0) | (F >= S.n)
-    if bad.any():
-        raise ValueError(f"element {F[bad][0]} out of range")
-    return AlgebraElement(S, unit_rows(S, F)[0], copy=False)
 
 
 # ---------------------------------------------------------------------

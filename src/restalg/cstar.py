@@ -33,7 +33,7 @@ from .algebra import (
     tilde_rows,
 )
 from .errors import BaseMismatch, VerificationFailure
-from .linalg import min_shift_norm, min_shift_norms, op_norms
+from .linalg import min_shift_norms, op_norms
 from .reps import left_regular, lift, lift_many, restricted_left_regular
 from .restricted import build_restricted_semigroup
 from .semigroups import kept_on, read_only
@@ -247,7 +247,7 @@ def minimized_quotient_norm(f, zero_index):
     The lift of delta_0 through the regular representation is the
     rank-one orthogonal projection P onto the zero coordinate, so
     Parrott's theorem gives the minimum in closed form (see
-    linalg.min_shift_norm).  Only that rank is used, not the centrality
+    linalg.min_shift_norms).  Only that rank is used, not the centrality
     of P that quotient_cstar_norm relies on, and the norms are LAPACK SVDs
     of the dense lift (linalg.svd_op_norm), not eigensolves on
     representative blocks: the SVDs run over every connected component of
@@ -258,7 +258,7 @@ def minimized_quotient_norm(f, zero_index):
     if zero_index != f.base.zero:
         raise ValueError(f"element {zero_index} is not the zero of the semigroup")
     Lam = left_regular(f.base)
-    return min_shift_norm(lift(Lam, f), Lam.mat(zero_index))
+    return float(min_shift_norms(lift(Lam, f)[None], Lam.mat(zero_index))[0])
 
 
 # ---------------------------------------------------------------------

@@ -165,12 +165,6 @@ def column_rank(cols, rel_tol=1e-9):
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def min_shift_norm(A, P):
-    """min over complex c of ||A + c P||, in closed form: the one-matrix
-    case of min_shift_norms."""
-    return float(min_shift_norms(np.asarray(A)[None], P)[0])
-
-
 def min_shift_norms(A, P):
     """min over complex c of ||A_b + c P|| for every matrix of a (B, n, n)
     stack A and one P, in closed form; each value is bitwise the one its

@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import dot_many, first_max, map_rows, random_rows, scatter_rows, tilde_rows
 from .errors import BaseMismatch
 from .restricted import build_restricted_semigroup
-from .semigroups import kept_on, read_only
+from .semigroups import BLOCK_ENTRIES, first_mismatch, kept_on, read_only
 
 KIND_FULL = "full"
 KIND_RESTRICTED = "restricted"
@@ -156,10 +156,11 @@ def column_multiplicity(rep):
     column.  pi(x)* pi(x) is the diagonal matrix of the column counts, so
     ||pi(x)|| is the square root of this, and pi(x) is a partial isometry
     iff it is at most 1."""
-    xs, _, cols = rep.entries()
-    n, dim = rep.base.n, rep.dim
-    counts = np.bincount(xs * dim + cols, minlength=n * dim).reshape(n, dim)
-    return counts.max(axis=1, initial=0)
+    n, dim = rep.table.shape
+    # one bin per (x, column), column -1 included and then dropped
+    bins = np.arange(n)[:, None] * (dim + 1) + rep.table + 1
+    counts = np.bincount(bins.ravel(), minlength=n * (dim + 1)).reshape(n, dim + 1)
+    return counts[:, 1:].max(axis=1, initial=0)
 
 
 # ---------------------------------------------------------------------
@@ -271,21 +272,16 @@ def representation_report(rep):
     return report
 
 
-# entries per block of the gathers in _product_law_witness
-_LAW_BLOCK = 2**16
-
-
 def _product_law_witness(T, mul, xs):
     """The first x in xs, with the first y, at which pi(x)pi(y) !=
     pi(mul[x, y]), or None; T is pi's (n, dim) partial-map table and an
     entry n of mul stands for the zero, whose pi is 0.
 
     Row r of pi(x)pi(y) has its 1 in column T[y, T[x, r]] and row r of
-    pi(xy) in column T[xy, r]; both are read as one gather per side from
-    tables padded with -1, the row of a zero row of pi(x) (index -1, so
-    the last) and of the zero.  The x go in blocks of about
-    ``_LAW_BLOCK`` entries, gathered as small integers into buffers
-    reused across blocks.
+    pi(xy) in column T[xy, r]; both are read by one first_mismatch over
+    the x, from tables padded with -1, the row of a zero row of pi(x)
+    (index -1, so the last) and of the zero.  The first x with a
+    mismatch does not depend on where the blocks fall.
     """
     n, dim = T.shape
     dtype = np.promote_types(np.int8, np.min_scalar_type(dim))
@@ -293,23 +289,12 @@ def _product_law_witness(T, mul, xs):
     lhs_table[:dim] = T.T
     rhs_table = np.full((dim, n + 1), -1, dtype=dtype)  # [r, xy]
     rhs_table[:, :n] = T.T
-    step = max(1, _LAW_BLOCK // (dim * n or 1))
-    lhs_buf = np.empty(dim * min(step, len(xs)) * n, dtype=dtype)
-    rhs_buf = np.empty_like(lhs_buf)
-    ne_buf = np.empty(lhs_buf.size, dtype=bool)
-    for i in range(0, len(xs), step):
-        x = xs[i : i + step]
-        shape = (dim, x.size, n)
-        size = dim * x.size * n
-        # wrap sends T[x, r] = -1 to the padding row; unlike the default
-        # mode it writes into out= without a buffered copy
-        lhs = np.take(lhs_table, T[x].T, axis=0, mode="wrap", out=lhs_buf[:size].reshape(shape))
-        rhs = np.take(rhs_table, mul[x], axis=1, mode="wrap", out=rhs_buf[:size].reshape(shape))
-        ne = np.not_equal(lhs, rhs, out=ne_buf[:size].reshape(shape))
-        if ne.any():
-            k = int(np.argmax(ne.any(axis=(0, 2))))
-            return int(x[k]), int(np.argmax(ne[:, k].any(axis=0)))
-    return None
+    hit = first_mismatch(lhs_table, T[xs].T, rhs_table, mul[xs])
+    if hit is None:
+        return None
+    lo, ne = hit
+    k = int(np.argmax(ne.any(axis=(0, 2))))
+    return int(xs[lo + k]), int(np.argmax(ne[:, k].any(axis=0)))
 
 
 def restricted_multiplicativity_witness(rep):
@@ -432,10 +417,6 @@ def rho_lift_identity_report(S, *, trials=100, seed=0):
 # faithfulness and the compression identity
 
 
-# entries per block of the column comparisons in _gram
-_GRAM_BLOCK = 2**18
-
-
 def _gram(rep):
     """The exact (n, n) Gram matrix G[x, y] = tr(pi(x) pi(y)*), the
     number of rows r with T[x, r] == T[y, r] >= 0, kept on rep.
@@ -445,7 +426,7 @@ def _gram(rep):
     is up to 128 MiB.  Each -1 of T is first replaced by a code of its
     own row (dim + x), so that it matches nothing off the diagonal; the
     diagonal, where every code matches itself, is set to the row counts.
-    The columns of T are compared in blocks of about ``_GRAM_BLOCK``
+    The columns of T are compared in blocks of about ``BLOCK_ENTRIES``
     entries and at most 255 columns, whose counts are summed as uint8.
     """
 
@@ -456,7 +437,7 @@ def _gram(rep):
         cols = np.ascontiguousarray(codes, dtype=np.promote_types(np.int16, np.min_scalar_type(dim + n)))
         # entries are at most dim
         G = np.zeros((n, n), dtype=np.promote_types(np.uint16, np.min_scalar_type(dim)))
-        step = max(1, min(255, _GRAM_BLOCK // (n * n or 1)))
+        step = max(1, min(255, BLOCK_ENTRIES // (n * n or 1)))
         eq = np.empty((min(step, dim), n, n), dtype=bool)
         part = np.empty((n, n), dtype=np.uint8)
         for i in range(0, dim, step):

@@ -216,8 +216,39 @@ def _require_integers(a, what):
         raise ValueError(f"{what} entries must be integers, got dtype {a.dtype}")
 
 
-# entries per block of (xa)y and x(ay) arrays in associativity_witness
-_LIGHT_BLOCK = 2**18
+# entries per block of the gathers in first_mismatch, and of the column
+# comparisons in reps._gram
+BLOCK_ENTRIES = 2**18
+
+
+def first_mismatch(L, rows, R, cols):
+    """(lo, ne) for the first block of keys k, from key lo on, in which
+    some L[rows[p, k], q] != R[p, cols[k, q]], with ne that block's
+    (p, k - lo, q) mask of mismatches; None when every entry matches.
+
+    An index of -1 reads the last row of L or the last column of R.  The
+    keys go in blocks of about ``BLOCK_ENTRIES`` entries, gathered into
+    buffers reused across blocks, so memory stays O(p q) whatever the
+    number of keys.  ``ne`` is a view of a buffer: read it before the
+    next call.
+    """
+    P, K = rows.shape
+    Q = cols.shape[1]
+    step = max(1, BLOCK_ENTRIES // (P * Q or 1))
+    lhs_buf = np.empty(P * min(step, K) * Q, dtype=np.result_type(L, R))
+    rhs_buf = np.empty_like(lhs_buf)
+    ne_buf = np.empty(lhs_buf.size, dtype=bool)
+    for lo in range(0, K, step):
+        shape = (P, min(step, K - lo), Q)
+        size = P * shape[1] * Q
+        # wrap sends an index -1 to the last row or column; unlike the
+        # default mode it writes into out= without a buffered copy
+        lhs = np.take(L, rows[:, lo : lo + step], axis=0, mode="wrap", out=lhs_buf[:size].reshape(shape))
+        rhs = np.take(R, cols[lo : lo + step], axis=1, mode="wrap", out=rhs_buf[:size].reshape(shape))
+        ne = np.not_equal(lhs, rhs, out=ne_buf[:size].reshape(shape))
+        if ne.any():
+            return lo, ne
+    return None
 
 
 def generating_set(t):
@@ -272,9 +303,9 @@ def associativity_witness(t):
     O(g n^2) cost instead of the n^3 of all triples (Clifford and Preston,
     *The Algebraic Theory of Semigroups I*, 1961, section 1.2).
 
-    The generators are checked in blocks of about ``_LIGHT_BLOCK`` entries,
-    gathered as small integers into buffers reused across blocks, so
-    memory stays O(n^2) even when every element is a generator (a chain).
+    The generators are checked by :func:`first_mismatch`, gathered as
+    small integers, so memory stays O(n^2) even when every element is a
+    generator (a chain).
     The witness is a genuine failing triple with a generator in the
     middle, not the first failing triple in x-major order.
     """
@@ -284,23 +315,13 @@ def associativity_witness(t):
 def _light_witness(t, gens):
     """:func:`associativity_witness` over the generating set ``gens`` of
     ``t``, so that :func:`validate_table` can keep the set it checked."""
-    n = t.shape[0]
-    step = max(1, _LIGHT_BLOCK // (n * n))
-    values = t.astype(np.min_scalar_type(n - 1))
-    lhs_buf = np.empty(step * n * n, dtype=values.dtype)
-    rhs_buf = np.empty_like(lhs_buf)
-    ne_buf = np.empty(lhs_buf.size, dtype=bool)
-    for i in range(0, gens.size, step):
-        a = gens[i : i + step]
-        shape = (n, a.size, n)
-        size = n * a.size * n
-        lhs = np.take(values, t[:, a], axis=0, out=lhs_buf[:size].reshape(shape))  # (xa)y
-        rhs = np.take(values, t[a], axis=1, out=rhs_buf[:size].reshape(shape))  # x(ay)
-        ne = np.not_equal(lhs, rhs, out=ne_buf[:size].reshape(shape))
-        if ne.any():
-            x, k, y = np.argwhere(ne)[0]
-            return int(x), int(a[k]), int(y)
-    return None
+    values = t.astype(np.min_scalar_type(t.shape[0] - 1))
+    hit = first_mismatch(values, t[:, gens], values, t[gens])  # (xa)y, x(ay)
+    if hit is None:
+        return None
+    lo, ne = hit
+    x, k, y = np.argwhere(ne)[0]
+    return int(x), int(gens[lo + k]), int(y)
 
 
 def _identity_and_zero(t):

@@ -62,7 +62,6 @@ import numpy as np
 from restalg import cstar
 from restalg.algebra import (
     AlgebraElement,
-    approx_identity,
     conv_many,
     dot,
     dot_many,
@@ -502,6 +501,14 @@ def rho_lift_identity_loop(S, *, trials=100, seed=0):
     return LiftedRhoReport(summed=d_sum, at_identity=d_ident, localized=d_local, witness=witness)
 
 
+def unit_loop(S, F):
+    """e_F one member at a time: ones at the xx* and x*x of each x in F."""
+    coeffs = np.zeros(S.n, dtype=np.complex128)
+    for x in F:
+        coeffs[S.ran[x]] = coeffs[S.dom[x]] = 1.0
+    return AlgebraElement(S, coeffs, copy=False)
+
+
 def approx_identity_loop(S, rng):
     """Stops at the first failing trial, so it reads fewer draws then."""
     for t in range(50):
@@ -515,7 +522,7 @@ def approx_identity_loop(S, rng):
         for eps in (1e-1, 1e-3):
             hits = np.flatnonzero(tails < eps)
             N = int(hits[0]) + 1 if hits.size else S.n
-            eF = approx_identity(S, order[:N].tolist())
+            eF = unit_loop(S, order[:N].tolist())
             d1 = (f - dot(f, eF)).norm(1)
             d2 = (f - dot(eF, f)).norm(1)
             if not (d1 < eps and d2 < eps):
@@ -642,7 +649,7 @@ def unit_projection_loop(S, rng):
     for _ in range(10):
         size = int(rng.integers(1, S.n + 1))
         F = rng.choice(S.n, size=size, replace=False).tolist()
-        B = lift(lam_r, approx_identity(S, F))
+        B = lift(lam_r, unit_loop(S, F))
         worst = max(
             worst,
             float(np.abs(B @ B - B).max()),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from restalg import cstar
-from restalg.algebra import AlgebraElement, order_dot, order_dot_scan, restrict_to_base
+from restalg.algebra import AlgebraElement, order_dot_many, order_dot_scan, restrict_to_base
 from restalg.errors import NotInverse
 from restalg.restricted import build_restricted_semigroup
 from restalg.semigroups import build_from_table
@@ -255,9 +255,9 @@ def test_criterion_13_order_relaxed_witness_search(full_corpus):
     for r in witnesses:
         S = members[r["label"]]
         x, y, z = r["witness"]
-        dx, dy, dz = (AlgebraElement.delta(S, v) for v in (x, y, z))
-        lhs = order_dot(order_dot(dx, dy), dz).coeffs
-        rhs = order_dot(dx, order_dot(dy, dz)).coeffs
+        dx, dy, dz = np.eye(S.n, dtype=complex)[[[x], [y], [z]]]
+        lhs = order_dot_many(S, order_dot_many(S, dx, dy), dz)[0]
+        rhs = order_dot_many(S, dx, order_dot_many(S, dy, dz))[0]
         confirmed = confirmed and not np.array_equal(lhs, rhs)
         confirmed = confirmed and np.array_equal(lhs, r["lhs"])
         confirmed = confirmed and np.array_equal(rhs, r["rhs"])

@@ -9,7 +9,6 @@ from dense_reference import dot_direct_loop, order_dot_assoc_witness_dense, orde
 from restalg import cstar
 from restalg.algebra import (
     AlgebraElement,
-    approx_identity,
     conv,
     _rows_per_block,
     conv_many,
@@ -21,9 +20,9 @@ from restalg.algebra import (
     dot_triples,
     extend_from_base,
     max_abs_diff,
-    order_dot,
     random_rows,
     order_dot_assoc_witness,
+    order_dot_many,
     order_dot_scan,
     restrict_to_base,
     scatter_rows,
@@ -137,7 +136,7 @@ def test_dot_equals_conv_on_groups():
             f = AlgebraElement.random(S, rngl)
             g = AlgebraElement.random(S, rngl)
             assert max_abs_diff(dot(f, g), conv(f, g)) < 1e-12
-            assert max_abs_diff(order_dot(f, g), conv(f, g)) < 1e-12
+            assert np.abs(order_dot_many(S, [f.coeffs], [g.coeffs])[0] - conv(f, g).coeffs).max() < 1e-12
 
 
 def test_dot_two_formulas_agree():
@@ -278,9 +277,14 @@ def test_positive_domination_property(a, b):
 # -- finitely supported units --------------------------------------------
 
 
+def _unit(S, F):
+    """e_F as an element, from the one row of unit_rows."""
+    return AlgebraElement(S, unit_rows(S, np.array([F]))[0])
+
+
 def test_support_idempotents_singleton():
     e = int(I2.idempotents()[1])
-    eF = approx_identity(I2, [e])
+    eF = _unit(I2, [e])
     assert eF.support() == [e]
     assert np.array_equal(eF.coeffs, AlgebraElement.delta(I2, e).coeffs)
 
@@ -289,7 +293,7 @@ def test_support_idempotents_single_point_shift():
     s = _i2_element(((0, 1),))
     r0 = _i2_element(((0, 0),))
     r1 = _i2_element(((1, 1),))
-    eF = approx_identity(I2, [s])
+    eF = _unit(I2, [s])
     assert eF.support() == sorted([r0, r1])
     want = np.zeros(7, complex)
     want[r0] = want[r1] = 1
@@ -297,21 +301,17 @@ def test_support_idempotents_single_point_shift():
 
 
 def test_unit_rows_are_approx_identities():
-    # approx_identity is the one-row case, and padding a row with its own
-    # members leaves its unit as it is
+    # each row has its ones at the xx* and x*x of its members, and padding
+    # a row with its own members leaves its unit as it is
     rng = np.random.default_rng(6)
     S = gen_symmetric_inverse_monoid(3)
     members = rng.integers(0, S.n, (12, 4))
     rows = unit_rows(S, members)
     for F, row in zip(members, rows):
-        assert np.array_equal(row, approx_identity(S, F.tolist()).coeffs)
+        idempotents = {int(S.ran[x]) for x in F} | {int(S.dom[x]) for x in F}
+        assert np.flatnonzero(row).tolist() == sorted(idempotents)
+        assert np.all(row[sorted(idempotents)] == 1.0)
         assert np.array_equal(row, unit_rows(S, np.append(F, F[:2])[None, :])[0])
-    assert np.array_equal(approx_identity(S, []).coeffs, np.zeros(S.n))
-    for bad in ([S.n], [0, -1]):
-        with pytest.raises(ValueError, match="out of range"):
-            approx_identity(S, bad)
-    with pytest.raises(TypeError, match="integers"):
-        approx_identity(S, [1.5])
 
 
 def test_unit_nesting():
@@ -321,14 +321,14 @@ def test_unit_nesting():
         G = sorted(rngl.choice(I2.n, size=size_g, replace=False).tolist())
         extra = int(rngl.integers(0, I2.n))
         F = sorted(set(G) | {extra})
-        eF, eG = approx_identity(I2, F), approx_identity(I2, G)
+        eF, eG = _unit(I2, F), _unit(I2, G)
         assert max_abs_diff(dot(eF, eG), eG) == 0.0
         assert max_abs_diff(dot(eG, eF), eG) == 0.0
 
 
 def test_unit_is_positive_symmetric():
     F = [0, 3, 5]
-    eF = approx_identity(I2, F)
+    eF = _unit(I2, F)
     assert np.all(eF.coeffs.real >= 0) and np.all(eF.coeffs.imag == 0)
     assert max_abs_diff(eF.tilde(), eF) == 0.0
 
@@ -381,9 +381,9 @@ def test_quotient_norm_formula():
 
 
 def test_order_dot_chain_example():
-    de = AlgebraElement.delta(CHAIN2, 1)
-    got = order_dot(de, de)
-    assert got.coeffs.tolist() == [1, 1]  # delta_1 + delta_e
+    de = np.eye(2, dtype=complex)[[1]]
+    got = order_dot_many(CHAIN2, de, de)
+    assert got[0].tolist() == [1, 1]  # delta_1 + delta_e
 
 
 def test_order_dot_not_associative_on_chain2():
@@ -392,9 +392,9 @@ def test_order_dot_not_associative_on_chain2():
     x, y, z, lhs, rhs = hit
     assert (x, y, z) == (0, 1, 1)
     # recompute both associations independently
-    dx, dy, dz = (AlgebraElement.delta(CHAIN2, v) for v in (x, y, z))
-    lhs2 = order_dot(order_dot(dx, dy), dz).coeffs
-    rhs2 = order_dot(dx, order_dot(dy, dz)).coeffs
+    dx, dy, dz = np.eye(CHAIN2.n, dtype=complex)[[[x], [y], [z]]]
+    lhs2 = order_dot_many(CHAIN2, order_dot_many(CHAIN2, dx, dy), dz)[0]
+    rhs2 = order_dot_many(CHAIN2, dx, order_dot_many(CHAIN2, dy, dz))[0]
     assert np.array_equal(lhs, lhs2)
     assert np.array_equal(rhs, rhs2)
     assert not np.array_equal(lhs2, rhs2)
@@ -408,15 +408,15 @@ def test_order_dot_groups_certified_associative():
 def test_order_dot_matches_the_coordinate_loop(full_corpus):
     rngl = np.random.default_rng(8)
     for label, S in full_corpus:
-        for x in range(S.n):
-            for y in range(S.n):
-                dx, dy = AlgebraElement.delta(S, x), AlgebraElement.delta(S, y)
-                want = order_dot_loop(S, dx.coeffs, dy.coeffs)
-                assert np.array_equal(order_dot(dx, dy).coeffs, want), (label, x, y)
-        for _ in range(20):
-            f, g = AlgebraElement.random(S, rngl), AlgebraElement.random(S, rngl)
-            want = order_dot_loop(S, f.coeffs, g.coeffs)
-            assert np.abs(order_dot(f, g).coeffs - want).max() < 1e-12, label
+        xs, ys = np.divmod(np.arange(S.n * S.n), S.n)
+        deltas = np.eye(S.n, dtype=complex)
+        got = order_dot_many(S, deltas[xs], deltas[ys])
+        for x, y, row in zip(xs, ys, got):
+            assert np.array_equal(row, order_dot_loop(S, deltas[x], deltas[y])), (label, x, y)
+        # the stream of 20 (f, g) pairs drawn one element at a time
+        F, G = random_rows(S, rngl, 20, 2)
+        for f, g, row in zip(F, G, order_dot_many(S, F, G)):
+            assert np.abs(row - order_dot_loop(S, f, g)).max() < 1e-12, label
 
 
 def test_order_dot_scan_matches_the_dense_scan(full_corpus):
@@ -431,6 +431,7 @@ def test_order_dot_scan_matches_the_dense_scan(full_corpus):
         assert np.array_equal(record["rhs"], want[4]), label
 
 
+@pytest.mark.memory
 def test_order_dot_scan_memory_on_cold_i4():
     # no (n, n, n) table of delta products: the joins run one block of x at a time
     S = gen_symmetric_inverse_monoid(4)

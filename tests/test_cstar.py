@@ -155,6 +155,7 @@ def test_sigma_r_cross_checks_rows_equal_the_one_row_form(label):
     assert np.all(cstar.sigma_r_cross_checks(S, F[:2], trials=0, seeds=[1, 2]) == -np.inf)
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("label, bound_mb", [("I3_r", 5), ("I4", 100)])
 def test_sigma_r_cross_check_memory(label, bound_mb):
     # one (k, n, n) stack of summands per sample, not a stack of n of them
@@ -432,6 +433,7 @@ def test_minimized_quotient_norm_needs_the_zero():
         cstar.minimized_quotient_norm(AlgebraElement.delta(rs.sr, 0), 0)
 
 
+@pytest.mark.memory
 def test_block_norms_memory_on_cold_i4():
     # tables and block indices only: no (n, n, n) stack and no n x n lift
     S = gen_symmetric_inverse_monoid(4)

@@ -119,6 +119,7 @@ def test_maps_table_rejects_sets_that_are_not_closed(images, message):
         maps_table(images)
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("family", ["brandt-Z255", "I4"])
 def test_generated_tables_compose_one_row_at_a_time(family):
     # a one-shot (m, m, k) gather of composites peaks at about 258 MiB on

@@ -577,6 +577,7 @@ def test_cli_rejects_tolerances_and_flags_a_command_does_not_read(argv, message,
         assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.memory
 def test_cli_gen_size_limit_exit_code(tmp_path, capsys):
     assert main(["gen", "--family", "symmetric-inverse", "--n", "5"]) == 2
     assert capsys.readouterr().err == "error: order 1546 exceeds MAX_ORDER = 256\n"

@@ -18,7 +18,6 @@ from restalg.families import gen_symmetric_inverse_monoid
 from restalg.linalg import (
     SPLIT_MIN_DIM,
     column_rank,
-    min_shift_norm,
     min_shift_norms,
     op_norm,
     op_norms,
@@ -157,7 +156,7 @@ def test_min_shift_norm_against_grid_search():
         v /= np.linalg.norm(v)
         P = np.outer(v, v.conj())
         assert np.abs(A @ P - P @ A).max() > 1e-3
-        value = min_shift_norm(A, P)
+        value = min_shift_norms(A[None], P)[0]
         assert value == pytest.approx(_grid_min_shift(A, P), abs=1e-10)
         # a lower bound: no shift goes below it
         for c in 3.0 * (rng.standard_normal(20) + 1j * rng.standard_normal(20)):
@@ -325,10 +324,9 @@ def test_min_shift_norm_of_a_lift_is_the_dense_products():
     rs = build_restricted_semigroup(I4)
     Lam = left_regular(rs.sr)
     P = Lam.mat(rs.zero_index)
-    for row in random_rows(rs.sr, np.random.default_rng(43), 3)[0]:
-        A = lift_many(Lam, row[None])[0]
-        want = max(svd_op_norm(A - P @ A), svd_op_norm(A - A @ P))
-        assert min_shift_norm(A, P) == want
+    stack = lift_many(Lam, random_rows(rs.sr, np.random.default_rng(43), 3)[0])
+    for A, got in zip(stack, min_shift_norms(stack, P)):
+        assert got == max(svd_op_norm(A - P @ A), svd_op_norm(A - A @ P))
 
 
 @pytest.mark.parametrize("n", [35, 209])
@@ -359,7 +357,7 @@ def test_stacked_svd_norms_equal_the_one_matrix_forms(n):
         P = np.outer(v, np.conj(v)) / np.vdot(v, v).real
     got = min_shift_norms(A, P)
     for b, M in enumerate(A):
-        assert got[b] == min_shift_norm(M, P) == min_shift_norm_one(M, P), b
+        assert got[b] == min_shift_norms(M[None], P)[0] == min_shift_norm_one(M, P), b
     assert svd_op_norms(np.zeros((0, n, n))).shape == (0,)
     with pytest.raises(ValueError):
         svd_op_norms(A[0])

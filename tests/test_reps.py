@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import restalg.reps
+import restalg.semigroups
 import restalg.verify
 from dense_reference import (
     _incidence,
@@ -21,7 +22,7 @@ from dense_reference import (
     stack_of,
 )
 from restalg import cstar
-from restalg.algebra import AlgebraElement, approx_identity, dot
+from restalg.algebra import AlgebraElement, dot, unit_rows
 from restalg.errors import BaseMismatch
 from restalg.families import (
     adjoin_identity,
@@ -166,7 +167,7 @@ def test_lifted_unit_is_projection():
     lam = restricted_left_regular(I3)
     for _ in range(10):
         F = rng.choice(I3.n, size=int(rng.integers(1, 8)), replace=False).tolist()
-        B = lift(lam, approx_identity(I3, F))
+        B = lift_many(lam, unit_rows(I3, np.array([F])))[0]
         assert np.abs(B @ B - B).max() == 0.0
         assert np.abs(B - B.conj().T).max() == 0.0
 
@@ -416,6 +417,22 @@ def test_broken_tables_fail_both_routes_alike(full_corpus):
     assert broken == 150
 
 
+@pytest.mark.parametrize("one_key_blocks", [True, False], ids=["one-key blocks", "default blocks"])
+def test_broken_table_witnesses_at_every_block_size(monkeypatch, full_corpus, one_key_blocks):
+    # the product law's witness is the first failing pair in x-major order
+    # wherever the blocks of its scan fall
+    if one_key_blocks:
+        monkeypatch.setattr(restalg.semigroups, "BLOCK_ENTRIES", 1)
+    multiplicative = 0
+    for label, S in full_corpus:
+        for good in _five_reps(S):
+            for how, table in _broken_tables(good.base, good.table).items():
+                rep = Representation(good.base, table, good.kind, f"{good.name} {how}")
+                report = _reports_agree(rep, stack_of(table))
+                multiplicative += "multiplicative" in {v.code for v in report.violations}
+    assert multiplicative > 0
+
+
 def test_incidence_ranks_match_the_dense_ranks(full_corpus):
     for label, S in full_corpus:
         for build, reference in REFERENCE_BUILDERS:
@@ -524,6 +541,7 @@ def test_reps_check_fails_alone_under_its_mutation(monkeypatch, patched, mutate,
     assert {c.id for c in restalg.verify.suite_reps(I2, seed=1, trials=5) if not c.passed} == {failing}
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("label", ["chain256", "Z256"])
 def test_rank_memory_on_order_256(large_semigroups, label):
     # one (n, n) Gram matrix per representation, never the (n, P)
@@ -564,6 +582,7 @@ def test_reps_suite_builds_one_gram_per_ranked_representation(monkeypatch, order
     }
 
 
+@pytest.mark.memory
 def test_table_laws_memory_on_cold_i4():
     # no (n, n, n) stack: the laws run on (n, n) tables and temporaries
     S = gen_symmetric_inverse_monoid(4)
@@ -584,6 +603,7 @@ def test_table_laws_memory_on_cold_i4():
     assert peak < 20e6
 
 
+@pytest.mark.memory
 def test_batched_trial_checks_memory_on_cold_i4():
     # 100 trials over I4's 3809 lambda_r entries: the pairings, lifts and
     # block norms go through in blocks of rows, not as one batch
@@ -710,6 +730,7 @@ def test_product_law_reads_one_row_per_generator(monkeypatch):
     assert (S.generators().size, sr.generators().size) == (5, 33)
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("label", ["chain256", "Z256"])
 def test_product_law_memory_on_order_256(large_semigroups, label):
     # the chain needs every element as a generator: the blocked gathers

@@ -41,6 +41,7 @@ from restalg.semigroups import (
     _derive_star,
     associativity_witness,
     build_from_table,
+    first_mismatch,
     generating_set,
     validate_table,
 )
@@ -180,6 +181,7 @@ def test_supplied_star_accepted():
     assert S.star.tolist() == [0, 3, 2, 1]
 
 
+@pytest.mark.memory
 def test_size_limit(monkeypatch):
     # checked before any scan: no row of the table is read, so nothing near
     # its 0.5 MB is allocated
@@ -309,6 +311,7 @@ def test_symmetric_inverse_monoid_order(n, order):
         assert S.zero is not None  # the empty map absorbs
 
 
+@pytest.mark.memory
 def test_symmetric_inverse_monoid_size_guard(monkeypatch):
     with pytest.raises(SizeLimit, match="order 1546 exceeds MAX_ORDER = 256"):
         gen_symmetric_inverse_monoid(5)
@@ -330,6 +333,7 @@ def test_symmetric_group():
     assert not S3.is_group or len(S3.idempotents()) == 1
 
 
+@pytest.mark.memory
 def test_symmetric_group_size_guard_lists_no_permutations(monkeypatch):
     # 9! = 362880 > MAX_ORDER: refused from the order alone
     tracemalloc.start()
@@ -522,6 +526,60 @@ def test_light_test_agrees_on_every_changed_entry(full_corpus):
     assert rejected > 0
 
 
+# each scan twice: with blocks of one key, and at the default block size
+BLOCKS = pytest.mark.parametrize("one_key_blocks", [True, False], ids=["one-key blocks", "default blocks"])
+
+
+@BLOCKS
+def test_first_mismatch_is_the_first_block_with_a_mismatch(monkeypatch, one_key_blocks):
+    if one_key_blocks:
+        monkeypatch.setattr(restalg.semigroups, "BLOCK_ENTRIES", 1)
+    rng = np.random.default_rng(29)
+    found = 0
+    for _ in range(200):
+        P, K, Q, m, r = rng.integers(1, 6, 5)
+        L, R = rng.integers(0, 3, (m, Q)), rng.integers(0, 3, (P, r))
+        rows, cols = rng.integers(-1, m, (P, K)), rng.integers(-1, r, (K, Q))
+        # every entry read directly, -1 as the last row or column
+        want = np.zeros((P, K, Q), dtype=bool)
+        for p, k, q in np.ndindex(P, K, Q):
+            want[p, k, q] = L[rows[p, k] % m, q] != R[p, cols[k, q] % r]
+        hit = first_mismatch(L, rows, R, cols)
+        if not want.any():
+            assert hit is None
+            continue
+        lo, ne = hit
+        first = int(np.argmax(want.any(axis=(0, 2))))
+        assert lo <= first < lo + ne.shape[1]
+        assert np.array_equal(ne, want[:, lo : lo + ne.shape[1]])
+        if one_key_blocks:
+            assert (lo, ne.shape[1]) == (first, 1)
+        found += 1
+    assert 0 < found < 200
+
+
+@BLOCKS
+def test_light_witness_on_broken_tables(monkeypatch, full_corpus, large_tables, one_key_blocks):
+    # one entry of each table changed at random: the witness may depend on
+    # the blocks, but it is a genuine failing triple with a generator in
+    # the middle, and it is None exactly when the triple scan finds none
+    if one_key_blocks:
+        monkeypatch.setattr(restalg.semigroups, "BLOCK_ENTRIES", 1)
+    rng = np.random.default_rng(31)
+    rejected = 0
+    for t in [S.mul for _, S in full_corpus] + list(large_tables.values()):
+        n = t.shape[0]
+        for _ in range(3):
+            x, y = rng.integers(n, size=2)
+            broken = t.copy()
+            broken[x, y] = (t[x, y] + rng.integers(1, n)) % n if n > 1 else 0
+            bad = _same_verdict(broken)
+            if bad is not None:
+                assert bad[1] in generating_set(broken).tolist()
+                rejected += 1
+    assert rejected > len(full_corpus)
+
+
 def test_generating_sets_are_pinned(large_tables):
     # the greedy order is part of what validation keeps on S: the frontier
     # products by row and column slices give the sets np.ix_ gave
@@ -559,6 +617,7 @@ def test_validation_keeps_its_generating_set(monkeypatch):
     assert calls == [S.n, sr.n, S.n]
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("label", ["chain256", "chain256_r"])
 def test_validation_memory_when_every_element_generates(large_tables, label):
     # g = n: the blocked check reuses its buffers, so memory stays O(n^2)

@@ -95,6 +95,7 @@ def test_delta_assoc_witness_none_on_valid():
     assert delta_assoc_witness(gen_chain_semilattice(3)) is None
 
 
+@pytest.mark.memory
 def test_delta_assoc_witness_memory_on_a_large_group():
     # a group has n^2 dot triples and n^3 pairs in each join; the joins
     # run one block of x at a time, so no n^3 index array is built
@@ -318,6 +319,7 @@ def test_stacked_checks_equal_the_per_sample_loops(S):
     assert quotient_match_report(S, trials=40, seed=11) == quotient_match_report_loop(S, trials=40, seed=11)
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("suite, bound_mb", [("cstar", 10), ("reps", 7)])
 def test_warm_suite_memory_on_i4(suite, bound_mb):
     # the stacked norms, SVDs and lifts go through in blocks of rows: one
@@ -365,6 +367,42 @@ def test_scaled_norms_fail_exactly_these_cstar_checks(monkeypatch, module, name,
     real = getattr(target, name)
     monkeypatch.setattr(target, name, lambda *args, **kwargs: 1.001 * real(*args, **kwargs))
     assert {c.id for c in suite_cstar(S, seed=1, trials=10) if not c.passed} == failing
+
+
+def _tilde_reads_a_rolled_star(monkeypatch):
+    monkeypatch.setattr(
+        AlgebraElement, "tilde", lambda f: AlgebraElement(f.base, np.conj(f.coeffs[np.roll(f.base.star, 1)]))
+    )
+
+
+def _order_triples_drop_the_last(monkeypatch):
+    real = restalg.algebra.order_triples
+    monkeypatch.setattr(restalg.algebra, "order_triples", lambda S: real(S)[:-1])
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        (_tilde_reads_a_rolled_star, "algebra.tilde-involution"),
+        (_order_triples_drop_the_last, "algebra.group-coincidence"),
+    ],
+)
+def test_algebra_check_fails_alone_under_its_mutation(monkeypatch, full_corpus, mutate, failing):
+    # f~ through a rolled star is no involution, and order_dot_many short
+    # of one triple is no longer convolution on a group: over all four
+    # suites each fails its own check and no other
+    suites = ("axioms", "algebra", "reps", "cstar")
+    assert all(c.passed for r in run_suites(full_corpus, suites, seed=7, trials=10) for c in r.checks)
+    mutate(monkeypatch)
+    reports = run_suites(full_corpus, suites, seed=7, trials=10)
+    failed = {(r.semigroup, c.id) for r in reports for c in r.checks if not c.passed}
+    assert {check for _, check in failed} == {failing}
+    labels = {label for label, _ in failed}
+    if failing == "algebra.group-coincidence":
+        # the check runs on the groups only, and fails on every one
+        assert labels == {label for label, S in full_corpus if S.is_group} == {"trivial", "Z2", "Z4", "S3"}
+    else:
+        assert {"I2", "I3", "S3", "B2_1_r", "chain3"} <= labels
 
 
 def _delta_law_deviations(S, seed, *, unit_pairs=True):
