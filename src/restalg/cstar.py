@@ -21,6 +21,7 @@ stays in use as the independent route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,12 +77,28 @@ def representative_blocks(S):
     return kept_on(S, ("L-classes", "representatives"), build)
 
 
+class _BlockIndex(NamedTuple):
+    """The representative blocks of every lift through a representation,
+    laid end to end in one row (_block_index).
+
+    ``Ls`` holds, per block size d in ascending order, the (q, d) array of
+    the q L-classes of that size; size k's (q, d, d) stack of blocks
+    (row-major) fills positions ``starts[k]`` to ``starts[k + 1]`` of the
+    row.  For lift(rep, f) the row is the scatter of f[xs] into ``flat``.
+    ``member[x, k]`` says whether size k reads f[x], and ``owner`` names
+    the element whose column holds each position.
+    """
+
+    Ls: list
+    starts: np.ndarray
+    xs: np.ndarray
+    flat: np.ndarray
+    member: np.ndarray
+    owner: np.ndarray
+
+
 def _block_index(rep):
-    """One entry (Ls, xs, flat, elements) per block size d among the
-    representative blocks, kept on rep: Ls is the (q, d) array of the q
-    L-classes of that size, and the (q, d, d) stack of their blocks of
-    lift(rep, f) is the scatter of f[xs] into flat (row-major), whose
-    terms are read from the columns ``elements`` of f alone."""
+    """The _BlockIndex of rep, kept on rep."""
 
     def build():
         S = rep.base
@@ -96,48 +113,72 @@ def _block_index(rep):
                     f"{rep.name} moves a row out of its L-class", witness=rep.name
                 )
             by_size.setdefault(L.size, []).append((L, xs[keep], local[ys[keep]] * L.size + local[cols[keep]]))
-        out = []
+        sizes = []
         for d, blocks in sorted(by_size.items()):
             # block j of the stack starts at j d^2; each bin still sums in
             # the order of its own L-class's terms
             xs_d = np.concatenate([x for _, x, _ in blocks])
-            flat = np.concatenate([j * d * d + f for j, (_, _, f) in enumerate(blocks)])
-            # the elements read, sorted; np.unique would import numpy.ma
-            # (about 1 MB) on its first call
-            elements = np.flatnonzero(np.bincount(xs_d, minlength=S.n))
-            out.append((np.stack([L for L, _, _ in blocks]), xs_d, flat, elements))
-        return out
+            flat_d = np.concatenate([j * d * d + f for j, (_, _, f) in enumerate(blocks)])
+            sizes.append((np.stack([L for L, _, _ in blocks]), xs_d, flat_d))
+        # each size's stack starts where the one before it ends
+        starts = np.cumsum([0] + [Ls.size * Ls.shape[1] for Ls, _, _ in sizes])
+        member = np.zeros((S.n, len(sizes)), dtype=bool)
+        for k, (_, xs_d, _) in enumerate(sizes):
+            member[xs_d, k] = True
+        return _BlockIndex(
+            Ls=[read_only(Ls) for Ls, _, _ in sizes],
+            starts=read_only(starts),
+            xs=read_only(np.concatenate([xs_d for _, xs_d, _ in sizes])),
+            flat=read_only(np.concatenate([lo + f for lo, (_, _, f) in zip(starts, sizes)])),
+            member=read_only(member),
+            # entry (r, c) of the block of L lies in the column of L[c]
+            owner=read_only(np.concatenate([np.tile(Ls, Ls.shape[1]).ravel() for Ls, _, _ in sizes])),
+        )
 
     return kept_on(rep, "blocks", build)
 
 
 def block_norms(rep, F, cleared=None):
     """||lift(rep, f)|| for every row f of a (B, n) coefficient array, with
-    the column of element ``cleared`` zeroed first: per block size d, the
-    rows with a nonzero coefficient on that size's elements (the live
-    rows) take one scatter of their (B, q, d, d) block stack and one
-    stacked eigensolve, in blocks of rows; the other rows' blocks are
-    zero, of norm 0.  A row's value does not depend on the batch it comes
-    in."""
+    the column of element ``cleared`` zeroed first.
+
+    A row is live on a block size d when it has a nonzero coefficient on
+    an element that size reads; rows live on no size are zero, of norm
+    0.  The live rows go in blocks of rows, each with one scatter of all
+    its representative blocks (_block_index); then each size d takes one
+    stacked eigensolve of its (q, d, d) stacks over the rows live on it.
+    A row's value does not depend on the batch it comes in."""
     F = np.asarray(F, dtype=np.complex128)
     n = rep.base.n
     if F.ndim != 2 or F.shape[1] != n:
         raise ValueError(f"expected a (B, {n}) array, got {F.shape}")
+    index = _block_index(rep)
     best = np.zeros(F.shape[0])
-    for Ls, xs, flat, elements in _block_index(rep):
-        q, d = Ls.shape
-        # a NaN is nonzero, so it stays live and op_norms rejects it
-        live = np.flatnonzero((F[:, elements] != 0).any(axis=1))
-        if not live.size:
-            continue
-        q_hit, col_hit = np.nonzero(Ls == cleared)
+    # a NaN is nonzero, so it stays live and op_norms rejects it
+    live = (F != 0) @ index.member
+    rows = np.flatnonzero(live.any(axis=1))
+    if not rows.size:
+        return best
+    if rows.size < len(F):
+        F, live = F[rows], live[rows]
+    # the positions in the cleared element's column; no element is -1
+    hit = np.flatnonzero(index.owner == (-1 if cleared is None else cleared))
+    starts = index.starts
 
-        def norms(rows):
-            stack = scatter_rows(np.take(rows, xs, axis=1), flat, q * d * d).reshape(-1, q, d, d)
-            stack[:, q_hit, :, col_hit] = 0.0
-            return op_norms(stack.reshape(-1, d, d)).reshape(-1, q).max(axis=1)
+    def norms(block, on):
+        stack = scatter_rows(np.take(block, index.xs, axis=1), index.flat, starts[-1])
+        stack[:, hit] = 0.0
+        top = np.zeros(len(block))
+        for k, Ls in enumerate(index.Ls):
+            q, d = Ls.shape
+            mine = on[:, k]
+            if not mine.any():
+                continue
+            blocks = stack[:, starts[k] : starts[k + 1]] if mine.all() else stack[mine, starts[k] : starts[k + 1]]
+            top[mine] = np.maximum(top[mine], op_norms(blocks.reshape(-1, d, d)).reshape(-1, q).max(axis=1))
+        return top
 
-        best[live] = np.maximum(best[live], map_rows(norms, q * d * d + xs.size, F[live]))
+    best[rows] = map_rows(norms, starts[-1] + index.xs.size, F, live)
     return best
 
 

@@ -70,19 +70,24 @@ def svd_op_norms(stack):
     singular values, not eigenvalues of a Gram matrix, so this route
     shares nothing with the block norms of restalg.cstar.
     """
-    # contiguous, so that the finite-entries check reads the float64 view
     M = np.ascontiguousarray(stack, dtype=np.complex128)
     if M.ndim != 3:
         raise ValueError("expected a stack of matrices")
     if M.size == 0:
         return np.zeros(M.shape[0])
+    if min(M.shape[1:]) < SPLIT_MIN_DIM:
+        return _svd_tops(M)
+    # a NaN or an infinity is nonzero, so some block holds it
+    return np.array([max((_svd_tops(b).max() for b in pattern_blocks(A)), default=0.0) for A in M])
+
+
+def _svd_tops(M):
+    """The largest singular value of every matrix of a contiguous (B, m, k)
+    stack, by one stacked LAPACK SVD of finite entries."""
+    # the float64 view tests both parts at once
     if not np.isfinite(M.view(np.float64)).all():
         raise ValueError("matrix entries must be finite")
-    if min(M.shape[1:]) < SPLIT_MIN_DIM:
-        return np.linalg.svd(M, compute_uv=False)[:, 0]
-    return np.array(
-        [max((np.linalg.svd(b, compute_uv=False)[:, 0].max() for b in pattern_blocks(A)), default=0.0) for A in M]
-    )
+    return np.linalg.svd(M, compute_uv=False)[:, 0]
 
 
 def _pattern_labels(nonzero):
@@ -120,8 +125,9 @@ def pattern_blocks(M):
     one component, in their order in M, and the components of one shape
     come in the order of their labels.  Rows and columns with no nonzero
     entry are left out; together the blocks hold every nonzero entry of M
-    once.  A matrix with no zero entry is one component, taken without
-    the search."""
+    once.  A matrix with no zero entry is one component, and one with at
+    most one nonzero entry per row and per column is one (q, 1, 1)
+    stack of them in row order; both are taken without the search."""
     M = np.ascontiguousarray(M, dtype=np.complex128)
     m, k = M.shape
     # an entry is nonzero when either part is: the float64 view's test,
@@ -129,6 +135,14 @@ def pattern_blocks(M):
     nonzero = (M.view(np.float64) != 0).view(np.uint16) != 0
     if nonzero.all():
         yield M[None]
+        return
+    # at most one nonzero per row (the entries come row by row) and per
+    # column: each entry is a component of its own, labelled by its row
+    at = np.flatnonzero(nonzero)
+    rows, cols = np.divmod(at, k)
+    if (rows[1:] != rows[:-1]).all() and np.bincount(cols, minlength=k).max() <= 1:
+        if at.size:
+            yield M.reshape(-1)[at].reshape(-1, 1, 1)
         return
     labels = _pattern_labels(nonzero)
     # rows and columns per label; a label with both is a component, and

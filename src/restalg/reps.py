@@ -138,7 +138,8 @@ def lift_many(rep, F):
     Callers bound B (see algebra.map_rows)."""
     xs, ys, cols = rep.entries()
     dim = rep.dim
-    return scatter_rows(np.take(F, xs, axis=1), ys * dim + cols, dim * dim).reshape(-1, dim, dim)
+    bins = kept_on(rep, "lift bins", lambda: read_only(ys * dim + cols))
+    return scatter_rows(np.take(F, xs, axis=1), bins, dim * dim).reshape(-1, dim, dim)
 
 
 def extend_with_zero(rep, rs):
@@ -284,12 +285,15 @@ def _product_law_witness(T, mul, xs):
     mismatch does not depend on where the blocks fall.
     """
     n, dim = T.shape
-    dtype = np.promote_types(np.int8, np.min_scalar_type(dim))
+    # tables and keys in the smallest signed dtype that holds the entries,
+    # in [-1, dim), and the products, in [0, n]
+    dtype = np.min_scalar_type(-max(dim, n) - 1)
     lhs_table = np.full((dim + 1, n), -1, dtype=dtype)  # [T[x, r], y]
     lhs_table[:dim] = T.T
     rhs_table = np.full((dim, n + 1), -1, dtype=dtype)  # [r, xy]
     rhs_table[:, :n] = T.T
-    hit = first_mismatch(lhs_table, T[xs].T, rhs_table, mul[xs])
+    # column x of lhs_table is row x of T
+    hit = first_mismatch(lhs_table, lhs_table[:dim, xs], rhs_table, mul.astype(dtype)[xs])
     if hit is None:
         return None
     lo, ne = hit

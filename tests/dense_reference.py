@@ -16,6 +16,9 @@ Nothing here is used by the library.
   matrix, for the block-by-block SVD norm of restalg.linalg and as the
   dense-lift reference of the block norms (dense_lift_norm keeps each
   lift's value, so tests that need the same lift share one SVD).
+- The block norms of restalg.cstar one block size at a time, each size
+  with its own index, liveness test, scatter and eigensolve, for the one
+  scatter per block of rows of block_norms.
 - The pattern split of restalg.linalg with one np.unique per count and
   per shape, for its one-pass grouping, and the complex scatter-add as
   two real bincounts, for restalg.algebra.scatter_rows.
@@ -66,8 +69,10 @@ from restalg.algebra import (
     dot,
     dot_many,
     first_max,
+    map_rows,
     random_rows,
     restrict_to_base,
+    scatter_rows,
     tilde_rows,
 )
 from restalg.errors import InvalidGroupTable, NotInverse
@@ -297,6 +302,50 @@ def dense_lift_norm(rep, row, cleared=None):
             A[:, cleared] = 0.0
         _LIFT_NORMS[key] = dense_svd_norm(A)
     return _LIFT_NORMS[key]
+
+
+def _block_index_per_size(rep):
+    """Per block size d among the representative blocks: (Ls, xs, flat,
+    elements), with Ls the (q, d) array of that size's L-classes and
+    their (q, d, d) stack of lift(rep, f) the scatter of f[xs] into flat,
+    whose terms read the columns ``elements`` of f alone."""
+    S = rep.base
+    xs, ys, cols = rep.entries()
+    local = np.full(S.n, -1, dtype=np.intp)
+    by_size = {}
+    for L in cstar.representative_blocks(S):
+        local[L] = np.arange(L.size)
+        keep = S.dom[ys] == S.dom[L[0]]
+        by_size.setdefault(L.size, []).append((L, xs[keep], local[ys[keep]] * L.size + local[cols[keep]]))
+    out = []
+    for d, blocks in sorted(by_size.items()):
+        xs_d = np.concatenate([x for _, x, _ in blocks])
+        flat = np.concatenate([j * d * d + f for j, (_, _, f) in enumerate(blocks)])
+        out.append((np.stack([L for L, _, _ in blocks]), xs_d, flat, np.flatnonzero(np.bincount(xs_d, minlength=S.n))))
+    return out
+
+
+def block_norms_per_size(rep, F, cleared=None):
+    """cstar.block_norms one block size at a time: per size d, the rows
+    with a nonzero coefficient on that size's elements take their own
+    scatter of their (B, q, d, d) block stack and a stacked eigensolve,
+    in blocks of rows sized from that size's terms."""
+    F = np.asarray(F, dtype=np.complex128)
+    best = np.zeros(F.shape[0])
+    for Ls, xs, flat, elements in _block_index_per_size(rep):
+        q, d = Ls.shape
+        live = np.flatnonzero((F[:, elements] != 0).any(axis=1))
+        if not live.size:
+            continue
+        q_hit, col_hit = np.nonzero(Ls == cleared)
+
+        def norms(rows):
+            stack = scatter_rows(np.take(rows, xs, axis=1), flat, q * d * d).reshape(-1, q, d, d)
+            stack[:, q_hit, :, col_hit] = 0.0
+            return op_norms(stack.reshape(-1, d, d)).reshape(-1, q).max(axis=1)
+
+        best[live] = np.maximum(best[live], map_rows(norms, q * d * d + xs.size, F[live]))
+    return best
 
 
 def pattern_blocks_reference(M):

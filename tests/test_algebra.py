@@ -485,16 +485,16 @@ def test_scatter_is_the_bincount_reference():
     index = rng.integers(0, 24 * 24, 1000)
     index[9] = index[3]  # inf + (1 - inf j) in one bin
     cases += [(values[None], index, 24 * 24), (values.reshape(4, 250), index[:250], 24 * 24)]
-    # a 4-row dot block, 2 rows of lambda_r lifts and an L-class block stack of I4
+    # a 4-row dot block, 2 rows of lambda_r lifts and the L-class blocks of
+    # I4 laid end to end
     I4 = gen_symmetric_inverse_monoid(4)
     a, b, c = dot_triples(I4).T
     F, G = random_rows(I4, rng, 4, count=2)
     cases.append((F[:, a] * G[:, b], c, I4.n))
     xs, ys, cols = restricted_left_regular(I4).entries()
     cases.append((draw(2, xs.size), ys * I4.n + cols, I4.n * I4.n))
-    for Ls, xs, flat, _ in cstar._block_index(left_regular(I4)):
-        q, d = Ls.shape
-        cases.append((draw(3, xs.size), flat, q * d * d))
+    blocks = cstar._block_index(left_regular(I4))
+    cases.append((draw(3, blocks.xs.size), blocks.flat, blocks.starts[-1]))
     for W, index, size in cases:
         rows = W.shape[0]
         bins = (np.arange(rows)[:, None] * size + index).ravel()

@@ -31,3 +31,12 @@ def test_benchmark_workload_runs_at_min_size(name, tmp_path, seed):
     r = report(setup(seed, "min", tmp_path))
     assert r.checks > 0, name
     assert r.failed == 0, (name, r.failures)
+
+
+def test_i4_norms_runs_at_full_size(tmp_path, seed):
+    # at min size the workload runs on I3, below linalg.SPLIT_MIN_DIM: at
+    # full size (I4, order 209) the SVD route splits each lift into the
+    # components of its pattern
+    setup, report = WORKLOADS["i4-norms"]
+    r = report(setup(seed, "full", tmp_path))
+    assert (r.checks, r.failed) == (564, 0), r.failures

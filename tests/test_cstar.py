@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dense_reference import (
+    block_norms_per_size,
     dense_lambda_r,
     dense_lift_norm,
     dense_representation_report,
@@ -18,7 +19,7 @@ from helpers import corpus_member
 from restalg import cstar
 from restalg.algebra import AlgebraElement, _rows_per_block, random_rows, restrict_to_base
 from restalg.corpus import default_corpus, restricted_of
-from restalg.families import gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
+from restalg.families import gen_brandt, gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
 from restalg.linalg import op_norm, op_norms
 from restalg.reps import left_regular, lift, restricted_left_regular
 from restalg.restricted import build_restricted_semigroup
@@ -310,15 +311,16 @@ def test_block_norms_match_dense_svd(S, rs):
 
 @pytest.mark.parametrize("label", ["chain4", "I3", "B2_1_r", "I4"])
 def test_block_norms_rows_do_not_depend_on_the_batch(label):
-    # B = 0, B = 1, and a batch over more than one block of rows for the
-    # largest representative block: the rows around its boundaries and
-    # about 60 spread over the rest equal their value alone, bitwise
+    # B = 0, B = 1, and a batch over more than one block of rows: the rows
+    # around its boundaries and about 60 spread over the rest equal their
+    # value alone, bitwise
     S = gen_symmetric_inverse_monoid(4) if label == "I4" else corpus_member(label)
     rs = build_restricted_semigroup(S)
     rng = np.random.default_rng(36)
     for rep, cleared, _ in _batch_cases(S, rs):
         n = rep.base.n
-        step = min(_rows_per_block(Ls.size * Ls.shape[1] + xs.size) for Ls, xs, _, _ in cstar._block_index(rep))
+        index = cstar._block_index(rep)
+        step = _rows_per_block(index.starts[-1] + index.xs.size)
         for B in (0, 1, 2 * step + 3):
             F = rng.uniform(-1, 1, (B, n)) + 1j * rng.uniform(-1, 1, (B, n))
             norms = cstar.block_norms(rep, F, cleared)
@@ -363,9 +365,10 @@ def test_block_norms_eigensolve_live_blocks_only(monkeypatch):
     chain = gen_chain_semilattice(256)
     rng = np.random.default_rng(47)
     for rep in (restricted_left_regular(chain), left_regular(chain)):
-        [(Ls, xs, _, _)] = cstar._block_index(rep)
+        index = cstar._block_index(rep)
+        [Ls] = index.Ls
         assert Ls.shape == (256, 1)
-        step = _rows_per_block(Ls.size + xs.size)
+        step = _rows_per_block(index.starts[-1] + index.xs.size)
         F = random_rows(chain, rng, 2 * step + 3)[0]
         F[::4] = 0.0
         live = int(F.any(axis=1).sum())
@@ -374,6 +377,58 @@ def test_block_norms_eigensolve_live_blocks_only(monkeypatch):
         assert len(calls) == -(-live // step), rep.name
         assert sum(shape[0] for shape in calls) == 256 * live
         assert np.array_equal(norms == 0.0, ~F.any(axis=1))
+
+
+def _per_size_cases():
+    """(label, semigroup): the full corpus, I4 and its zero-adjoined
+    semigroup, B(Z3, 9) and the order-256 chain."""
+    I4 = gen_symmetric_inverse_monoid(4)
+    return [
+        *default_corpus(include_restricted=True),
+        ("I4", I4),
+        ("I4_r", build_restricted_semigroup(I4).sr),
+        ("B(Z3, 9)", gen_brandt(gen_group("cyclic", 3).mul, 9)),
+        ("chain256", gen_chain_semilattice(256)),
+    ]
+
+
+def test_block_norms_match_the_per_size_reference():
+    # the one scatter per block of rows gives, bitwise, what a scatter and
+    # an eigensolve per block size gave: on zero rows, deltas, dense and
+    # sparse random rows (live on some block sizes only), with the zero's
+    # column cleared over each zero-adjoined semigroup, and with a column
+    # of the last L-class of the largest block size cleared; and each row
+    # alone gives its batched value
+    rng = np.random.default_rng(53)
+    for label, S in _per_size_cases():
+        rs = build_restricted_semigroup(S)
+        dense = random_rows(S, rng, 12)[0]
+        sparse = random_rows(S, rng, 12)[0] * (rng.random((12, S.n)) < 3 / S.n)
+        F = np.concatenate([np.zeros((2, S.n)), np.eye(S.n), dense, sparse, np.zeros((1, S.n))])
+        last = cstar._block_index(restricted_left_regular(S)).Ls[-1][-1]
+        cases = _batch_cases(S, rs) + [(restricted_left_regular(S), int(last[-1]), None)]
+        for rep, cleared, _ in cases:
+            G = F if rep.base is S else np.concatenate([F, rng.uniform(-1, 1, (len(F), 1))], axis=1)
+            norms = cstar.block_norms(rep, G, cleared)
+            assert norms.tobytes() == block_norms_per_size(rep, G, cleared).tobytes(), (label, rep.name)
+            for i in range(0, len(G), max(1, len(G) // 25)):
+                assert cstar.block_norms(rep, G[i : i + 1], cleared).tobytes() == norms[i : i + 1].tobytes()
+
+
+def test_block_norms_scatter_once_per_call(monkeypatch):
+    # a random I4 row through lambda_r: one scatter of all five
+    # representative blocks, then one eigensolve per block size (1, 4, 12
+    # and 24, the last with its two L-classes stacked)
+    scatters, solves = [], []
+    real_scatter, real_solve = cstar.scatter_rows, cstar.op_norms
+    monkeypatch.setattr(cstar, "scatter_rows", lambda W, *rest: scatters.append(W.shape) or real_scatter(W, *rest))
+    monkeypatch.setattr(cstar, "op_norms", lambda stack: solves.append(stack.shape) or real_solve(stack))
+    I4 = gen_symmetric_inverse_monoid(4)
+    f = AlgebraElement.random(I4, np.random.default_rng(54))
+    value = cstar.reduced_cstar_norm(f)
+    assert len(scatters) == 1
+    assert solves == [(1, 1, 1), (1, 4, 4), (1, 12, 12), (2, 24, 24)]
+    assert value == block_norms_per_size(restricted_left_regular(I4), f.coeffs[None])[0]
 
 
 def test_block_norm_attained_off_the_largest_block():

@@ -244,6 +244,16 @@ def test_pattern_blocks_of_i4_lifts():
         assert np.array_equal(np.sort_complex(entries), np.sort_complex(A[A != 0]))
 
 
+def _weighted_partial_permutation(rng, m, k):
+    """An (m, k) matrix with at most one nonzero entry per row and per
+    column, random and complex, and about a third of its rows empty."""
+    rows = rng.permutation(m)[: min(m, k) * 2 // 3]
+    cols = rng.permutation(k)[: rows.size]
+    M = np.zeros((m, k), dtype=np.complex128)
+    M[rows, cols] = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    return M
+
+
 def _same_stacks(M):
     got, want = list(pattern_blocks(M)), list(pattern_blocks_reference(M))
     assert len(got) == len(want), M.shape
@@ -282,6 +292,58 @@ def test_pattern_blocks_match_the_unique_grouping():
     _same_stacks(M[::-1])
     _same_stacks(M.T)
     _same_stacks(_random_block_diagonal(rng, 150)[::2, 1::2])
+    # weighted partial permutations, square and rectangular, with empty
+    # rows and columns, and as non-contiguous views
+    for m, k in ((70, 70), (90, 64), (64, 110), (5, 3), (1, 40)):
+        P = _weighted_partial_permutation(rng, m, k)
+        for view in (P, P[::-1], P.T, P[::2, 1::2], P[:, ::-1]):
+            _same_stacks(view)
+
+
+def test_pattern_blocks_take_a_partial_permutation_without_the_search(monkeypatch):
+    # one (q, 1, 1) stack of the nonzero entries in row order, and the
+    # norm their largest modulus; a second entry in a row, or in a column
+    # only, sends the matrix through the search
+    def no_search(nonzero):
+        raise AssertionError("component search on a partial permutation")
+
+    monkeypatch.setattr(linalg, "_pattern_labels", no_search)
+    rng = np.random.default_rng(51)
+    P = _weighted_partial_permutation(rng, 90, 70)
+    rows, cols = np.nonzero(P)
+    [stack] = pattern_blocks(P)
+    assert stack.shape == (rows.size, 1, 1) and np.array_equal(stack[:, 0, 0], P[rows, cols])
+    assert list(pattern_blocks(np.zeros((SPLIT_MIN_DIM, 3)))) == []
+    assert svd_op_norm(P) == pytest.approx(np.abs(P).max(), rel=1e-15)
+    I4 = gen_symmetric_inverse_monoid(4)
+    assert svd_op_norm(lift_many(restricted_left_regular(I4), 2j * np.eye(I4.n)[[5]])[0]) == 2.0
+    empty = np.flatnonzero(~P.any(axis=1))[0]
+    for i, j in ((rows[0], cols[1]), (empty, cols[0])):
+        Q = P.copy()
+        Q[i, j] = 1.0
+        with pytest.raises(AssertionError, match="component search"):
+            svd_op_norm(Q)
+
+
+def test_svd_op_norm_reads_finiteness_off_its_blocks():
+    # from SPLIT_MIN_DIM on there is no pass over the whole matrix: a NaN
+    # or an infinity is nonzero, so it lies in a block the SVDs take, in a
+    # partial permutation, in a pattern that needs the search, and as the
+    # one nonzero entry of the matrix
+    rng = np.random.default_rng(52)
+    n = SPLIT_MIN_DIM
+    monomial = _weighted_partial_permutation(rng, n, n + 6)
+    general = _random_block_diagonal(rng, 2 * n)[: n + 4, :n]
+    general[7, :3] = 1.0
+    lone = np.zeros((n, n), dtype=np.complex128)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)):
+        for M, at in ((monomial, np.argwhere(monomial)[-1]), (general, (7, 1)), (lone, (n - 1, 2))):
+            B = M.copy()
+            B[tuple(at)] = bad
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                svd_op_norm(B)
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                svd_op_norms(np.stack([M, B]))
 
 
 def test_svd_op_norm_takes_a_matrix_with_no_zero_entry_whole(monkeypatch):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import restalg.algebra
+import restalg.cstar
+import restalg.reps
 import restalg.verify
 from dense_reference import (
     approx_identity_loop,
@@ -24,7 +26,7 @@ from dense_reference import (
     unit_projection_loop,
 )
 from helpers import corpus_member
-from restalg.algebra import AlgebraElement, conv, conv_triples, delta_assoc_witness, dot_triples
+from restalg.algebra import AlgebraElement, conv, conv_triples, delta_assoc_witness, dot_triples, scatter_rows
 from restalg.corpus import default_corpus
 from restalg.cstar import quotient_match_report
 from restalg.families import gen_brandt, gen_chain_semilattice, gen_group, gen_symmetric_inverse_monoid
@@ -403,6 +405,34 @@ def test_algebra_check_fails_alone_under_its_mutation(monkeypatch, full_corpus, 
         assert labels == {label for label, S in full_corpus if S.is_group} == {"trivial", "Z2", "Z4", "S3"}
     else:
         assert {"I2", "I3", "S3", "B2_1_r", "chain3"} <= labels
+
+
+def test_short_lift_fails_exactly_these_checks(monkeypatch):
+    # every lift short of the representation's last entry, under each name
+    # it is imported by: over all four suites on I3, the lift's own
+    # homomorphism check fails, and with it the checks that compare a
+    # dense lift with something else (the lifted rho pairing, the SVD of
+    # the lift against the block norms, the sampled summands of the lift)
+    S = corpus_member("I3")
+    suites = ("axioms", "algebra", "reps", "cstar")
+    assert all(c.passed for r in run_suites([("I3", S)], suites, seed=7, trials=10) for c in r.checks)
+    real = restalg.reps.lift_many
+
+    def short(rep, F):
+        xs, ys, cols = rep.entries()
+        dim = rep.dim
+        return scatter_rows(np.take(F, xs[:-1], axis=1), (ys * dim + cols)[:-1], dim * dim).reshape(-1, dim, dim)
+
+    for module in (restalg.reps, restalg.verify, restalg.cstar):
+        assert module.lift_many is real
+        monkeypatch.setattr(module, "lift_many", short)
+    failed = {c.id for r in run_suites([("I3", S)], suites, seed=7, trials=10) for c in r.checks if not c.passed}
+    assert failed == {
+        "cstar.opnorm-backend",
+        "cstar.sigma-cross-check",
+        "reps.inner-identity-lifted",
+        "reps.lift-homomorphism",
+    }
 
 
 def _delta_law_deviations(S, seed, *, unit_pairs=True):
