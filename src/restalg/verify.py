@@ -5,10 +5,15 @@ numerically-tested property at finite scale, one named check at a time.
 Each check carries a one-line claim (the statement being tested) or the
 tag "plumbing" for backend self-tests, so a failure points straight at
 the violated statement.
+
+Every check id is declared once, in CHECKS, with its claim and the kind
+of its verdict.  A suite body yields one record per check, and verdict()
+alone turns a record into a Check.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -120,64 +125,182 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+# Every check, by id: its claim and its kind.  A kind is "exact" (the
+# deviation must be 0.0), the name of a Tolerances field (the deviation
+# must be below that bound of TOL) or "bool" (the body's truth value).
+CHECKS = {
+    "axioms.table": ("associative table; unique generalized inverses; idempotents commute", "bool"),
+    "axioms.star-involution": ("x** = x for all x", "bool"),
+    "axioms.star-antihom": ("(xy)* = y* x* for all pairs", "bool"),
+    "axioms.regularity": ("x x* x = x and x* x x* = x* for all x", "bool"),
+    "axioms.idempotent-set": ("the idempotents are exactly the elements s s*", "bool"),
+    "axioms.idempotents-closed": ("idempotents form a commutative subsemigroup", "bool"),
+    "axioms.natural-order": ("e <= f iff ef = e is a partial order on the idempotents", "bool"),
+    "axioms.identity": ("1 x = x 1 = x for all x", "bool"),
+    "axioms.zero-adjoined": (
+        "S with a zero adjoined for non-composable products is an inverse semigroup",
+        "bool",
+    ),
+    "axioms.zero-adjoined-rule": ("x.y = xy when x*x = yy*, else the adjoined zero", "bool"),
+    "axioms.embed-roundtrip": (
+        "embedding into the zero-adjoined semigroup is injective with a partial inverse",
+        "bool",
+    ),
+    "axioms.groupoid": ("composable pairs satisfy the groupoid laws", "bool"),
+    "algebra.delta-dot": ("d_x . d_y = d_xy when x*x = yy*, else 0", "exact"),
+    "algebra.dot-assoc-deltas": ("(d_x . d_y) . d_z = d_x . (d_y . d_z) for all triples", "bool"),
+    "algebra.dot-assoc-random": ("(f.g).h = f.(g.h) on random dense triples", "entrywise"),
+    "algebra.dot-forms-agree": ("factorization sum and translation sum for the dot product agree", "entrywise"),
+    "algebra.tilde-antimult": ("(f.g)~ = g~ . f~ (exact on deltas, tolerance on random pairs)", "entrywise"),
+    "algebra.tilde-involution": ("f~~ = f and ||f~||_1 = ||f||_1", "norm"),
+    "algebra.submultiplicative": ("||f.g||_1 <= ||f||_1 ||g||_1", "norm"),
+    "algebra.positive-domination": ("0 <= f, g implies ||f.g||_1 <= ||f*g||_1", "norm"),
+    "algebra.delta-absorption": ("d_y . d_e = d_y iff y*y = e; d_e . d_y = d_y iff yy* = e", "exact"),
+    "algebra.unit-laws": (
+        "the finitely-supported units e_F absorb deltas over F, multiply to their common "
+        "idempotents, and filter by domain/range",
+        "exact",
+    ),
+    "algebra.approx-identity": (
+        "||f - f.e_F||_1 < eps and ||f - e_F.f||_1 < eps once F captures all but eps of ||f||_1",
+        "bool",
+    ),
+    "algebra.restriction-homomorphism": (
+        "dropping the zero coordinate carries the convolution of the zero-adjoined semigroup "
+        "to the dot product; kernel C d_0",
+        "entrywise",
+    ),
+    "algebra.restriction-isometry": (
+        "min over c of ||f + c d_0||_1 equals ||f restricted||_1, attained at c = -f(0)",
+        "entrywise",
+    ),
+    "algebra.group-coincidence": (
+        "in a group the dot product and the order-relaxed variant coincide with convolution",
+        "entrywise",
+    ),
+    "reps.left-regular-restricted": (
+        "the restricted left regular representation is adjoint-closed, contractive, and "
+        "multiplicative exactly on composable pairs",
+        "bool",
+    ),
+    "reps.right-regular-restricted": (
+        "the restricted right regular representation satisfies the same three laws",
+        "bool",
+    ),
+    "reps.left-regular-full": (
+        "the order-based left regular representation is a contractive *-homomorphism",
+        "bool",
+    ),
+    "reps.left-regular-adjoined": (
+        "the left regular representation of the zero-adjoined semigroup is a contractive *-homomorphism",
+        "bool",
+    ),
+    "reps.partial-isometry": ("every lambda_r(x) satisfies M M* M = M", "exact"),
+    "reps.zero-extension": (
+        "extending by pi(0) = 0 yields a *-homomorphism of the zero-adjoined semigroup and "
+        "restricts back to the original",
+        "bool",
+    ),
+    "reps.order-regular-not-restricted": (
+        "whenever non-composable pairs exist, the order-based left regular representation "
+        "violates the composability rule",
+        "bool",
+    ),
+    "reps.lift-homomorphism": (
+        "the lift sends the dot product to operator products and the tilde involution to adjoints",
+        "identity",
+    ),
+    "reps.unit-projection": ("lifted finitely-supported units are orthogonal projections", "exact"),
+    "reps.compression": (
+        "the regular representation of the zero-adjoined semigroup, compressed off the zero "
+        "coordinate, is lambda_r entrywise",
+        "exact",
+    ),
+    "reps.inner-identity-left": ("<lambda_r(x*) xi, eta> = (xi . eta~)(x)", "identity"),
+    "reps.inner-identity-right": ("<rho_r(x) xi, eta> = (eta~ . xi)(x)", "identity"),
+    "reps.inner-identity-lifted": (
+        "<rho_r~(phi) xi, eta> = phi . (xi-check . eta-bar) summed over the idempotents "
+        "(evaluation at 1 alone when 1 is the only idempotent)",
+        "identity",
+    ),
+    "reps.faithful-restricted": ("f -> lambda_r~(f) has full rank, so the lift is faithful", "bool"),
+    "reps.faithful-full": ("f -> lambda~(f) has full rank on the convolution algebra", "bool"),
+    "reps.semisimple": ("the trace form on the lifted algebra is nondegenerate (zero radical)", "bool"),
+    "cstar.lift-contractive": ("||lambda_r~(f)|| <= ||f||_1", "norm"),
+    "cstar.identity": ("||f~ . f|| = ||f||^2 in the reduced norm", "cstar"),
+    "cstar.norm-order": ("reduced norm <= supremum norm <= 1-norm", "norm"),
+    "cstar.sigma-cross-check": (
+        "randomized contractive restricted representations never exceed the supremum norm",
+        "norm",
+    ),
+    "cstar.quotient-match": (
+        "the quotient norm mod the zero line equals the reduced norm of the restriction",
+        "cstar",
+    ),
+    "cstar.quotient-minimized": (
+        "scalar minimization over c of ||f + c d_0|| agrees with the projected quotient norm",
+        "cstar",
+    ),
+    "cstar.l1-quotient": ("min over c of ||f + c d_0||_1 equals the restricted 1-norm", "entrywise"),
+    "cstar.opnorm-backend": (PLUMBING, "norm"),
+}
+
+
+def verdict(cid, value, witness="", deviation=...):
+    """The Check of one record of a suite body.  ``value`` is the
+    deviation of an "exact" or tolerance id, which the check reports
+    unless ``deviation`` is given, and the outcome of a "bool" id, which
+    reports ``deviation`` alone.  TOL is read here, when the verdict is
+    made; a NaN deviation fails every kind."""
+    claim, kind = CHECKS[cid]
+    if kind == "bool":
+        passed = bool(value)
+    elif kind == "exact":
+        passed = value == 0.0
+    else:
+        passed = value < getattr(TOL, kind)
+    if deviation is ...:
+        deviation = None if kind == "bool" else value
+    return Check(cid, claim, bool(passed), witness, deviation)
+
+
+def _suite(body):
+    """A suite from a body ``(S, rng, seed, trials)`` that yields records
+    (id, value[, witness[, deviation]]): the list of their verdicts, in
+    the order the body draws them."""
+
+    @functools.wraps(body)
+    def suite(S, *, seed=0, trials=100):
+        return [verdict(*record) for record in body(S, np.random.default_rng(seed), seed, trials)]
+
+    return suite
+
+
 # ---------------------------------------------------------------------
 # axioms
 
 
-def suite_axioms(S):
-    checks = []
+@_suite
+def suite_axioms(S, rng, seed, trials):
+    """Every element is checked, and nothing is drawn."""
     idx = np.arange(S.n)
-
     try:
         validate_table(S.mul, S.star)
-        checks.append(
-            Check(
-                "axioms.table",
-                "associative table; unique generalized inverses; "
-                "idempotents commute",
-                True,
-            )
-        )
     except RestalgError as exc:
-        checks.append(Check("axioms.table", "inverse-semigroup axioms", False, str(exc)))
-        return checks
-
-    checks.append(
-        Check(
-            "axioms.star-involution",
-            "x** = x for all x",
-            bool(np.array_equal(S.star[S.star], idx)),
-        )
-    )
-    ok = np.array_equal(S.star[S.mul], S.mul[np.ix_(S.star, S.star)].T)
-    checks.append(Check("axioms.star-antihom", "(xy)* = y* x* for all pairs", ok))
-    checks.append(
-        Check(
-            "axioms.regularity",
-            "x x* x = x and x* x x* = x* for all x",
-            bool(
-                np.array_equal(S.mul[S.mul[idx, S.star], idx], idx)
-                and np.array_equal(S.mul[S.mul[S.star, idx], S.star], S.star)
-            ),
-        )
+        yield "axioms.table", False, str(exc)
+        return
+    yield "axioms.table", True
+    yield "axioms.star-involution", np.array_equal(S.star[S.star], idx)
+    yield "axioms.star-antihom", np.array_equal(S.star[S.mul], S.mul[np.ix_(S.star, S.star)].T)
+    yield "axioms.regularity", (
+        np.array_equal(S.mul[S.mul[idx, S.star], idx], idx)
+        and np.array_equal(S.mul[S.mul[S.star, idx], S.star], S.star)
     )
 
     E = S.idempotents()
-    checks.append(
-        Check(
-            "axioms.idempotent-set",
-            "the idempotents are exactly the elements s s*",
-            set(E.tolist()) == set(S.ran.tolist()),
-        )
-    )
+    yield "axioms.idempotent-set", set(E.tolist()) == set(S.ran.tolist())
     sub = S.mul[np.ix_(E, E)]
-    checks.append(
-        Check(
-            "axioms.idempotents-closed",
-            "idempotents form a commutative subsemigroup",
-            bool(np.array_equal(sub, sub.T) and np.all(np.isin(sub, E))),
-        )
-    )
+    yield "axioms.idempotents-closed", np.array_equal(sub, sub.T) and np.all(np.isin(sub, E))
 
     # natural order: reflexive, antisymmetric, transitive on E; L @ L in
     # float64 runs on BLAS and is exact, each entry counting <= |E| paths
@@ -185,74 +308,28 @@ def suite_axioms(S):
     refl = bool(np.all(np.diagonal(L)))
     antisym = bool(np.all(~(L & L.T) | np.eye(len(E), dtype=bool)))
     trans = bool(np.all(~(L @ L.astype(np.float64) > 0) | L))
-    checks.append(
-        Check(
-            "axioms.natural-order",
-            "e <= f iff ef = e is a partial order on the idempotents",
-            refl and antisym and trans,
-        )
-    )
+    yield "axioms.natural-order", refl and antisym and trans
 
     if S.identity is not None:
         e = S.identity
-        ok = bool(np.array_equal(S.mul[e], idx) and np.array_equal(S.mul[:, e], idx))
-        checks.append(Check("axioms.identity", "1 x = x 1 = x for all x", ok))
+        yield "axioms.identity", np.array_equal(S.mul[e], idx) and np.array_equal(S.mul[:, e], idx)
 
     try:
         rs = build_restricted_semigroup(S)
     except RestalgError as exc:
-        checks.append(
-            Check(
-                "axioms.zero-adjoined",
-                "S with a zero adjoined for non-composable products is an "
-                "inverse semigroup",
-                False,
-                str(exc),
-            )
-        )
-        return checks
-    checks.append(
-        Check(
-            "axioms.zero-adjoined",
-            "S with a zero adjoined for non-composable products is an "
-            "inverse semigroup",
-            True,
-        )
-    )
+        yield "axioms.zero-adjoined", False, str(exc)
+        return
+    yield "axioms.zero-adjoined", True
     sr, z = rs.sr, rs.zero_index
     rule = np.full((S.n + 1, S.n + 1), z, dtype=np.intp)
     rule[: S.n, : S.n] = np.where(S.composable_matrix(), S.mul, z)
-    checks.append(
-        Check(
-            "axioms.zero-adjoined-rule",
-            "x.y = xy when x*x = yy*, else the adjoined zero",
-            bool(
-                np.array_equal(sr.mul, rule)
-                and sr.zero == z
-                and sr.star[z] == z
-            ),
-        )
-    )
-    checks.append(
-        Check(
-            "axioms.embed-roundtrip",
-            "embedding into the zero-adjoined semigroup is injective with "
-            "a partial inverse",
-            all(rs.project(rs.embed(x)) == x for x in range(S.n))
-            and rs.project(z) is None,
-        )
+    yield "axioms.zero-adjoined-rule", np.array_equal(sr.mul, rule) and sr.zero == z and sr.star[z] == z
+    yield "axioms.embed-roundtrip", (
+        all(rs.project(rs.embed(x)) == x for x in range(S.n)) and rs.project(z) is None
     )
 
     viol = groupoid_law_violations(S)
-    checks.append(
-        Check(
-            "axioms.groupoid",
-            "composable pairs satisfy the groupoid laws",
-            not viol,
-            "; ".join(viol[:3]),
-        )
-    )
-    return checks
+    yield "axioms.groupoid", not viol, "; ".join(viol[:3])
 
 
 # ---------------------------------------------------------------------
@@ -287,6 +364,12 @@ def _max_dev(A, B):
     """The largest max_abs_diff over the row pairs, 0.0 for no rows; a NaN
     propagates, so it fails every tolerance."""
     return float(np.abs(A - B).max(initial=0.0))
+
+
+def _gated(exact, approx):
+    """The deviation a tolerance judges when one part must also be exact:
+    ``approx`` when ``exact`` is 0.0, else infinity."""
+    return approx if exact == 0.0 else np.inf
 
 
 def delta_dot_deviation(S):
@@ -335,83 +418,34 @@ def delta_absorption_deviation(S):
     return dev, f"{('d_e . g', 'g . d_e')[side]} at e={S.label(int(E[e]))}" if dev > 0 else ""
 
 
-def suite_algebra(S, *, seed=0, trials=100):
-    rng = np.random.default_rng(seed)
-    checks = []
+@_suite
+def suite_algebra(S, rng, seed, trials):
     n = S.n
-
     dev, wit = delta_dot_deviation(S)
-    checks.append(
-        Check(
-            "algebra.delta-dot",
-            "d_x . d_y = d_xy when x*x = yy*, else 0",
-            dev == 0.0,
-            wit,
-            dev,
-        )
-    )
+    yield "algebra.delta-dot", dev, wit
 
     bad = delta_assoc_witness(S)
-    checks.append(
-        Check(
-            "algebra.dot-assoc-deltas",
-            "(d_x . d_y) . d_z = d_x . (d_y . d_z) for all triples",
-            bad is None,
-            "" if bad is None else f"triple {bad}",
-        )
-    )
+    yield "algebra.dot-assoc-deltas", bad is None, "" if bad is None else f"triple {bad}"
 
     F, G, H = random_rows(S, rng, trials, 3)
-    worst = _max_dev(
-        dot_many(S, dot_many(S, F, G), H), dot_many(S, F, dot_many(S, G, H))
-    )
-    checks.append(
-        Check(
-            "algebra.dot-assoc-random",
-            "(f.g).h = f.(g.h) on random dense triples",
-            worst < TOL.entrywise,
-            deviation=worst,
-        )
-    )
+    worst = _max_dev(dot_many(S, dot_many(S, F, G), H), dot_many(S, F, dot_many(S, G, H)))
+    yield "algebra.dot-assoc-random", worst
 
     # exact on the coded row, which pins every delta pair d_x . d_y
     D, G = np.eye(n, dtype=np.complex128), _coded_rows(n, n)
     exact = float(_coded_devs(dot_many(S, D, G), dot_direct_many(S, D, G)).max(initial=0.0))
     F, G = random_rows(S, rng, min(trials, 25), 2)
     worst = _max_dev(dot_many(S, F, G), dot_direct_many(S, F, G))
-    checks.append(
-        Check(
-            "algebra.dot-forms-agree",
-            "factorization sum and translation sum for the dot product agree",
-            exact == 0.0 and worst < TOL.entrywise,
-            deviation=max(exact, worst),
-        )
-    )
+    yield "algebra.dot-forms-agree", _gated(exact, worst), "", max(exact, worst)
 
-    worst = tilde_delta_deviation(S)
+    exact = tilde_delta_deviation(S)
     F, G = random_rows(S, rng, trials, 2)
-    rworst = _max_dev(
-        tilde_rows(S, dot_many(S, F, G)),
-        dot_many(S, tilde_rows(S, G), tilde_rows(S, F)),
-    )
-    checks.append(
-        Check(
-            "algebra.tilde-antimult",
-            "(f.g)~ = g~ . f~ (exact on deltas, tolerance on random pairs)",
-            worst == 0.0 and rworst < TOL.entrywise,
-            deviation=max(worst, rworst),
-        )
-    )
+    worst = _max_dev(tilde_rows(S, dot_many(S, F, G)), dot_many(S, tilde_rows(S, G), tilde_rows(S, F)))
+    yield "algebra.tilde-antimult", _gated(exact, worst), "", max(exact, worst)
 
     f = AlgebraElement.random(S, rng)
-    checks.append(
-        Check(
-            "algebra.tilde-involution",
-            "f~~ = f and ||f~||_1 = ||f||_1",
-            max_abs_diff(f.tilde().tilde(), f) == 0.0
-            and abs(f.tilde().norm(1) - f.norm(1)) < TOL.norm,
-        )
-    )
+    gap = abs(f.tilde().norm(1) - f.norm(1))
+    yield "algebra.tilde-involution", _gated(max_abs_diff(f.tilde().tilde(), f), gap), "", None
 
     # row sums of |.| are bitwise the 1-norms AlgebraElement.norm gives
     F, G = random_rows(S, rng, trials, 2)
@@ -419,96 +453,24 @@ def suite_algebra(S, *, seed=0, trials=100):
     worst_margin = float(np.max(margins, initial=-np.inf))
     Fp, Gp = np.abs(F), np.abs(G)
     margins = np.abs(dot_many(S, Fp, Gp)).sum(axis=1) - np.abs(conv_many(S, Fp, Gp)).sum(axis=1)
-    pos_margin = float(np.max(margins, initial=-np.inf))
-    checks.append(
-        Check(
-            "algebra.submultiplicative",
-            "||f.g||_1 <= ||f||_1 ||g||_1",
-            worst_margin <= TOL.norm,
-            deviation=max(worst_margin, 0.0),
-        )
-    )
-    checks.append(
-        Check(
-            "algebra.positive-domination",
-            "0 <= f, g implies ||f.g||_1 <= ||f*g||_1",
-            pos_margin <= TOL.norm,
-            deviation=max(pos_margin, 0.0),
-        )
-    )
+    yield "algebra.submultiplicative", max(worst_margin, 0.0)
+    yield "algebra.positive-domination", max(float(np.max(margins, initial=-np.inf)), 0.0)
 
-    worst, wit = delta_absorption_deviation(S)
-    checks.append(
-        Check(
-            "algebra.delta-absorption",
-            "d_y . d_e = d_y iff y*y = e; d_e . d_y = d_y iff yy* = e",
-            worst == 0.0,
-            wit,
-            worst,
-        )
-    )
-
-    dev, wit = finite_unit_laws_deviation(S, rng)
-    checks.append(
-        Check(
-            "algebra.unit-laws",
-            "the finitely-supported units e_F absorb deltas over F, "
-            "multiply to their common idempotents, and filter by domain/range",
-            dev == 0.0,
-            wit,
-            dev,
-        )
-    )
-
-    ok, wit = approx_identity_property(S, rng)
-    checks.append(
-        Check(
-            "algebra.approx-identity",
-            "||f - f.e_F||_1 < eps and ||f - e_F.f||_1 < eps once F captures "
-            "all but eps of ||f||_1",
-            ok,
-            wit,
-        )
-    )
+    yield ("algebra.delta-absorption", *delta_absorption_deviation(S))
+    yield ("algebra.unit-laws", *finite_unit_laws_deviation(S, rng))
+    yield ("algebra.approx-identity", *approx_identity_property(S, rng))
 
     rs = build_restricted_semigroup(S)
-    worst, rworst, wit = tau_homomorphism_deviation(rs, rng, trials=min(trials, 50))
-    checks.append(
-        Check(
-            "algebra.restriction-homomorphism",
-            "dropping the zero coordinate carries the convolution of the "
-            "zero-adjoined semigroup to the dot product; kernel C d_0",
-            worst == 0.0 and rworst < TOL.entrywise,
-            wit,
-            max(worst, rworst),
-        )
-    )
+    exact, worst, wit = tau_homomorphism_deviation(rs, rng, trials=min(trials, 50))
+    yield "algebra.restriction-homomorphism", _gated(exact, worst), wit, max(exact, worst)
     Fz = random_rows(rs.sr, rng, trials)[0]
-    dev = float(cstar.l1_quotient_deviations(Fz, rs).max(initial=0.0))
-    checks.append(
-        Check(
-            "algebra.restriction-isometry",
-            "min over c of ||f + c d_0||_1 equals ||f restricted||_1, "
-            "attained at c = -f(0)",
-            dev < TOL.entrywise,
-            deviation=dev,
-        )
-    )
+    yield "algebra.restriction-isometry", float(cstar.l1_quotient_deviations(Fz, rs).max(initial=0.0))
 
     if S.is_group:
         F, G = random_rows(S, rng, min(trials, 25), 2)
         C = conv_many(S, F, G)
         worst = max(_max_dev(dot_many(S, F, G), C), _max_dev(order_dot_many(S, F, G), C))
-        checks.append(
-            Check(
-                "algebra.group-coincidence",
-                "in a group the dot product and the order-relaxed variant "
-                "coincide with convolution",
-                worst < TOL.entrywise,
-                deviation=worst,
-            )
-        )
-    return checks
+        yield "algebra.group-coincidence", worst
 
 
 def finite_unit_laws_deviation(S, rng):
@@ -625,87 +587,42 @@ def tau_homomorphism_deviation(rs, rng, trials=50):
 # representations
 
 
-def suite_reps(S, *, seed=0, trials=100):
-    rng = np.random.default_rng(seed)
-    checks = []
+@_suite
+def suite_reps(S, rng, seed, trials):
     rs = build_restricted_semigroup(S)
     lam_r = restricted_left_regular(S)
     rho_r = restricted_right_regular(S)
     lam = left_regular(S)
     Lam = left_regular(rs.sr)
 
-    for rep, cid, claim in (
-        (
-            lam_r,
-            "reps.left-regular-restricted",
-            "the restricted left regular representation is adjoint-closed, "
-            "contractive, and multiplicative exactly on composable pairs",
-        ),
-        (
-            rho_r,
-            "reps.right-regular-restricted",
-            "the restricted right regular representation satisfies the "
-            "same three laws",
-        ),
-        (
-            lam,
-            "reps.left-regular-full",
-            "the order-based left regular representation is a contractive "
-            "*-homomorphism",
-        ),
-        (
-            Lam,
-            "reps.left-regular-adjoined",
-            "the left regular representation of the zero-adjoined "
-            "semigroup is a contractive *-homomorphism",
-        ),
+    for rep, cid in (
+        (lam_r, "reps.left-regular-restricted"),
+        (rho_r, "reps.right-regular-restricted"),
+        (lam, "reps.left-regular-full"),
+        (Lam, "reps.left-regular-adjoined"),
     ):
-        rep_report = representation_report(rep)
-        witness = "; ".join(v.witness for v in rep_report.violations[:2])
-        checks.append(
-            Check(
-                cid,
-                claim,
-                not rep_report.violations,
-                witness,
-                max(rep_report.adjoint_deviation, rep_report.multiplicative_deviation),
-            )
-        )
+        report = representation_report(rep)
+        witness = "; ".join(v.witness for v in report.violations[:2])
+        yield cid, not report.violations, witness, max(report.adjoint_deviation, report.multiplicative_deviation)
 
     # M M* M = M diag(column counts), so |M M* M - M| peaks at the largest count - 1
-    iso = float(max(column_multiplicity(lam_r).max() - 1, 0))
-    checks.append(
-        Check(
-            "reps.partial-isometry",
-            "every lambda_r(x) satisfies M M* M = M",
-            iso == 0.0,
-            deviation=iso,
-        )
-    )
+    yield "reps.partial-isometry", float(max(column_multiplicity(lam_r).max() - 1, 0))
 
     ext = extend_with_zero(lam_r, rs)
     ext_report = representation_report(ext)
     round_ok = np.array_equal(ext.table[: S.n], lam_r.table) and np.all(ext.table[rs.zero_index] < 0)
-    checks.append(
-        Check(
-            "reps.zero-extension",
-            "extending by pi(0) = 0 yields a *-homomorphism of the "
-            "zero-adjoined semigroup and restricts back to the original",
-            not ext_report.violations and bool(round_ok),
-            "; ".join(v.witness for v in ext_report.violations[:2]),
-        )
+    yield (
+        "reps.zero-extension",
+        not ext_report.violations and bool(round_ok),
+        "; ".join(v.witness for v in ext_report.violations[:2]),
     )
 
     noncomposable = int((~S.composable_matrix()).sum())
     hit = restricted_multiplicativity_witness(lam)
-    checks.append(
-        Check(
-            "reps.order-regular-not-restricted",
-            "whenever non-composable pairs exist, the order-based left "
-            "regular representation violates the composability rule",
-            (noncomposable == 0) or (hit is not None),
-            "all pairs composable" if noncomposable == 0 else (f"pair {hit[:2]}" if hit else "no witness found"),
-        )
+    yield (
+        "reps.order-regular-not-restricted",
+        (noncomposable == 0) or (hit is not None),
+        "all pairs composable" if noncomposable == 0 else (f"pair {hit[:2]}" if hit else "no witness found"),
     )
 
     def lift_deviations(F, G, FG, Ft):
@@ -716,100 +633,22 @@ def suite_reps(S, *, seed=0, trials=100):
 
     # about eight (n, n) arrays per row: two matrix entries per term
     F, G = random_rows(S, rng, min(trials, 25), 2)
-    worst = float(
-        map_rows(
-            lift_deviations, 2 * S.n * S.n, F, G, dot_many(S, F, G), tilde_rows(S, F)
-        ).max(initial=0.0)
-    )
-    checks.append(
-        Check(
-            "reps.lift-homomorphism",
-            "the lift sends the dot product to operator products and the "
-            "tilde involution to adjoints",
-            worst < TOL.identity,
-            deviation=worst,
-        )
-    )
+    devs = map_rows(lift_deviations, 2 * S.n * S.n, F, G, dot_many(S, F, G), tilde_rows(S, F))
+    yield "reps.lift-homomorphism", float(devs.max(initial=0.0))
 
-    worst = unit_projection_deviation(S, rng)
-    checks.append(
-        Check(
-            "reps.unit-projection",
-            "lifted finitely-supported units are orthogonal projections",
-            worst == 0.0,
-            deviation=worst,
-        )
-    )
-
-    dev = compression_deviation(rs)
-    checks.append(
-        Check(
-            "reps.compression",
-            "the regular representation of the zero-adjoined semigroup, "
-            "compressed off the zero coordinate, is lambda_r entrywise",
-            dev == 0.0,
-            deviation=dev,
-        )
-    )
-
-    dev, wit = lambda_inner_identity_report(S, trials=trials, seed=seed)
-    checks.append(
-        Check(
-            "reps.inner-identity-left",
-            "<lambda_r(x*) xi, eta> = (xi . eta~)(x)",
-            dev < TOL.identity,
-            wit,
-            dev,
-        )
-    )
-    dev, wit = rho_inner_identity_report(S, trials=trials, seed=seed + 1)
-    checks.append(
-        Check(
-            "reps.inner-identity-right",
-            "<rho_r(x) xi, eta> = (eta~ . xi)(x)",
-            dev < TOL.identity,
-            wit,
-            dev,
-        )
-    )
+    yield "reps.unit-projection", unit_projection_deviation(S, rng)
+    yield "reps.compression", compression_deviation(rs)
+    yield ("reps.inner-identity-left", *lambda_inner_identity_report(S, trials=trials, seed=seed))
+    yield ("reps.inner-identity-right", *rho_inner_identity_report(S, trials=trials, seed=seed + 1))
     if S.identity is not None:
         # on a group the evaluation at 1 is the summed one, bitwise
         lifted = rho_lift_identity_report(S, trials=trials, seed=seed + 2)
-        checks.append(
-            Check(
-                "reps.inner-identity-lifted",
-                "<rho_r~(phi) xi, eta> = phi . (xi-check . eta-bar) summed "
-                "over the idempotents (evaluation at 1 alone when 1 is the "
-                "only idempotent)",
-                lifted.summed < TOL.identity and lifted.localized < TOL.identity,
-                lifted.witness,
-                max(lifted.summed, lifted.localized),
-            )
-        )
+        dev = float(np.maximum(lifted.summed, lifted.localized))
+        yield "reps.inner-identity-lifted", dev, lifted.witness
 
-    checks.append(
-        Check(
-            "reps.faithful-restricted",
-            "f -> lambda_r~(f) has full rank, so the lift is faithful",
-            lift_rank(lam_r, TOL.pivot) == S.n,
-        )
-    )
-    checks.append(
-        Check(
-            "reps.faithful-full",
-            "f -> lambda~(f) has full rank on the convolution algebra",
-            lift_rank(lam, TOL.pivot) == S.n,
-        )
-    )
-    checks.append(
-        Check(
-            "reps.semisimple",
-            "the trace form on the lifted algebra is nondegenerate "
-            "(zero radical)",
-            trace_form_rank(lam_r, TOL.pivot) == S.n,
-        )
-    )
-    return checks
+    yield "reps.faithful-restricted", lift_rank(lam_r, TOL.pivot) == S.n
+    yield "reps.faithful-full", lift_rank(lam, TOL.pivot) == S.n
+    yield "reps.semisimple", trace_form_rank(lam_r, TOL.pivot) == S.n
 
 
 def unit_projection_deviation(S, rng):
@@ -838,102 +677,32 @@ def unit_projection_deviation(S, rng):
 # C*-norms
 
 
-def suite_cstar(S, *, seed=0, trials=100):
-    rng = np.random.default_rng(seed)
-    checks = []
+@_suite
+def suite_cstar(S, rng, seed, trials):
     rs = build_restricted_semigroup(S)
-
     lam_r = restricted_left_regular(S)
     rows = np.concatenate([np.eye(S.n, dtype=np.complex128), random_rows(S, rng, min(trials, 25))[0]])
     reduced = cstar.block_norms(lam_r, rows)
-    l1 = np.abs(rows).sum(axis=1)
-    margin = float(np.max(reduced - l1, initial=-np.inf))
-    checks.append(
-        Check(
-            "cstar.lift-contractive",
-            "||lambda_r~(f)|| <= ||f||_1",
-            margin <= TOL.norm,
-            deviation=max(margin, 0.0),
-        )
-    )
+    margins = reduced - np.abs(rows).sum(axis=1)
+    yield "cstar.lift-contractive", max(float(np.max(margins, initial=-np.inf)), 0.0)
 
     F = random_rows(S, rng, min(trials, 25))[0]
-    worst = float(cstar.cstar_identity_deviations(S, F).max(initial=0.0))
-    checks.append(
-        Check(
-            "cstar.identity",
-            "||f~ . f|| = ||f||^2 in the reduced norm",
-            worst < TOL.cstar,
-            deviation=worst,
-        )
-    )
+    yield "cstar.identity", float(cstar.cstar_identity_deviations(S, F).max(initial=0.0))
 
     # the deltas and the first 10 random rows; the supremum norm is the
     # reduced norm at finite scale (cstar.full_cstar_norm), so the order
     # to check is reduced = supremum <= 1-norm
-    head = slice(0, S.n + 10)
-    order_ok = bool(np.all(reduced[head] <= l1[head] + TOL.norm))
-    checks.append(
-        Check(
-            "cstar.norm-order",
-            "reduced norm <= supremum norm <= 1-norm",
-            order_ok,
-        )
-    )
+    yield "cstar.norm-order", max(float(np.max(margins[: S.n + 10])), 0.0), "", None
 
-    excess = sigma_cross_excess(S, rng, seed)
-    checks.append(
-        Check(
-            "cstar.sigma-cross-check",
-            "randomized contractive restricted representations never "
-            "exceed the supremum norm",
-            excess <= TOL.norm,
-            deviation=max(excess, 0.0),
-        )
-    )
+    yield "cstar.sigma-cross-check", max(sigma_cross_excess(S, rng, seed), 0.0)
 
     q = cstar.quotient_match_report(S, trials=min(trials, 40), seed=seed)
-    checks.append(
-        Check(
-            "cstar.quotient-match",
-            "the quotient norm mod the zero line equals the reduced norm "
-            "of the restriction",
-            q.max_deviation < TOL.cstar,
-            q.witness,
-            q.max_deviation,
-        )
-    )
-    checks.append(
-        Check(
-            "cstar.quotient-minimized",
-            "scalar minimization over c of ||f + c d_0|| agrees with the "
-            "projected quotient norm",
-            q.minimized_deviation < TOL.cstar,
-            deviation=q.minimized_deviation,
-        )
-    )
+    yield "cstar.quotient-match", q.max_deviation, q.witness
+    yield "cstar.quotient-minimized", q.minimized_deviation
 
     Fz = random_rows(rs.sr, rng, min(trials, 25))[0]
-    dev = float(cstar.l1_quotient_deviations(Fz, rs).max(initial=0.0))
-    checks.append(
-        Check(
-            "cstar.l1-quotient",
-            "min over c of ||f + c d_0||_1 equals the restricted 1-norm",
-            dev < TOL.entrywise,
-            deviation=dev,
-        )
-    )
-
-    worst = opnorm_backend_deviation(S, rng)
-    checks.append(
-        Check(
-            "cstar.opnorm-backend",
-            PLUMBING,
-            worst <= TOL.norm,
-            deviation=worst,
-        )
-    )
-    return checks
+    yield "cstar.l1-quotient", float(cstar.l1_quotient_deviations(Fz, rs).max(initial=0.0))
+    yield "cstar.opnorm-backend", opnorm_backend_deviation(S, rng)
 
 
 def sigma_cross_excess(S, rng, seed):
@@ -984,9 +753,7 @@ SUITES = {
 
 def run_suite(S, label, suite, *, seed=0, trials=100):
     start = time.perf_counter()
-    # the axioms are checked on every element and draw nothing
-    kwargs = {} if suite == "axioms" else {"seed": seed, "trials": trials}
-    checks = SUITES[suite](S, **kwargs)
+    checks = SUITES[suite](S, seed=seed, trials=trials)
     return SuiteReport(
         semigroup=label,
         suite=suite,

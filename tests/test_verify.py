@@ -42,9 +42,11 @@ from restalg.reps import (
 from restalg.restricted import build_restricted_semigroup
 from restalg.semigroups import FiniteInvSemigroup
 from restalg.verify import (
+    CHECKS,
     PLUMBING,
     SUITES,
     TOL,
+    Tolerances,
     _coded_devs,
     approx_identity_property,
     delta_absorption_deviation,
@@ -61,6 +63,7 @@ from restalg.verify import (
     tau_homomorphism_deviation,
     tilde_delta_deviation,
     unit_projection_deviation,
+    verdict,
 )
 
 Z2 = gen_group("cyclic", 2)
@@ -82,6 +85,48 @@ def test_every_check_has_claim_or_plumbing_tag():
     for r in reports:
         for c in r.checks:
             assert c.claim == PLUMBING or len(c.claim) > 10, c.id
+
+
+def test_registry_is_what_the_suites_emit(full_corpus):
+    # every registered id is emitted by some member, every emitted id is
+    # registered under its own suite, and no report emits an id twice
+    I4 = gen_symmetric_inverse_monoid(4)
+    members = [*full_corpus, ("I4", I4), ("I4_r", build_restricted_semigroup(I4).sr)]
+    emitted = set()
+    for r in run_suites(members, list(SUITES), seed=7, trials=5):
+        ids = [c.id for c in r.checks]
+        assert len(ids) == len(set(ids)), (r.semigroup, r.suite)
+        assert all(cid.startswith(f"{r.suite}.") for cid in ids), (r.semigroup, r.suite)
+        emitted.update(ids)
+    assert emitted == set(CHECKS)
+
+
+@pytest.mark.parametrize("kind", sorted({kind for _, kind in CHECKS.values()} - {"bool"}))
+def test_verdict_passes_strictly_below_the_bound(kind):
+    # one comparison rule: an exact id passes at 0.0 alone, a tolerance id
+    # strictly below its bound, so a deviation equal to the bound fails;
+    # a NaN fails every kind
+    cid = next(cid for cid, (_, k) in CHECKS.items() if k == kind)
+    if kind == "exact":
+        passing, failing = 0.0, 5e-324
+    else:
+        bound = getattr(TOL, kind)
+        assert kind in {f.name for f in dataclasses.fields(Tolerances)}
+        passing, failing = np.nextafter(bound, 0.0), bound
+    assert verdict(cid, passing).passed
+    assert not verdict(cid, failing).passed
+    c = verdict(cid, np.nan)
+    assert not c.passed and np.isnan(c.deviation)
+
+
+def test_failing_table_reports_the_registered_claim():
+    # a table that fails validation stops the suite at axioms.table, with
+    # the same claim a passing table reports
+    S = corpus_member("S3")
+    [c] = suite_axioms(FiniteInvSemigroup(S.mul, np.arange(S.n)))
+    assert c.id == "axioms.table" and not c.passed and c.witness
+    passing = {c.id: c for c in suite_axioms(S)}["axioms.table"]
+    assert c.claim == passing.claim == CHECKS["axioms.table"][0]
 
 
 def test_report_checks_sorted_in_output():
