@@ -192,6 +192,18 @@ def random_rows(S, rng, trials, count=1):
     return [draws[:, k, 0] + 1j * draws[:, k, 1] for k in range(count)]
 
 
+def dyadic_rows(S, rng, trials, count=1):
+    """Rows laid out as random_rows gives them, with real and imaginary
+    parts m / 16 for integers |m| <= 128.  The products and lifts have 0/1
+    structure constants, so on these rows every term and partial sum of a
+    triple product is a multiple of 2^-12, at most 2^23 n^2 of them (2^39
+    at MAX_ORDER, under float64's 53 bits): both sides of a bilinear law
+    are exact, and agree bitwise in any summation order.  The fractions
+    keep a kernel that truncates to integers from passing."""
+    draws = rng.integers(-128, 129, (trials, count, 2, S.n)) / 16.0
+    return [draws[:, k, 0] + 1j * draws[:, k, 1] for k in range(count)]
+
+
 def tilde_rows(S, F):
     """The involution f -> f~ applied to every row of a (B, n) array."""
     return np.conj(F[:, S.star])

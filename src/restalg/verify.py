@@ -26,6 +26,7 @@ from .algebra import (
     delta_assoc_witness,
     dot_direct_many,
     dot_many,
+    dyadic_rows,
     first_max,
     map_rows,
     max_abs_diff,
@@ -149,9 +150,9 @@ CHECKS = {
     "axioms.groupoid": ("composable pairs satisfy the groupoid laws", "bool"),
     "algebra.delta-dot": ("d_x . d_y = d_xy when x*x = yy*, else 0", "exact"),
     "algebra.dot-assoc-deltas": ("(d_x . d_y) . d_z = d_x . (d_y . d_z) for all triples", "bool"),
-    "algebra.dot-assoc-random": ("(f.g).h = f.(g.h) on random dense triples", "entrywise"),
-    "algebra.dot-forms-agree": ("factorization sum and translation sum for the dot product agree", "entrywise"),
-    "algebra.tilde-antimult": ("(f.g)~ = g~ . f~ (exact on deltas, tolerance on random pairs)", "entrywise"),
+    "algebra.dot-assoc-random": ("(f.g).h = f.(g.h) on random dense triples", "exact"),
+    "algebra.dot-forms-agree": ("factorization sum and translation sum for the dot product agree", "exact"),
+    "algebra.tilde-antimult": ("(f.g)~ = g~ . f~ (exact on deltas and on random pairs)", "exact"),
     "algebra.tilde-involution": ("f~~ = f and ||f~||_1 = ||f||_1", "norm"),
     "algebra.submultiplicative": ("||f.g||_1 <= ||f||_1 ||g||_1", "norm"),
     "algebra.positive-domination": ("0 <= f, g implies ||f.g||_1 <= ||f*g||_1", "norm"),
@@ -168,7 +169,7 @@ CHECKS = {
     "algebra.restriction-homomorphism": (
         "dropping the zero coordinate carries the convolution of the zero-adjoined semigroup "
         "to the dot product; kernel C d_0",
-        "entrywise",
+        "exact",
     ),
     "algebra.restriction-isometry": (
         "min over c of ||f + c d_0||_1 equals ||f restricted||_1, attained at c = -f(0)",
@@ -176,7 +177,7 @@ CHECKS = {
     ),
     "algebra.group-coincidence": (
         "in a group the dot product and the order-relaxed variant coincide with convolution",
-        "entrywise",
+        "exact",
     ),
     "reps.left-regular-restricted": (
         "the restricted left regular representation is adjoint-closed, contractive, and "
@@ -208,7 +209,7 @@ CHECKS = {
     ),
     "reps.lift-homomorphism": (
         "the lift sends the dot product to operator products and the tilde involution to adjoints",
-        "identity",
+        "exact",
     ),
     "reps.unit-projection": ("lifted finitely-supported units are orthogonal projections", "exact"),
     "reps.compression": (
@@ -366,12 +367,6 @@ def _max_dev(A, B):
     return float(np.abs(A - B).max(initial=0.0))
 
 
-def _gated(exact, approx):
-    """The deviation a tolerance judges when one part must also be exact:
-    ``approx`` when ``exact`` is 0.0, else infinity."""
-    return approx if exact == 0.0 else np.inf
-
-
 def delta_dot_deviation(S):
     """d_x . g for every x, g the coded row, against the table: the
     expected row holds g[y] at xy for each y with x*x = yy* (x and xy
@@ -427,25 +422,26 @@ def suite_algebra(S, rng, seed, trials):
     bad = delta_assoc_witness(S)
     yield "algebra.dot-assoc-deltas", bad is None, "" if bad is None else f"triple {bad}"
 
-    F, G, H = random_rows(S, rng, trials, 3)
+    F, G, H = dyadic_rows(S, rng, trials, 3)
     worst = _max_dev(dot_many(S, dot_many(S, F, G), H), dot_many(S, F, dot_many(S, G, H)))
     yield "algebra.dot-assoc-random", worst
 
     # exact on the coded row, which pins every delta pair d_x . d_y
     D, G = np.eye(n, dtype=np.complex128), _coded_rows(n, n)
     exact = float(_coded_devs(dot_many(S, D, G), dot_direct_many(S, D, G)).max(initial=0.0))
-    F, G = random_rows(S, rng, min(trials, 25), 2)
+    F, G = dyadic_rows(S, rng, min(trials, 25), 2)
     worst = _max_dev(dot_many(S, F, G), dot_direct_many(S, F, G))
-    yield "algebra.dot-forms-agree", _gated(exact, worst), "", max(exact, worst)
+    yield "algebra.dot-forms-agree", float(np.maximum(exact, worst))
 
     exact = tilde_delta_deviation(S)
-    F, G = random_rows(S, rng, trials, 2)
+    F, G = dyadic_rows(S, rng, trials, 2)
     worst = _max_dev(tilde_rows(S, dot_many(S, F, G)), dot_many(S, tilde_rows(S, G), tilde_rows(S, F)))
-    yield "algebra.tilde-antimult", _gated(exact, worst), "", max(exact, worst)
+    yield "algebra.tilde-antimult", float(np.maximum(exact, worst))
 
     f = AlgebraElement.random(S, rng)
     gap = abs(f.tilde().norm(1) - f.norm(1))
-    yield "algebra.tilde-involution", _gated(max_abs_diff(f.tilde().tilde(), f), gap), "", None
+    # the norms may sum in another order; the involution itself is exact
+    yield "algebra.tilde-involution", gap if max_abs_diff(f.tilde().tilde(), f) == 0.0 else np.inf, "", None
 
     # row sums of |.| are bitwise the 1-norms AlgebraElement.norm gives
     F, G = random_rows(S, rng, trials, 2)
@@ -462,15 +458,15 @@ def suite_algebra(S, rng, seed, trials):
 
     rs = build_restricted_semigroup(S)
     exact, worst, wit = tau_homomorphism_deviation(rs, rng, trials=min(trials, 50))
-    yield "algebra.restriction-homomorphism", _gated(exact, worst), wit, max(exact, worst)
+    yield "algebra.restriction-homomorphism", float(np.maximum(exact, worst)), wit
     Fz = random_rows(rs.sr, rng, trials)[0]
     yield "algebra.restriction-isometry", float(cstar.l1_quotient_deviations(Fz, rs).max(initial=0.0))
 
     if S.is_group:
-        F, G = random_rows(S, rng, min(trials, 25), 2)
+        F, G = dyadic_rows(S, rng, min(trials, 25), 2)
         C = conv_many(S, F, G)
-        worst = max(_max_dev(dot_many(S, F, G), C), _max_dev(order_dot_many(S, F, G), C))
-        yield "algebra.group-coincidence", worst
+        worst = np.maximum(_max_dev(dot_many(S, F, G), C), _max_dev(order_dot_many(S, F, G), C))
+        yield "algebra.group-coincidence", float(worst)
 
 
 def finite_unit_laws_deviation(S, rng):
@@ -564,8 +560,8 @@ def tau_homomorphism_deviation(rs, rng, trials=50):
     semigroup to dot over S: on conv(d_A, g) for every A, g the coded row,
     where exact equality with every count at most 1 is the law on every
     delta pair, and on random pairs; and d_0 restricts to 0.  Returns
-    (deviation on the deltas and d_0, deviation on random pairs,
-    witness); the first must be 0 exactly."""
+    (deviation on the deltas and d_0, deviation on random dyadic pairs,
+    witness); both must be 0 exactly."""
     sr, S = rs.sr, rs.base
     n = S.n
     D, G = np.eye(sr.n, dtype=np.complex128), _coded_rows(sr.n, sr.n)
@@ -573,7 +569,7 @@ def tau_homomorphism_deviation(rs, rng, trials=50):
     devs = _coded_devs(conv_many(sr, D, G)[:, :n], dot_many(S, D[:, :n], G[:, :n]))
     exact, A = first_max(devs)
     wit = f"delta row {A}" if exact > 0 else ""
-    F, G = random_rows(sr, rng, trials, 2)
+    F, G = dyadic_rows(sr, rng, trials, 2)
     rand, t = first_max(_row_devs(conv_many(sr, F, G)[:, :n], dot_many(S, F[:, :n], G[:, :n])))
     if rand > exact:
         wit = f"random pair {t}"
@@ -632,7 +628,7 @@ def suite_reps(S, rng, seed, trials):
         return np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(B).max(axis=(1, 2)))
 
     # about eight (n, n) arrays per row: two matrix entries per term
-    F, G = random_rows(S, rng, min(trials, 25), 2)
+    F, G = dyadic_rows(S, rng, min(trials, 25), 2)
     devs = map_rows(lift_deviations, 2 * S.n * S.n, F, G, dot_many(S, F, G), tilde_rows(S, F))
     yield "reps.lift-homomorphism", float(devs.max(initial=0.0))
 

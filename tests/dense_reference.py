@@ -68,6 +68,7 @@ from restalg.algebra import (
     conv_many,
     dot,
     dot_many,
+    dyadic_rows,
     first_max,
     map_rows,
     random_rows,
@@ -812,7 +813,7 @@ def delta_absorption_pairs(S):
 def tau_homomorphism_pairs(rs, rng, trials=50):
     """The restriction homomorphism on every delta pair of the zero-adjoined
     semigroup and the kernel, and on random pairs; (deviation on the
-    deltas and the kernel, deviation on random pairs, witness)."""
+    deltas and the kernel, deviation on random dyadic pairs, witness)."""
     sr, S = rs.sr, rs.base
     n = S.n
     worst, wit = 0.0, ""
@@ -822,7 +823,7 @@ def tau_homomorphism_pairs(rs, rng, trials=50):
         dev, i = first_max(_row_devs(lhs, dot_many(S, DA[:, :n], DB[:, :n])))
         if dev > worst:
             worst, wit = dev, f"delta pair ({int(As[i])}, {int(Bs[i])})"
-    F, G = random_rows(sr, rng, trials, 2)
+    F, G = dyadic_rows(sr, rng, trials, 2)
     rand, t = first_max(_row_devs(conv_many(sr, F, G)[:, :n], dot_many(S, F[:, :n], G[:, :n])))
     if rand > worst:
         wit = f"random pair {t}"

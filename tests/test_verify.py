@@ -526,7 +526,8 @@ def test_tolerances_are_fixed():
 
 
 def test_restriction_homomorphism_verdict(monkeypatch):
-    # exact on the deltas and the kernel, within TOL.entrywise on random pairs
+    # exact on the deltas, the kernel and the random dyadic pairs: the
+    # smallest deviation of either part fails, and no tolerance lets it pass
     def check(parts, tol=TOL):
         with monkeypatch.context() as m:
             m.setattr(restalg.verify, "tau_homomorphism_deviation", lambda rs, rng, trials: parts)
@@ -534,10 +535,67 @@ def test_restriction_homomorphism_verdict(monkeypatch):
             checks = {c.id: c for c in suite_algebra(Z2, seed=1, trials=5)}
         return checks["algebra.restriction-homomorphism"]
 
-    c = check((0.0, 5e-13, "random pair 3"))
-    assert c.passed and c.deviation == 5e-13 and c.witness == "random pair 3"
-    assert not check((0.0, 5e-13, "random pair 3"), dataclasses.replace(TOL, entrywise=1e-13)).passed
-    assert not check((1e-300, 0.0, "delta row 0")).passed
+    c = check((0.0, 0.0, ""))
+    assert c.passed and c.deviation == 0.0 and c.witness == ""
+    c = check((0.0, 5e-324, "random pair 3"))
+    assert not c.passed and c.deviation == 5e-324 and c.witness == "random pair 3"
+    loose = dataclasses.replace(TOL, entrywise=1.0)
+    assert not check((0.0, 5e-13, "random pair 3"), loose).passed
+    assert not check((1e-300, 0.0, "delta row 0"), loose).passed
+    assert np.isnan(check((0.0, np.nan, "random pair 0")).deviation)
+    assert not check((0.0, np.nan, "random pair 0")).passed
+
+
+def _dyadic_draws(monkeypatch):
+    """The rows verify draws through dyadic_rows, as a list that fills up."""
+    drawn, real = [], restalg.verify.dyadic_rows
+
+    def recording(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        drawn.extend(rows)
+        return rows
+
+    monkeypatch.setattr(restalg.verify, "dyadic_rows", recording)
+    return drawn
+
+
+def test_bilinear_laws_are_exact_on_z256():
+    # at this seed uniform float rows read 1.02e-12 for (f.g).h = f.(g.h)
+    # on Z256, over TOL.entrywise although the law holds; on dyadic rows
+    # every term is exact, and each law reads 0.0
+    checks = suite_algebra(gen_group("cyclic", 256), seed=293)
+    assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
+    exact = {c.id: c.deviation for c in checks if CHECKS[c.id][1] == "exact"}
+    assert {"algebra.dot-assoc-random", "algebra.group-coincidence"} <= exact.keys()
+    assert set(exact.values()) == {0.0}, exact
+
+
+def test_dyadic_draws_keep_their_bound(monkeypatch):
+    # exactness rests on the draw: parts m / 16 with |m| <= 128, and not
+    # all of them integers, so that a truncating kernel shows
+    drawn = _dyadic_draws(monkeypatch)
+    S = corpus_member("I3")
+    checks = suite_algebra(S, seed=7) + suite_reps(S, seed=7)
+    assert all(c.passed for c in checks)
+    # the triples of dot-assoc-random, then pairs for dot-forms-agree,
+    # tilde-antimult, restriction-homomorphism and lift-homomorphism
+    assert [len(rows) for rows in drawn] == [100] * 3 + [25] * 2 + [100] * 2 + [50] * 2 + [25] * 2
+    for rows in drawn:
+        for part in (rows.real, rows.imag):
+            m = 16 * part
+            assert np.array_equal(m, np.round(m)) and np.abs(m).max() <= 128
+            assert not np.array_equal(part, np.round(part))
+
+
+def test_a_truncating_kernel_fails_dot_forms_agree(monkeypatch):
+    # the coded delta rows have integer parts, so only the dyadic random
+    # rows show a dot kernel that drops the fractions of its inputs
+    S = corpus_member("I3")
+    dot = restalg.verify.dot_many
+    monkeypatch.setattr(restalg.verify, "dot_many", lambda S, F, G: dot(S, np.trunc(F.real) + 1j * np.trunc(F.imag), G))
+    checks = {c.id: c for c in suite_algebra(S, seed=3)}
+    assert checks["algebra.delta-dot"].passed
+    assert not checks["algebra.dot-forms-agree"].passed
 
 
 def test_coded_devs_flag_a_pair_counted_twice():
