@@ -266,13 +266,13 @@ def verdict(cid, value, witness="", deviation=...):
 
 
 def _suite(body):
-    """A suite from a body ``(S, rng, seed, trials)`` that yields records
+    """A suite from a body ``(S, seed, trials)`` that yields records
     (id, value[, witness[, deviation]]): the list of their verdicts, in
     the order the body draws them."""
 
     @functools.wraps(body)
     def suite(S, *, seed=0, trials=100):
-        return [verdict(*record) for record in body(S, np.random.default_rng(seed), seed, trials)]
+        return [verdict(*record) for record in body(S, seed, trials)]
 
     return suite
 
@@ -282,7 +282,7 @@ def _suite(body):
 
 
 @_suite
-def suite_axioms(S, rng, seed, trials):
+def suite_axioms(S, seed, trials):
     """Every element is checked, and nothing is drawn."""
     idx = np.arange(S.n)
     try:
@@ -414,7 +414,8 @@ def delta_absorption_deviation(S):
 
 
 @_suite
-def suite_algebra(S, rng, seed, trials):
+def suite_algebra(S, seed, trials):
+    rng = np.random.default_rng(seed)
     n = S.n
     dev, wit = delta_dot_deviation(S)
     yield "algebra.delta-dot", dev, wit
@@ -584,7 +585,8 @@ def tau_homomorphism_deviation(rs, rng, trials=50):
 
 
 @_suite
-def suite_reps(S, rng, seed, trials):
+def suite_reps(S, seed, trials):
+    rng = np.random.default_rng(seed)
     rs = build_restricted_semigroup(S)
     lam_r = restricted_left_regular(S)
     rho_r = restricted_right_regular(S)
@@ -674,7 +676,8 @@ def unit_projection_deviation(S, rng):
 
 
 @_suite
-def suite_cstar(S, rng, seed, trials):
+def suite_cstar(S, seed, trials):
+    rng = np.random.default_rng(seed)
     rs = build_restricted_semigroup(S)
     lam_r = restricted_left_regular(S)
     rows = np.concatenate([np.eye(S.n, dtype=np.complex128), random_rows(S, rng, min(trials, 25))[0]])
