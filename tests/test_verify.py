@@ -546,19 +546,6 @@ def test_restriction_homomorphism_verdict(monkeypatch):
     assert not check((0.0, np.nan, "random pair 0")).passed
 
 
-def _dyadic_draws(monkeypatch):
-    """The rows verify draws through dyadic_rows, as a list that fills up."""
-    drawn, real = [], restalg.verify.dyadic_rows
-
-    def recording(*args, **kwargs):
-        rows = real(*args, **kwargs)
-        drawn.extend(rows)
-        return rows
-
-    monkeypatch.setattr(restalg.verify, "dyadic_rows", recording)
-    return drawn
-
-
 def test_bilinear_laws_are_exact_on_z256():
     # at this seed uniform float rows read 1.02e-12 for (f.g).h = f.(g.h)
     # on Z256, over TOL.entrywise although the law holds; on dyadic rows
@@ -573,7 +560,14 @@ def test_bilinear_laws_are_exact_on_z256():
 def test_dyadic_draws_keep_their_bound(monkeypatch):
     # exactness rests on the draw: parts m / 16 with |m| <= 128, and not
     # all of them integers, so that a truncating kernel shows
-    drawn = _dyadic_draws(monkeypatch)
+    drawn, real = [], restalg.verify.dyadic_rows
+
+    def recording(*args):
+        rows = real(*args)
+        drawn.extend(rows)
+        return rows
+
+    monkeypatch.setattr(restalg.verify, "dyadic_rows", recording)
     S = corpus_member("I3")
     checks = suite_algebra(S, seed=7) + suite_reps(S, seed=7)
     assert all(c.passed for c in checks)
