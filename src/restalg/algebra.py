@@ -234,7 +234,9 @@ def scatter_rows(W, index, size):
 
 def _dot_block(F, G, triples, n):
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-    return scatter_rows(F[:, a] * G[:, b], c, n)
+    # np.take lays the gathers out row-major, so scatter_rows ravels them
+    # without a copy
+    return scatter_rows(np.take(F, a, axis=1) * np.take(G, b, axis=1), c, n)
 
 
 def _row_pair(S, F, G):
@@ -261,6 +263,26 @@ def dot_many(S, F, G):
     bitwise equal to dot on that row, and the temporaries stay near 1 MB
     whatever B is."""
     return _product_many(S, F, G, dot_triples(S))
+
+
+def dot_many_into(S, F, G, into):
+    """dot_many read only at the coordinates of the (n,) boolean mask
+    ``into``: the composable triples with their product elsewhere are
+    dropped, so every other coordinate is 0 and each kept coordinate sums
+    the same terms in the same order, bitwise what dot_many gives there.
+    The triple subset is kept on S, one per mask."""
+    into = np.asarray(into, dtype=bool)
+
+    def build():
+        xs, ys, xy = dot_triples(S).T
+        keep = into[xy]
+        if keep.all():
+            # a mask that drops no triple (unit range on a group) keeps
+            # the whole set, not a second copy of it
+            return dot_triples(S)
+        return _triple_set(xs[keep], ys[keep], xy[keep])
+
+    return _product_many(S, F, G, kept_on(S, ("dot triples into", into.tobytes()), build))
 
 
 def conv_many(S, F, G):

@@ -27,11 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import wraps
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import dot_many, first_max, map_rows, random_rows, scatter_rows, tilde_rows
+from .algebra import dot_many, dot_many_into, first_max, map_rows, random_rows, scatter_rows, tilde_rows
 from .errors import BaseMismatch
+from .linalg import _pattern_labels
 from .restricted import build_restricted_semigroup
 from .semigroups import BLOCK_ENTRIES, first_mismatch, kept_on, read_only
 
@@ -140,6 +142,85 @@ def lift_many(rep, F):
     dim = rep.dim
     bins = kept_on(rep, "lift bins", lambda: read_only(ys * dim + cols))
     return scatter_rows(np.take(F, xs, axis=1), bins, dim * dim).reshape(-1, dim, dim)
+
+
+class SupportLayout(NamedTuple):
+    """The diagonal blocks of every lift through a representation, laid
+    end to end in one row (support_layout).
+
+    ``blocks`` holds, per block size d in ascending order, the (q, d)
+    array of the q components of that size, each in ascending order and
+    the components of one size in the order of their smallest member;
+    size k's (q, d, d) stack of blocks (row-major) fills positions
+    ``starts[k]`` to ``starts[k + 1]`` of the row.  Entry j of
+    rep.entries() lands at position ``bins[j]``.
+    """
+
+    blocks: list
+    starts: np.ndarray
+    bins: np.ndarray
+
+
+def support_layout(rep):
+    """The SupportLayout of the connected components of rep's support,
+    kept on rep.
+
+    Two coordinates share a component when a chain of nonzero entries
+    (y, table[x, y]) of the pi(x), read in either direction, joins them:
+    the components of the union of the supports, symmetrized, with its
+    diagonal (linalg._pattern_labels).  Every nonzero entry of every pi(x)
+    has its row and column in one component, so every lift is
+    block-diagonal over them, whatever the table.  For lambda_r they are
+    the L-classes: row y goes to column x*y, with (x*y)*(x*y) = y*y.
+    """
+
+    def build():
+        _, ys, cols = rep.entries()
+        dim = rep.dim
+        pattern = np.eye(dim, dtype=bool)
+        pattern[ys, cols] = True
+        pattern[cols, ys] = True
+        # the diagonal joins row i to column i, so the rows carry the labels
+        labels = _pattern_labels(pattern)[:dim]
+        size = np.bincount(labels, minlength=dim)[labels]
+        # the coordinates by (component size, label), each component in
+        # ascending order; a label is below dim
+        order = np.argsort(size * dim + labels, kind="stable")
+        sorted_size = size[order]
+        position = np.empty(dim, dtype=np.intp)
+        position[order] = np.arange(dim)
+        # per coordinate, where its size's run starts in order and its
+        # stack in the row: the stacks before hold one row of d entries
+        # per coordinate of size d
+        seg = np.searchsorted(sorted_size, size)
+        offset = np.concatenate([[0], np.cumsum(sorted_size)])[seg]
+        j, local = np.divmod(position - seg, size)
+        corner = offset + j * size * size
+        bins = corner[ys] + local[ys] * size[ys] + local[cols]
+        firsts = np.flatnonzero(np.diff(sorted_size, prepend=0))
+        counts = np.diff(np.append(firsts, dim))
+        d = sorted_size[firsts]
+        return SupportLayout(
+            blocks=[read_only(order[lo : lo + c].reshape(-1, k)) for lo, c, k in zip(firsts, counts, d)],
+            starts=read_only(np.concatenate([[0], np.cumsum(counts * d)])),
+            bins=read_only(bins),
+        )
+
+    return kept_on(rep, "support layout", build)
+
+
+def lift_blocks(rep, F):
+    """The diagonal blocks of lift_many(rep, F) over support_layout(rep):
+    one (B, q, d, d) stack per block size, in the order of its blocks, in
+    one scatter.  Each bin sums the terms of its dense entry in their
+    order, so every entry is bitwise the dense lift's, and the dense lift
+    is zero off the blocks.  Callers bound B (see algebra.map_rows)."""
+    layout = support_layout(rep)
+    row = scatter_rows(np.take(F, rep.entries()[0], axis=1), layout.bins, layout.starts[-1])
+    return [
+        row[:, lo:hi].reshape(-1, *L.shape, L.shape[1])
+        for L, lo, hi in zip(layout.blocks, layout.starts, layout.starts[1:])
+    ]
 
 
 def extend_with_zero(rep, rs):
@@ -395,19 +476,22 @@ def rho_lift_identity_report(S, *, trials=100, seed=0):
     rho = restricted_right_regular(S)
     Phi, Xi, Eta = random_rows(S, np.random.default_rng(seed), trials, 3)
     E = S.idempotents()
-    unit_range = np.flatnonzero(S.ran == S.identity)
 
     def lifted(P, X, Y):
         # <eta, lift(phi) xi> per row, as vdot on one row gives it
         return (np.conj(Y)[:, None, :] @ (lift_many(rho, P) @ X[:, :, None]))[:, 0, 0]
 
     lhs = map_rows(lifted, rho.dim * rho.dim + rho.entries()[0].size, Phi, Xi, Eta)
-    full = dot_many(S, Phi, dot_many(S, Xi[:, S.star], np.conj(Eta)))
+    # each product is evaluated only where it is read: the outer one at
+    # the idempotents (x = xx*), the pairing's at unit range
+    full = dot_many_into(S, Phi, dot_many(S, Xi[:, S.star], np.conj(Eta)), S.ran == np.arange(S.n))
     # np.take keeps the rows contiguous, so each sum is the one-row sum
     rhs_sum = np.take(full, E, axis=1).sum(axis=1)
     rhs_ident = full[:, S.identity]
-    pairing = Phi * dot_many(S, tilde_rows(S, Eta), Xi)
-    rhs_local = np.take(pairing, unit_range, axis=1).sum(axis=1)
+    unit_range = S.ran == S.identity
+    units = np.flatnonzero(unit_range)
+    pairing = dot_many_into(S, tilde_rows(S, Eta), Xi, unit_range)
+    rhs_local = (np.take(Phi, units, axis=1) * np.take(pairing, units, axis=1)).sum(axis=1)
     d_sum, t = first_max(np.abs(lhs - rhs_sum))
     return LiftedRhoReport(
         summed=d_sum,

@@ -44,6 +44,7 @@ from .reps import (
     extend_with_zero,
     lambda_inner_identity_report,
     left_regular,
+    lift_blocks,
     lift_many,
     lift_rank,
     representation_report,
@@ -52,6 +53,7 @@ from .reps import (
     restricted_right_regular,
     rho_inner_identity_report,
     rho_lift_identity_report,
+    support_layout,
     trace_form_rank,
 )
 from .restricted import build_restricted_semigroup, groupoid_law_violations
@@ -623,17 +625,7 @@ def suite_reps(S, seed, trials):
         "all pairs composable" if noncomposable == 0 else (f"pair {hit[:2]}" if hit else "no witness found"),
     )
 
-    def lift_deviations(F, G, FG, Ft):
-        LF = lift_many(lam_r, F)
-        A = lift_many(lam_r, FG) - LF @ lift_many(lam_r, G)
-        B = lift_many(lam_r, Ft) - np.conj(LF).transpose(0, 2, 1)
-        return np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(B).max(axis=(1, 2)))
-
-    # about eight (n, n) arrays per row: two matrix entries per term
-    F, G = dyadic_rows(S, rng, min(trials, 25), 2)
-    devs = map_rows(lift_deviations, 2 * S.n * S.n, F, G, dot_many(S, F, G), tilde_rows(S, F))
-    yield "reps.lift-homomorphism", float(devs.max(initial=0.0))
-
+    yield "reps.lift-homomorphism", lift_homomorphism_deviation(S, rng, trials)
     yield "reps.unit-projection", unit_projection_deviation(S, rng)
     yield "reps.compression", compression_deviation(rs)
     yield ("reps.inner-identity-left", *lambda_inner_identity_report(S, trials=trials, seed=seed))
@@ -649,12 +641,45 @@ def suite_reps(S, seed, trials):
     yield "reps.semisimple", trace_form_rank(lam_r, TOL.pivot) == S.n
 
 
+def _block_max(stacks):
+    """Per row, the largest entry of a list of (B, q, d, d) stacks."""
+    return functools.reduce(np.maximum, (M.max(axis=(1, 2, 3)) for M in stacks))
+
+
+def lift_homomorphism_deviation(S, rng, trials):
+    """The largest entry of L(f . g) - L(f) L(g) and of L(f~) - L(f)*
+    over min(trials, 25) pairs of dyadic rows f, g, for L the lift through
+    lambda_r; exactly 0.0 when the lift is a *-homomorphism.
+
+    Every lift is block-diagonal over the support components of lambda_r
+    (reps.lift_blocks), so the products and adjoints are taken block by
+    block; on dyadic rows every sum is exact, so each entry is the dense
+    lift's, and off the blocks both sides are 0."""
+    lam_r = restricted_left_regular(S)
+
+    def devs(F, G, FG, Ft):
+        # each lift is scattered where it is first read, so at most three
+        # are held at once
+        LF = lift_blocks(lam_r, F)
+        hom = _block_max(
+            [np.abs(P - A @ B) for P, A, B in zip(lift_blocks(lam_r, FG), LF, lift_blocks(lam_r, G))]
+        )
+        adj = _block_max([np.abs(T - np.conj(A).swapaxes(2, 3)) for T, A in zip(lift_blocks(lam_r, Ft), LF)])
+        return np.maximum(hom, adj)
+
+    F, G = dyadic_rows(S, rng, min(trials, 25), 2)
+    # about eight rows of blocks per row: two block entries per term
+    terms = 2 * support_layout(lam_r).starts[-1]
+    return float(map_rows(devs, terms, F, G, dot_many(S, F, G), tilde_rows(S, F)).max(initial=0.0))
+
+
 def unit_projection_deviation(S, rng):
     """The largest entry of B B - B and of B - B* over the lifts B through
     lambda_r of e_F for 10 random sets F, drawn set by set; exactly 0.0
     when each lift is an orthogonal projection.  The sets are padded with
     their first member, which leaves e_F as it is, and lifted and
-    squared in one stack per block of rows."""
+    squared block by block (reps.lift_blocks: the entries are integers,
+    so each is the dense lift's) in one scatter per block of rows."""
     sets = []
     for _ in range(10):
         size = int(rng.integers(1, S.n + 1))
@@ -664,11 +689,11 @@ def unit_projection_deviation(S, rng):
     lam_r = restricted_left_regular(S)
 
     def devs(members):
-        B = lift_many(lam_r, unit_rows(S, members))
-        square = np.abs(B @ B - B).max(axis=(1, 2))
-        return np.maximum(square, np.abs(B - np.conj(B).transpose(0, 2, 1)).max(axis=(1, 2)))
+        Bs = lift_blocks(lam_r, unit_rows(S, members))
+        square = _block_max([np.abs(B @ B - B) for B in Bs])
+        return np.maximum(square, _block_max([np.abs(B - np.conj(B).swapaxes(2, 3)) for B in Bs]))
 
-    return float(map_rows(devs, S.n * S.n, padded).max())
+    return float(map_rows(devs, support_layout(lam_r).starts[-1], padded).max())
 
 
 # ---------------------------------------------------------------------

@@ -38,7 +38,10 @@ Nothing here is used by the library.
   check, the quotient match's minimized subsample and the unit
   projection check, with the one-matrix SVD norm and closed-form
   minimum they called, for the stacked calls of restalg.verify,
-  restalg.cstar and restalg.linalg.
+  restalg.cstar and restalg.linalg.  The unit projection loop and the
+  lift homomorphism check on dense (B, n, n) lifts are also the
+  references for the block-by-block lifts (restalg.reps.lift_blocks)
+  of those two checks.
 - The delta-level algebra laws one product per delta pair, and the unit
   laws set by set with one random partner and function each, for the
   coded-row checks of restalg.verify.
@@ -85,6 +88,7 @@ from restalg.reps import (
     Violation,
     left_regular,
     lift,
+    lift_many,
     restricted_left_regular,
     restricted_right_regular,
 )
@@ -690,6 +694,22 @@ def opnorm_backend_loop(S, rng):
         # the block route of reduced_cstar_norm against the dense lift
         worst = max(worst, abs(cstar.reduced_cstar_norm(f) - dense) / max(1.0, dense))
     return worst
+
+
+def lift_homomorphism_dense(S, rng, trials):
+    """reps.lift-homomorphism's deviation on dense (B, n, n) lifts through
+    lambda_r, from the same draws, for its block-by-block products."""
+    lam_r = restricted_left_regular(S)
+
+    def lift_deviations(F, G, FG, Ft):
+        LF = lift_many(lam_r, F)
+        A = lift_many(lam_r, FG) - LF @ lift_many(lam_r, G)
+        B = lift_many(lam_r, Ft) - np.conj(LF).transpose(0, 2, 1)
+        return np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(B).max(axis=(1, 2)))
+
+    F, G = dyadic_rows(S, rng, min(trials, 25), 2)
+    devs = map_rows(lift_deviations, 2 * S.n * S.n, F, G, dot_many(S, F, G), tilde_rows(S, F))
+    return float(devs.max(initial=0.0))
 
 
 def unit_projection_loop(S, rng):

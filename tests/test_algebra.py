@@ -17,6 +17,7 @@ from restalg.algebra import (
     dot_direct,
     dot_direct_many,
     dot_many,
+    dot_many_into,
     dot_triples,
     extend_from_base,
     max_abs_diff,
@@ -191,6 +192,23 @@ def test_dot_many_rows_equal_dot(full_corpus):
                     assert np.array_equal(P[i], one(f, g).coeffs), (label, many.__name__, B, i)
                     if many is dot_many:
                         assert np.abs(P[i] - dot_direct(f, g).coeffs).max() < 1e-12, (label, B, i)
+
+
+def test_dot_many_into_reads_dot_many_at_its_coordinates(full_corpus):
+    # the two masks of reps.inner-identity-lifted and one at random: the
+    # kept coordinates bitwise dot_many's, every other one 0, and a mask
+    # that drops no triple keeps dot_triples itself
+    rng = np.random.default_rng(12)
+    for label, S in full_corpus:
+        F = rng.uniform(-1, 1, (4, S.n)) + 1j * rng.uniform(-1, 1, (4, S.n))
+        G = rng.uniform(-1, 1, (4, S.n)) + 1j * rng.uniform(-1, 1, (4, S.n))
+        want = dot_many(S, F, G)
+        for into in (S.ran == np.arange(S.n), S.ran == S.ran[S.identity or 0], rng.random(S.n) < 0.5):
+            got = dot_many_into(S, F, G, into)
+            assert got[:, into].tobytes() == want[:, into].tobytes(), label
+            assert not got[:, ~into].any(), label
+        assert dot_many_into(S, F, G, np.ones(S.n, bool)).tobytes() == want.tobytes(), label
+        assert S._rep_data[("dot triples into", np.ones(S.n, bool).tobytes())] is dot_triples(S), label
 
 
 def test_random_rows_read_the_stream_element_by_element():

@@ -42,6 +42,7 @@ from restalg.reps import (
     lambda_inner_identity_report,
     left_regular,
     lift,
+    lift_blocks,
     lift_many,
     lift_rank,
     representation_report,
@@ -50,6 +51,7 @@ from restalg.reps import (
     restricted_right_regular,
     rho_inner_identity_report,
     rho_lift_identity_report,
+    support_layout,
     trace_form_rank,
 )
 from restalg.restricted import build_restricted_semigroup
@@ -632,6 +634,32 @@ def test_lift_many_rows_equal_lift():
             assert stack.shape == (7, rep.dim, rep.dim)
             for f, M in zip(F, stack):
                 assert np.array_equal(M, lift(rep, AlgebraElement(S, f)))
+
+
+def test_lift_blocks_hold_every_entry_of_the_dense_lift(full_corpus):
+    # on every regular representation of the corpus and on its broken
+    # copies: the support components partition the coordinates, come in
+    # ascending sizes, and their blocks are bitwise the dense lift's
+    # diagonal blocks, outside of which the dense lift is zero
+    rng = np.random.default_rng(41)
+    for label, S in full_corpus:
+        for build in (restricted_left_regular, restricted_right_regular, left_regular):
+            good = build(S)
+            broken = _broken_tables(S, good.table).items()
+            for rep in [good, *(Representation(S, T, good.kind, how) for how, T in broken)]:
+                F = rng.uniform(-1, 1, (3, S.n)) + 1j * rng.uniform(-1, 1, (3, S.n))
+                dense = lift_many(rep, F)
+                layout = support_layout(rep)
+                sizes = [L.shape[1] for L in layout.blocks]
+                assert sizes == sorted(set(sizes)), (label, rep.name)
+                members = np.sort(np.concatenate([L.ravel() for L in layout.blocks]))
+                assert np.array_equal(members, np.arange(rep.dim)), (label, rep.name)
+                off_blocks = np.ones(dense.shape, dtype=bool)
+                for L, stack in zip(layout.blocks, lift_blocks(rep, F)):
+                    at = (slice(None), L[:, :, None], L[:, None, :])
+                    assert stack.tobytes() == dense[at].tobytes(), (label, rep.name)
+                    off_blocks[at] = False
+                assert not dense[off_blocks].any(), (label, rep.name)
 
 
 def _product_witness(rep):

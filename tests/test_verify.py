@@ -9,11 +9,13 @@ import restalg.algebra
 import restalg.cstar
 import restalg.reps
 import restalg.verify
+import dense_reference
 from dense_reference import (
     approx_identity_loop,
     delta_absorption_pairs,
     delta_dot_pairs,
     lambda_inner_identity_loop,
+    lift_homomorphism_dense,
     opnorm_backend_loop,
     quotient_match_loop,
     quotient_match_report_loop,
@@ -38,6 +40,7 @@ from restalg.reps import (
     restricted_left_regular,
     rho_inner_identity_report,
     rho_lift_identity_report,
+    support_layout,
 )
 from restalg.restricted import build_restricted_semigroup
 from restalg.semigroups import FiniteInvSemigroup
@@ -52,6 +55,7 @@ from restalg.verify import (
     delta_absorption_deviation,
     delta_dot_deviation,
     finite_unit_laws_deviation,
+    lift_homomorphism_deviation,
     opnorm_backend_deviation,
     run_suite,
     run_suites,
@@ -237,10 +241,14 @@ def test_suite_checks_fail_on_broken_inputs(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(restalg.verify, "restricted_left_regular", folded)
         checks = {c.id: c for c in suite_reps(I2, seed=3)}
+        # the block lifts of the folded table read the dense lifts' deviations
+        m.setattr(dense_reference, "restricted_left_regular", folded)
+        assert all(got == want > 0 for got, want in _block_and_dense_deviations(I2, 3))
     assert not checks["reps.partial-isometry"].passed
     assert checks["reps.partial-isometry"].deviation == 1.0
     assert not checks["reps.left-regular-restricted"].passed
     assert "> 1" in checks["reps.left-regular-restricted"].witness  # the contraction law
+    assert not checks["reps.lift-homomorphism"].passed
 
 
 def test_unit_laws_fail_on_a_broken_unit_rows(monkeypatch, full_corpus):
@@ -366,6 +374,44 @@ def test_stacked_checks_equal_the_per_sample_loops(S):
     assert quotient_match_report(S, trials=40, seed=11) == quotient_match_report_loop(S, trials=40, seed=11)
 
 
+def _block_and_dense_deviations(S, seed):
+    """(block route, dense reference) of reps.lift-homomorphism and
+    reps.unit-projection, each pair from the same draws, which both read
+    to the same point of the stream."""
+    out = []
+    for block, dense in (
+        (
+            lambda S, rng: lift_homomorphism_deviation(S, rng, 100),
+            lambda S, rng: lift_homomorphism_dense(S, rng, 100),
+        ),
+        (unit_projection_deviation, unit_projection_loop),
+    ):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out.append((block(S, got_rng), dense(S, want_rng)))
+        assert got_rng.random() == want_rng.random(), len(out)
+    return out
+
+
+def _block_route_cases():
+    return [*_stacked_cases(), pytest.param(gen_chain_semilattice(256), id="chain256")]
+
+
+@pytest.mark.parametrize("S", _block_route_cases())
+def test_block_lifts_read_the_dense_deviations(S):
+    # lift-homomorphism and unit-projection block by block against dense
+    # (n, n) lifts: bitwise equal deviations at seeds 0-4
+    for seed in range(5):
+        for got, want in _block_and_dense_deviations(S, seed):
+            assert got == want, seed
+
+
+@pytest.mark.parametrize("S", _block_route_cases())
+def test_lambda_r_support_components_are_the_l_classes(S):
+    blocks = support_layout(restricted_left_regular(S)).blocks
+    got = sorted(tuple(component.tolist()) for L in blocks for component in L)
+    assert got == sorted(tuple(np.flatnonzero(S.dom == e).tolist()) for e in S.idempotents())
+
+
 @pytest.mark.memory
 @pytest.mark.parametrize("suite, bound_mb", [("cstar", 10), ("reps", 7)])
 def test_warm_suite_memory_on_i4(suite, bound_mb):
@@ -383,6 +429,29 @@ def test_warm_suite_memory_on_i4(suite, bound_mb):
         tracemalloc.stop()
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
     assert peak < bound_mb * 1e6
+
+
+@pytest.mark.memory
+@pytest.mark.parametrize(
+    "S",
+    [
+        pytest.param(gen_brandt(gen_group("cyclic", 3).mul, 9), id="B(Z3, 9)"),
+        pytest.param(gen_chain_semilattice(256), id="chain256"),
+    ],
+)
+def test_warm_reps_memory_at_max_order(S):
+    # the lift checks scatter only the support blocks of lambda_r: a warm
+    # reps suite peaked at 3.1 MB on B(Z3, 9) and 3.4 MB on the order-256
+    # chain, where dense (n, n) lifts peaked at 5.8 and 6.3 MB
+    SUITES["reps"](S, seed=0, trials=100)
+    tracemalloc.start()
+    try:
+        checks = SUITES["reps"](S, seed=0, trials=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize(
@@ -453,24 +522,36 @@ def test_algebra_check_fails_alone_under_its_mutation(monkeypatch, full_corpus, 
 
 
 def test_short_lift_fails_exactly_these_checks(monkeypatch):
-    # every lift short of the representation's last entry, under each name
-    # it is imported by: over all four suites on I3, the lift's own
-    # homomorphism check fails, and with it the checks that compare a
-    # dense lift with something else (the lifted rho pairing, the SVD of
-    # the lift against the block norms, the sampled summands of the lift)
+    # every lift, dense or block by block, short of the representation's
+    # last entry, under each name it is imported by: over all four suites
+    # on I3, the lift's own homomorphism check fails, and with it the
+    # checks that compare a dense lift with something else (the lifted rho
+    # pairing, the SVD of the lift against the block norms, the sampled
+    # summands of the lift)
     S = corpus_member("I3")
     suites = ("axioms", "algebra", "reps", "cstar")
     assert all(c.passed for r in run_suites([("I3", S)], suites, seed=7, trials=10) for c in r.checks)
-    real = restalg.reps.lift_many
+    real, real_blocks = restalg.reps.lift_many, restalg.reps.lift_blocks
 
     def short(rep, F):
         xs, ys, cols = rep.entries()
         dim = rep.dim
         return scatter_rows(np.take(F, xs[:-1], axis=1), (ys * dim + cols)[:-1], dim * dim).reshape(-1, dim, dim)
 
+    def short_blocks(rep, F):
+        layout = support_layout(rep)
+        row = scatter_rows(np.take(F, rep.entries()[0][:-1], axis=1), layout.bins[:-1], layout.starts[-1])
+        return [
+            row[:, lo:hi].reshape(-1, *L.shape, L.shape[1])
+            for L, lo, hi in zip(layout.blocks, layout.starts, layout.starts[1:])
+        ]
+
     for module in (restalg.reps, restalg.verify, restalg.cstar):
         assert module.lift_many is real
         monkeypatch.setattr(module, "lift_many", short)
+    for module in (restalg.reps, restalg.verify):
+        assert module.lift_blocks is real_blocks
+        monkeypatch.setattr(module, "lift_blocks", short_blocks)
     failed = {c.id for r in run_suites([("I3", S)], suites, seed=7, trials=10) for c in r.checks if not c.passed}
     assert failed == {
         "cstar.opnorm-backend",
